@@ -28,9 +28,14 @@ import sys
 import time
 from pathlib import Path
 
+import calibrate
+
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SETUP_SAMPLES = 3
+#: What the record keeps of each set-up sample: the scaled time, and the
+#: CPU time, median calibration loop and wall time it came from.
+SETUP_KEYS = ("setup_s", "setup_cpu_s", "setup_loop_s", "setup_wall_s")
 DEADLINE_S = 170.0   # every run must end within 180 s
 UNITS = {
     "setup_s": "s", "items_per_s": "1/s", "item_p50_s": "s",
@@ -50,7 +55,10 @@ def _worker(config: dict, deadline: float) -> dict:
     try:
         # Any artifact cache the program opens on its own lands in the
         # run's scratch directory, never in the user's ~/.cache/repro.
-        env = dict(os.environ, REPRO_CACHE_DIR=str(Path(config["workdir"]) / "cache"))
+        # One BLAS thread: items are timed in process CPU time, which
+        # would count a thread pool's spinning.
+        env = dict(os.environ, REPRO_CACHE_DIR=str(Path(config["workdir"]) / "cache"),
+                   OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
         done = subprocess.run(
             [sys.executable, str(HERE / "worker.py"), json.dumps(config)],
             cwd=ROOT, env=env, stdout=subprocess.PIPE, timeout=timeout,
@@ -98,17 +106,32 @@ def slot_medians(latencies: list, slots: list) -> list:
 
     Every round runs the same slots in the same order, so a slot's median
     over rounds discards a burst of load from other processes that hit
-    one of its items.
+    one of its items.  The first round warms the process up (lazy
+    imports, the allocator's arenas) and ran about a tenth slower, so it
+    is left out wherever a later round ran; its outputs are still checked.
     """
     by_slot: dict = {}
     for latency, slot in zip(latencies, slots):
         if slot >= 0:
             by_slot.setdefault(slot, []).append(latency)
-    return [statistics.median(by_slot[slot]) for slot in sorted(by_slot)]
+    return [statistics.median(by_slot[slot][1:] or by_slot[slot])
+            for slot in sorted(by_slot)]
+
+
+def scaled_latencies(sample: dict) -> list:
+    """Each item's CPU seconds on the reference host (:mod:`calibrate`).
+
+    All items of a run are scaled by the median of the calibration loops
+    run before them: one loop is too short to time a host's speed on its
+    own (it ran 0.018 s and 0.033 s minutes apart in one run), the median
+    of a run's loops follows its drift from run to run.
+    """
+    loop_s = statistics.median(sample["loops"])
+    return [calibrate.scale(cpu_s, loop_s) for cpu_s in sample["latencies"]]
 
 
 def end_to_end(setups: list, sample: dict) -> dict:
-    medians = slot_medians(sample["latencies"], sample["slots"]) or [0.0]
+    medians = slot_medians(scaled_latencies(sample), sample["slots"]) or [0.0]
     return {
         "setup_s": statistics.median(setups),
         "items_per_s": len(medians) / sum(medians) if sum(medians) else 0.0,
@@ -131,28 +154,31 @@ def run(args) -> tuple[dict, dict]:
     try:
         if args.trace:
             sample = _worker(dict(base, mode="trace"), deadline)
+            samples = [sample]
             metrics = sample["layers"]
-            setups = [sample["setup_s"]]
         else:
-            setups = [_worker(dict(base, mode="setup"), deadline)["setup_s"]
-                      for _ in range(SETUP_SAMPLES - 1)]
+            samples = [_worker(dict(base, mode="setup"), deadline)
+                       for _ in range(SETUP_SAMPLES - 1)]
             sample = _worker(dict(base, mode="run"), deadline)
-            setups.append(sample["setup_s"])
-            metrics = end_to_end(setups, sample)
+            samples.append(sample)
+            metrics = end_to_end([s["setup_s"] for s in samples], sample)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
-    latencies = sorted(sample["latencies"])
+    latencies = sorted(scaled_latencies(sample))
     record = {
         "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
         "trace": args.trace, "inputs": sample["inputs"],
-        "environment": _environment(), "setup_samples": setups,
+        "environment": _environment(),
+        "setup_samples": [{key: s[key] for key in SETUP_KEYS} for s in samples],
         "items": len(latencies), "wall_s": sample["wall_s"],
         "fail_rate": sample["failed"] / max(sample["attempted"], 1),
         "problems": sample["problems"], "outputs_digest": sample["digest"],
         "item_digests": sample["item_digests"],
         "latency_quartiles_s": (statistics.quantiles(latencies, n=4)
                                 if len(latencies) > 1 else latencies),
-        "slot_medians_s": slot_medians(sample["latencies"], sample["slots"]),
+        "slot_medians_s": slot_medians(scaled_latencies(sample), sample["slots"]),
+        "cpu_latencies_s": sample["latencies"], "loops_s": sample["loops"],
+        "slots": sample["slots"],
         "metrics": metrics,
     }
     for key in ("missing_layers", "spans_file", "searches", "predictions"):

@@ -41,16 +41,24 @@ def test_per_layer_metrics_match_benchmark_json():
         assert metric["unit"] == run._layer_unit(metric["name"])
 
 
-@pytest.mark.parametrize("name", ["attack_grid", "query_grid"])
-def test_grid_inputs_follow_the_seed(name):
-    workload = workloads.WORKLOADS[name]
-    count = 2 * len(workload.order)
+def _specs(workload, seed):
+    return [workload.spec(seed, i).to_dict() for i in range(2 * len(workload.order))]
 
-    def specs(seed):
-        return [workload.spec(seed, i).to_dict() for i in range(count)]
 
-    assert specs(3) == specs(3)
-    assert specs(3) != specs(4)
+def test_attack_grid_inputs_follow_the_seed():
+    workload = workloads.WORKLOADS["attack_grid"]
+    assert _specs(workload, 3) == _specs(workload, 3)
+    assert _specs(workload, 3) != _specs(workload, 4)
+
+
+def test_query_grid_locks_are_pinned_per_slot():
+    workload = workloads.WORKLOADS["query_grid"]
+    specs = _specs(workload, 3)
+    assert specs == _specs(workload, 4)
+    size = len(workload.order)
+    for first, again in zip(specs[:size], specs[size:]):
+        assert first["lock"] == again["lock"]
+        assert first.get("defense") == again.get("defense")
 
 
 def test_defended_design_is_pinned():
@@ -93,10 +101,24 @@ def test_trace_patches_by_name_imports_and_restores_them():
     assert recorder.self_times()["locking"][0] == 1
 
 
-def test_slot_medians_drop_a_burst():
-    latencies = [1.0, 2.0, 1.1, 9.0, 0.9, 2.1]
-    slots = [0, 1, 0, 1, 0, 1]
+def test_slot_medians_drop_the_warm_up_round_and_a_burst():
+    latencies = [1.5, 3.0, 1.0, 2.0, 1.1, 9.0, 0.9, 2.1]
+    slots = [0, 1] * 4
     assert run.slot_medians(latencies, slots) == [1.0, 2.1]
+    assert run.slot_medians([1.5, 3.0], [0, 1]) == [1.5, 3.0]
+
+
+def test_items_are_scaled_by_the_runs_median_loop():
+    import calibrate
+
+    loop = calibrate.REFERENCE_S
+    sample = {"latencies": [0.5, 1.0, 0.2], "loops": [loop, 2 * loop, 2 * loop]}
+    share = 2 ** -calibrate.SENSITIVITY
+    assert run.scaled_latencies(sample) == pytest.approx([0.5 * share, share, 0.2 * share])
+    assert calibrate.scale(0.5, loop) == 0.5
+    log = workloads.ItemLog()
+    log.add(log.start(), "output", 0)
+    assert log.loops[0] > 0 and log.latencies[0] >= 0
 
 
 def test_run_fails_without_the_program(tmp_path):

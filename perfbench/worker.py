@@ -19,10 +19,14 @@ from __future__ import annotations
 import hashlib
 import json
 import resource
+import statistics
 import sys
 import time
 from pathlib import Path
 
+
+#: Calibration loops run just before set-up, and again just after it.
+SETUP_LOOPS = 3
 
 #: Per-layer metrics the traced run adds to :func:`layers.layer_metrics`.
 TRACE_EXTRAS = ("timed.items", "timed.wall_s", "synth.timed_share",
@@ -88,11 +92,19 @@ def main(config: dict) -> dict:
     root = Path(config["root"])
     workdir = Path(config["workdir"])
     sys.path.insert(0, str(root / "src"))
+    import calibrate
     import layers
     from workloads import WORKLOADS, Budget, ItemLog
 
     workload = WORKLOADS[config["workload"]]
     mode = config["mode"]
+    # Set-up is timed in CPU time, like the items: this process's CPU time,
+    # less the calibration loops, covers interpreter start, imports and the
+    # workload's set-up.  It is scaled by the median of the loops run just
+    # before and just after it.
+    started = time.monotonic()
+    loops = [calibrate.sample() for _ in range(SETUP_LOOPS)]
+    loops_wall_s = time.monotonic() - started
     trace = layers.LayerTrace(layers.SpanRecorder())
     if mode == "trace":
         trace.install()
@@ -100,7 +112,13 @@ def main(config: dict) -> dict:
         state = workload.setup(config["seed"])
     finally:
         trace.remove()
-    result = {"setup_s": time.monotonic() - config["spawned"]}
+    setup_cpu_s = time.process_time() - sum(loops)
+    setup_wall_s = time.monotonic() - config["spawned"] - loops_wall_s
+    loops += [calibrate.sample() for _ in range(SETUP_LOOPS)]
+    loop_s = statistics.median(loops)
+    result = {"setup_s": calibrate.scale(setup_cpu_s, loop_s),
+              "setup_cpu_s": setup_cpu_s, "setup_loop_s": loop_s,
+              "setup_wall_s": setup_wall_s}
     if mode == "setup":
         return result
     state["workdir"] = str(workdir / "timed")
@@ -120,6 +138,7 @@ def main(config: dict) -> dict:
     quality = workload.check(state, log)
     result.update(
         latencies=log.latencies,
+        loops=log.loops,
         slots=log.slots,
         attempted=log.attempted,
         failed=len(log.failed),

@@ -7,9 +7,9 @@ process (``jobs=1``): on a two-core machine a worker pool would measure
 the scheduler rather than the program.
 
 Inputs that set how much work a slot is are pinned per slot (circuit,
-key-gate sites, the OMLA and AppSAT seeds, the point-function blocks);
-``--seed`` draws the rest: the secret RLL key bits of ``query_grid``, the
-redundancy attack's patterns and the defend check's random patterns.  On
+key-gate sites, the OMLA and AppSAT seeds, the point-function blocks,
+``query_grid``'s secret RLL key bits); ``--seed`` draws the rest: the
+redundancy attack's patterns and the checks' random patterns.  On
 a 20-30 s run the SA search's own random path alone moved
 ``defend_almost``'s item rate by 10-15 % and its accuracy gap threefold
 between seeds, so that workload's search is pinned entirely and every
@@ -37,7 +37,15 @@ from pathlib import Path
 
 import numpy as np
 
+import calibrate
 import reference
+
+#: The clock every item is timed with: CPU time of this process.  On a
+#: shared host, wall time also counts the time the hypervisor gives this
+#: machine's processors to other guests (steal time), which moved the
+#: item rate of identical runs by over half its median; process CPU time
+#: leaves it out.  The program runs in this one process (``jobs=1``).
+item_clock = time.process_time
 
 
 class Budget:
@@ -65,25 +73,39 @@ class Budget:
 
 @dataclass
 class ItemLog:
-    """What the timed phase produced: one latency and output per item."""
+    """What the timed phase produced: one latency and output per item.
+
+    ``latencies`` are CPU seconds; ``loops`` holds, per item, the CPU
+    seconds of the calibration loop run right before it
+    (:mod:`calibrate`).  The loops sample the host's speed all through
+    the run; their median scales the run's latencies.
+    """
 
     latencies: list = field(default_factory=list)
+    loops: list = field(default_factory=list)
     slots: list = field(default_factory=list)
     outputs: list = field(default_factory=list)
     failed: set = field(default_factory=set)
     problems: list = field(default_factory=list)
+    _loop_s: float = field(default=calibrate.REFERENCE_S, repr=False)
 
     @property
     def attempted(self) -> int:
         return len(self.outputs)
 
+    def start(self) -> float:
+        """Calibrate, then return the :func:`item_clock` reading items start at."""
+        self._loop_s = calibrate.sample()
+        return item_clock()
+
     def add(self, started: float, output, slot: int, share: int = 1) -> int:
-        """Log one item timed from ``started`` (a ``perf_counter`` reading).
+        """Log one item timed from ``started``, a :meth:`start` reading.
 
         ``slot`` is the item's position in the workload's round; ``share``
         splits one timed call evenly over that many items.
         """
-        self.latencies.append((time.perf_counter() - started) / share)
+        self.latencies.append((item_clock() - started) / share)
+        self.loops.append(self._loop_s)
         self.slots.append(slot)
         self.outputs.append(output)
         return len(self.outputs) - 1
@@ -158,14 +180,14 @@ class DefendAlmost:
             try:
                 result = AlmostDefense(proxy, config).generate_recipe()
             except Exception as exc:  # a failed search is a failed item
-                log.fail(log.add(time.perf_counter(), ["error", repr(exc)], -1), repr(exc))
+                log.fail(log.add(item_clock(), ["error", repr(exc)], -1), repr(exc))
                 return
             searches.append((result, first, log.attempted))
 
     @staticmethod
     def _timed(score, log: ItemLog, first: int):
         def timed(recipes):
-            started = time.perf_counter()
+            started = log.start()
             values = score(recipes)
             for recipe, value in zip(recipes, values):
                 log.add(started, [recipe.short(), value], log.attempted - first,
@@ -256,7 +278,7 @@ class GridWorkload:
                 return
             spec = self.spec(state["seed"], index)
             workdir = Path(root) / f"item-{index}"
-            started = time.perf_counter()
+            started = log.start()
             try:
                 cell = Runner(workdir=workdir, jobs=1).run(spec).cells[0]
             except Exception as exc:  # a cell that raises is a failed item
@@ -295,7 +317,7 @@ class GridWorkload:
                 problems.append(f"{cached} stage(s) served from the cache")
             artifacts = Runner(workdir=workdir, jobs=1).cell_artifacts(spec)
             lock = effective_lock(artifacts)
-            problems += self.check_cell(spec, cell, lock)
+            problems += self.check_cell(spec, cell, lock, state["seed"])
             for why in problems:
                 log.fail(index, why)
             if cell.accuracy is not None:
@@ -307,7 +329,7 @@ class GridWorkload:
             "area_ratio": float(np.mean(ratios)) if ratios else 0.0,
         }
 
-    def check_cell(self, spec, cell, lock) -> list:
+    def check_cell(self, spec, cell, lock, seed: int) -> list:
         return []
 
 
@@ -318,7 +340,7 @@ class AttackGrid(GridWorkload):
              ("c880", "scope"), ("c432", "redundancy"), ("c880", "omla"))
     params = {
         "scope": {},
-        "redundancy": {"num_patterns": 64},
+        "redundancy": {"num_patterns": 256},
         "omla": {"epochs": 4, "samples": 8, "relock_bits": 8, "num_relocks": 1},
     }
 
@@ -361,7 +383,7 @@ class QueryGrid(GridWorkload):
         ("c432", None, 0, "sat"), ("c499", None, 0, "appsat"),
         ("c880", "antisat", 3, "sat"), ("c1355", "antisat", 3, "appsat"),
         ("c432", "sarlock", 4, "appsat"), ("c499", "sarlock", 4, "sat"),
-        ("c880", "antisat", 5, "appsat"), ("c1355", "antisat", 5, "sat"),
+        ("c880", "antisat", 4, "appsat"), ("c1355", "antisat", 5, "sat"),
         ("c432", "sarlock", 3, "sat"), ("c499", "sarlock", 3, "appsat"),
     )
 
@@ -383,24 +405,23 @@ class QueryGrid(GridWorkload):
         # which sets how much work the cell does, so it is pinned per slot.
         if attack == "appsat":
             params["seed"] = slot
-        # The block's key and target net decide how many DIPs the attacks
-        # need, so the block is pinned per slot too; the seed draws the
-        # secret RLL key bits.
+        # The block's key and target net, and the secret RLL key bits, decide
+        # how many DIPs the attacks need: one drawn RLL key took 9 DIPs and
+        # 0.28 s where another took 11 and 0.41 s.  So the whole lock is
+        # pinned per slot; the seed draws the check's random patterns.
         defense = None
         if block is not None:
             defense = DefenseSpec(name=block, width=width, seed=slot)
-        rng = np.random.default_rng(_seed(seed, "key", index))
-        key = "".join(str(bit) for bit in rng.integers(0, 2, self.key_bits))
         return ExperimentSpec(
             name=f"{self.name}-{index}",
             benchmarks=(BenchmarkSpec(name=circuit),),
             attacks=(AttackSpec(name=attack, params=params),),
-            lock=dataclasses.replace(self.lock(index), key=key),
+            lock=self.lock(index),
             synth=SynthSpec(recipe="none"),
             defense=defense,
         )
 
-    def check_cell(self, spec, cell, lock) -> list:
+    def check_cell(self, spec, cell, lock, seed: int) -> list:
         """SAT keys must be exact; AppSAT keys may err only inside the block.
 
         A wrong key of a width-``w`` point-function block corrupts at most
@@ -413,7 +434,7 @@ class QueryGrid(GridWorkload):
             problems.append("DIP budget exhausted")
         netlist = lock.netlist
         values = reference.patterns(netlist.functional_inputs,
-                                    np.random.default_rng(0))
+                                    np.random.default_rng(_seed(seed, "check")))
         keys = netlist.key_inputs
         rate = reference.mismatch_rate(
             netlist, netlist, reference.with_key(values, keys, lock.key.bits),
