@@ -1,0 +1,98 @@
+"""Golden synthesis corpus: exact AIGs and mapped areas, pinned bit for bit.
+
+Every synthesis optimisation must leave these results unchanged.  Each case
+locks a quick-scale ISCAS-85 circuit with RLL (8 key bits, seed 0), applies a
+recipe, and records the ``Aig.fingerprint()`` of the result together with
+the total cell area of its technology mapping.
+
+The data lives in ``tests/golden/synth_golden.json``.  Regenerate it only
+when a change is *meant* to alter synthesis results::
+
+    PYTHONPATH=src python -m tests.test_synth_golden
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.aig import aig_from_netlist
+from repro.circuits import load_iscas85
+from repro.locking import lock_rll
+from repro.mapping.mapper import map_aig
+from repro.synth import RESYN2, apply_recipe, random_recipe
+
+GOLDEN_PATH = Path(__file__).parent / "golden" / "synth_golden.json"
+
+CIRCUITS = ("c432", "c499", "c880", "c1355", "c1908")
+KEY_SIZE = 8
+LOCK_SEED = 0
+RECIPES = {
+    "resyn2": RESYN2,
+    "random10_seed1": random_recipe(10, seed=1),
+    "random10_seed2": random_recipe(10, seed=2),
+}
+
+
+def synthesize_case(circuit: str, recipe_name: str) -> dict:
+    """Fingerprint and mapped area of one corpus case."""
+    locked = lock_rll(
+        load_iscas85(circuit, scale="quick"), key_size=KEY_SIZE, seed=LOCK_SEED
+    )
+    optimized = apply_recipe(aig_from_netlist(locked.netlist), RECIPES[recipe_name])
+    return {
+        "fingerprint": optimized.fingerprint(),
+        "ands": optimized.num_ands(),
+        "area": round(map_aig(optimized).total_area(), 6),
+    }
+
+
+def regenerate(path: Path = GOLDEN_PATH) -> dict:
+    """Recompute every case and write the corpus file."""
+    corpus = {
+        "inputs": {
+            "circuits": list(CIRCUITS),
+            "scale": "quick",
+            "locking": {"scheme": "rll", "key_size": KEY_SIZE, "seed": LOCK_SEED},
+            "recipes": {name: str(recipe) for name, recipe in RECIPES.items()},
+        },
+        "cases": {
+            f"{circuit}/{name}": synthesize_case(circuit, name)
+            for circuit in CIRCUITS
+            for name in RECIPES
+        },
+    }
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(corpus, indent=2, sort_keys=True) + "\n")
+    return corpus
+
+
+def _golden() -> dict:
+    return json.loads(GOLDEN_PATH.read_text())
+
+
+def test_corpus_inputs_match_the_generator():
+    inputs = _golden()["inputs"]
+    assert inputs["circuits"] == list(CIRCUITS)
+    assert inputs["locking"] == {
+        "scheme": "rll", "key_size": KEY_SIZE, "seed": LOCK_SEED,
+    }
+    assert inputs["recipes"] == {
+        name: str(recipe) for name, recipe in RECIPES.items()
+    }
+
+
+@pytest.mark.parametrize("circuit", CIRCUITS)
+def test_synthesis_matches_golden(circuit):
+    cases = _golden()["cases"]
+    for name in RECIPES:
+        assert synthesize_case(circuit, name) == cases[f"{circuit}/{name}"], (
+            f"{circuit} under {name} drifted from the golden corpus"
+        )
+
+
+if __name__ == "__main__":
+    written = regenerate()
+    print(f"wrote {len(written['cases'])} cases to {GOLDEN_PATH}")
