@@ -32,9 +32,9 @@ from repro.obs import metrics as _metrics
 _ENV_ROOT = "REPRO_CACHE_DIR"
 _SENTINEL = object()
 
-#: Salted into every stage fingerprint (see ``execute_stages``).  Bump this
-#: whenever a built-in stage's *semantics* change, so artifacts produced by
-#: older code can never be served against newer specs.
+#: Salted into every stage fingerprint (see ``execute_stages``) next to
+#: ``runner.source_digest()``.  Source edits already invalidate artifacts
+#: through that digest; bumping this invalidates them without one.
 CACHE_SCHEMA = 5  # v5: cross-worker shared synth-cache stats in almost artifacts
 
 

@@ -8,8 +8,10 @@ Each stage's fingerprint chains the SHA-256 of its spec with its
 dependencies' fingerprints, so any upstream change (different seed, bigger
 key, new recipe) transparently invalidates everything downstream while
 untouched prefixes keep hitting the :class:`~repro.pipeline.cache.\
-ArtifactCache`.  Cells are independent, so :class:`Runner` fans them out
-over a ``multiprocessing`` pool — the Table 1/2-style sweeps become
+ArtifactCache`.  Every fingerprint is also salted with a digest of the
+package source (:func:`source_digest`), so an artifact computed by other
+code is never served.  Cells are independent, so :class:`Runner` fans them
+out over a ``multiprocessing`` pool — the Table 1/2-style sweeps become
 embarrassingly parallel, and because workers share the on-disk cache, the
 lock/synth prefix of a benchmark is computed once no matter how many
 attacks cross it.
@@ -18,6 +20,8 @@ attacks cross it.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import hashlib
 import json
 import signal
 import threading
@@ -46,6 +50,32 @@ _log = get_logger(__name__)
 
 
 # -- generic DAG machinery ------------------------------------------------
+
+#: Top-level entries of ``src/repro`` that cannot change an artifact: the
+#: command-line front end, result rendering and the job daemon.
+_SOURCE_DIGEST_EXCLUDES = frozenset({"cli.py", "reporting", "service"})
+
+
+@functools.lru_cache(maxsize=None)
+def source_digest() -> str:
+    """SHA-256 over the package's Python sources, computed once per process.
+
+    Salted into every stage fingerprint: an edit to any module that can
+    change what a stage computes (synthesis, locking, attacks, ...)
+    invalidates the cached artifacts, even without a ``CACHE_SCHEMA`` bump.
+    """
+    root = Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        relative = path.relative_to(root)
+        if relative.parts[0] in _SOURCE_DIGEST_EXCLUDES:
+            continue
+        digest.update(relative.as_posix().encode())
+        digest.update(b"\x00")
+        digest.update(path.read_bytes())
+        digest.update(b"\x00")
+    return digest.hexdigest()
+
 
 @dataclass
 class Stage:
@@ -110,7 +140,9 @@ def execute_stages(
     tracer = get_tracer()
     for stage in topological_order(stage_list):
         chain = [fingerprints[dep] for dep in stage.deps]
-        digest = fingerprint(CACHE_SCHEMA, stage.name, stage.payload, chain)
+        digest = fingerprint(
+            CACHE_SCHEMA, source_digest(), stage.name, stage.payload, chain
+        )
         fingerprints[stage.name] = digest
         started = time.perf_counter()
         with tracer.span(
@@ -786,7 +818,15 @@ def _collect_async(
 
 
 def _worker_init(tracer_handle) -> None:
-    """Pool initializer: point the worker's telemetry at the parent's queue."""
+    """Pool initializer: point the worker's telemetry at the parent's queue.
+
+    It also restores SIGTERM's default action.  ``Pool.terminate()`` stops
+    workers with SIGTERM, but a forked worker inherits ``Runner.run``'s
+    SIGTERM-to-KeyboardInterrupt mapping; an idle worker blocked on the
+    task queue's lock then survived it, and the parent's join hung (about
+    one two-worker grid run in fifteen).
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     if tracer_handle is not None:
         set_tracer(tracer_handle)
 

@@ -1,77 +1,129 @@
-"""Candidate-structure library for cut rewriting.
+"""The structure cache: compiled candidate structures per cut truth table.
 
-ABC ships a precomputed database of optimal 4-input AIG structures per NPN
-class.  Here the library is synthesized on demand and cached per NPN class:
-for each canonical function we generate several candidate factored forms —
-ISOP of the function, ISOP of its complement, XOR decompositions (crucial for
-parity-heavy logic, where SOP covers explode) and single-variable Shannon
-decompositions — and keep the few cheapest.  Rewriting then dry-runs each
-candidate at the target site to pick the one with the best real gain.
+``rewrite`` and ``refactor`` both replace a cut's cone with a cheaper
+structure computing the same function.  This module generates those
+candidate structures and caches them, compiled into flat AND programs
+(:mod:`repro.synth.structure`), in one bounded module-level cache:
+
+* ``rewrite`` looks up the NPN class of its 4-input cut function.  ABC
+  ships a precomputed database of optimal 4-input structures per class;
+  here the library is synthesized on demand: ISOP of the function, ISOP of
+  its complement, XOR decompositions (crucial for parity-heavy logic, where
+  SOP covers explode) and a single-variable Shannon decomposition, keeping
+  the few cheapest.
+* ``refactor`` looks up its (up to 10-input) cone function exactly, keyed
+  on ``(bits, nvars)``: ISOP of the function, ISOP of its complement, and
+  one XOR decomposition when the function is xor-separable.
+
+Candidates are pure functions of the truth table, so a lookup hit returns
+exactly what regeneration would.  The cache holds compiled programs and
+never the factored-form trees: for the 222 tables the synthesis bench's
+recipes look up, the trees took about 15 MB and their programs 0.3 MB.
+Each lookup counts one ``synth.struct_cache.hits`` or ``.misses``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections import OrderedDict
+from typing import Callable, NamedTuple
 
+from repro.obs import metrics as _metrics
 from repro.synth.factor import FNode, factor_sop
 from repro.synth.isop import isop
+from repro.synth.structure import Program, compile_fnode
 from repro.utils.truth import NpnTransform, TruthTable
 
+#: Candidates kept per NPN class for ``rewrite``.
 MAX_CANDIDATES = 4
 
+#: Entries the structure cache holds before evicting the least recently used.
+STRUCT_CACHE_SIZE = 1 << 14
 
-@dataclass(frozen=True)
-class Candidate:
-    """A structure computing a canonical function (maybe complemented)."""
 
-    tree: FNode
+class Candidate(NamedTuple):
+    """A compiled structure computing a cut function (maybe complemented)."""
+
+    program: Program
     output_negated: bool
     literal_cost: int
 
 
-class RewriteLibrary:
-    """Caches candidate structures per NPN-canonical truth table."""
-
-    def __init__(self, max_candidates: int = MAX_CANDIDATES):
-        self.max_candidates = max_candidates
-        self._cache: dict[tuple[int, int], list[Candidate]] = {}
-
-    def candidates_for(self, table: TruthTable) -> tuple[
-        list[Candidate], NpnTransform
-    ]:
-        """Candidates for the NPN class of ``table`` plus the transform.
-
-        The candidate trees compute the *canonical* function; callers must
-        bind canonical variable ``i`` to the original leaf given by
-        ``transform.leaf_order`` and complement the output when
-        ``transform.output_negation ^ candidate.output_negated`` is set.
-        """
-        canonical, transform = table.npn_canon()
-        key = (canonical.bits, canonical.nvars)
-        cached = self._cache.get(key)
-        if cached is None:
-            cached = _generate_candidates(canonical, self.max_candidates)
-            self._cache[key] = cached
-        return cached, transform
+_CACHE: OrderedDict[tuple[str, int, int], tuple[Candidate, ...]] = OrderedDict()
 
 
-def _generate_candidates(table: TruthTable, limit: int) -> list[Candidate]:
-    trees: list[tuple[FNode, bool]] = []
-    for tree, negated in _decompose(table, depth=0):
-        trees.append((tree, negated))
+def _lookup(
+    kind: str,
+    table: TruthTable,
+    generate: Callable[[TruthTable], list[tuple[FNode, bool]]],
+) -> tuple[Candidate, ...]:
+    key = (kind, table.bits, table.nvars)
+    cached = _CACHE.get(key)
+    if cached is not None:
+        _metrics.inc("synth.struct_cache.hits")
+        _CACHE.move_to_end(key)
+        return cached
+    _metrics.inc("synth.struct_cache.misses")
+    cached = tuple(
+        Candidate(compile_fnode(tree, table.nvars), negated, tree.num_literals())
+        for tree, negated in generate(table)
+    )
+    if len(_CACHE) >= STRUCT_CACHE_SIZE:
+        _CACHE.popitem(last=False)
+    _CACHE[key] = cached
+    return cached
+
+
+def clear_structure_cache() -> None:
+    """Empty the structure cache (for cold-start measurements)."""
+    _CACHE.clear()
+
+
+def rewrite_candidates(
+    table: TruthTable,
+) -> tuple[tuple[Candidate, ...], NpnTransform]:
+    """Candidates for the NPN class of ``table`` plus the transform.
+
+    The candidates compute the *canonical* function; callers must bind
+    canonical variable ``i`` to the original leaf given by
+    ``transform.leaf_order`` and complement the output when
+    ``transform.output_negation ^ candidate.output_negated`` is set.
+    """
+    canonical, transform = table.npn_canon()
+    return _lookup("npn", canonical, _rewrite_trees), transform
+
+
+def refactor_candidates(table: TruthTable) -> tuple[Candidate, ...]:
+    """Candidates computing ``table`` itself (output maybe complemented)."""
+    return _lookup("exact", table, _refactor_trees)
+
+
+def _refactor_trees(table: TruthTable) -> list[tuple[FNode, bool]]:
+    """Factored forms for a (possibly wide) cone function."""
+    trees = [
+        (factor_sop(isop(table)), False),
+        (factor_sop(isop(~table)), True),
+    ]
+    # XOR decomposition on any xor-separable variable (parity cones).
+    for var in table.support():
+        if table.flip(var).bits == (~table).bits:
+            residual = table.cofactor(var, 0)
+            sub = factor_sop(isop(residual))
+            trees.append((FNode.xor([FNode.lit(var, False), sub]), False))
+            break
+    return trees
+
+
+def _rewrite_trees(table: TruthTable) -> list[tuple[FNode, bool]]:
+    """The ``MAX_CANDIDATES`` cheapest distinct forms, by literal count."""
     seen: set[tuple] = set()
-    candidates = []
-    for tree, negated in trees:
+    trees = []
+    for tree, negated in _decompose(table, depth=0):
         key = (repr(tree), negated)
-        if key in seen:
-            continue
-        seen.add(key)
-        candidates.append(
-            Candidate(tree=tree, output_negated=negated, literal_cost=tree.num_literals())
-        )
-    candidates.sort(key=lambda c: c.literal_cost)
-    return candidates[:limit]
+        if key not in seen:
+            seen.add(key)
+            trees.append((tree, negated))
+    trees.sort(key=lambda entry: entry[0].num_literals())
+    return trees[:MAX_CANDIDATES]
 
 
 def _decompose(table: TruthTable, depth: int) -> list[tuple[FNode, bool]]:

@@ -10,6 +10,11 @@ estimate honest:
 * a candidate whose reused nodes lie in the replaced node's fanout cone would
   create a cycle; such candidates are rejected with an explicit reachability
   check before the replacement is committed.
+
+Candidates arrive as compiled AND programs from the structure cache
+(:mod:`repro.synth.library`); :func:`evaluate_candidate` scores one with
+:func:`~repro.synth.structure.dry_run` and :func:`realize_candidate`
+builds the winner with :func:`~repro.synth.structure.realize`.
 """
 
 from __future__ import annotations
@@ -18,8 +23,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.aig.aig import Aig, lit_not, lit_var, make_lit
-from repro.synth.factor import FNode
-from repro.synth.structure import DryRunBuilder, RealBuilder, build_fnode
+from repro.synth.structure import Program, dry_run, realize
 
 
 @dataclass
@@ -33,23 +37,20 @@ class Evaluation:
 
 def evaluate_candidate(
     aig: Aig,
-    var: int,
     cut: Sequence[int],
     mffc_set: set[int],
-    tree: FNode,
+    program: Program,
     leaf_handles: Sequence[int],
 ) -> Evaluation:
-    """Estimate the node gain of replacing ``var``'s cut cone with ``tree``."""
-    dry = DryRunBuilder(aig)
-    build_fnode(dry, tree, leaf_handles)
-    hits_inside = dry.hits & mffc_set
+    """Estimate the node gain of replacing the cut cone with ``program``."""
+    added, hits = dry_run(aig, program, leaf_handles)
+    hits_inside = hits & mffc_set
     kept = _closure_within(aig, hits_inside, mffc_set, set(cut))
     saved = len(mffc_set) - len(kept)
-    outside_hits = dry.hits - mffc_set
     return Evaluation(
-        gain=saved - dry.added,
-        added=dry.added,
-        needs_cycle_check=bool(outside_hits),
+        gain=saved - added,
+        added=added,
+        needs_cycle_check=not hits <= mffc_set,
     )
 
 
@@ -75,13 +76,12 @@ def _closure_within(
 
 def realize_candidate(
     aig: Aig,
-    tree: FNode,
+    program: Program,
     leaf_handles: Sequence[int],
     output_negated: bool,
 ) -> int:
     """Build the candidate for real; returns the output literal."""
-    real = RealBuilder(aig)
-    out = build_fnode(real, tree, leaf_handles)
+    out = realize(aig, program, leaf_handles)
     return lit_not(out) if output_negated else out
 
 

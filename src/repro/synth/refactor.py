@@ -4,15 +4,17 @@ For each node, grow a reconvergence-driven cut of up to ``max_leaves``
 inputs, collapse the cone to its truth table, re-express it as an
 ISOP-factored (or XOR-decomposed) multi-level form and accept the new
 structure when it reduces the node count (or matches it, with ``-z``).
+The candidate forms come compiled from the structure cache
+(:func:`repro.synth.library.refactor_candidates`), keyed exactly on the
+cone's truth table.
 """
 
 from __future__ import annotations
 
-from repro.aig.aig import Aig, lit_not, make_lit
+from repro.aig.aig import Aig, make_lit
 from repro.aig.cuts import reconvergence_cut
 from repro.aig.simulate import cut_truth_table
-from repro.synth.factor import FNode, factor_sop
-from repro.synth.isop import isop
+from repro.synth.library import refactor_candidates
 from repro.synth.opt_common import (
     constant_or_leaf_lit,
     evaluate_candidate,
@@ -20,23 +22,6 @@ from repro.synth.opt_common import (
     realize_candidate,
     try_replace,
 )
-from repro.utils.truth import TruthTable
-
-
-def _candidate_trees(table: TruthTable) -> list[tuple[FNode, bool]]:
-    """Factored forms for a (possibly wide) cone function."""
-    trees = [
-        (factor_sop(isop(table)), False),
-        (factor_sop(isop(~table)), True),
-    ]
-    # XOR decomposition on any xor-separable variable (parity cones).
-    for var in table.support():
-        if table.flip(var).bits == (~table).bits:
-            residual = table.cofactor(var, 0)
-            sub = factor_sop(isop(residual))
-            trees.append((FNode.xor([FNode.lit(var, False), sub]), False))
-            break
-    return trees
 
 
 def refactor_pass(
@@ -62,17 +47,20 @@ def refactor_pass(
                 changed += 1
             continue
         best = None
-        for tree, negated in _candidate_trees(table):
-            evaluation = evaluate_candidate(aig, var, cut, mffc_set, tree, handles)
-            entry = (evaluation.gain, tree, negated, evaluation.needs_cycle_check)
-            if best is None or entry[0] > best[0]:
-                best = entry
+        for cand in refactor_candidates(table):
+            evaluation = evaluate_candidate(
+                aig, cut, mffc_set, cand.program, handles
+            )
+            if best is None or evaluation.gain > best[0]:
+                best = (evaluation.gain, cand, evaluation.needs_cycle_check)
         if best is None:
             continue
-        gain, tree, negated, cycle_check = best
+        gain, cand, cycle_check = best
         if gain < 0 or (gain == 0 and not zero_cost):
             continue
-        new_lit = realize_candidate(aig, tree, handles, negated)
+        new_lit = realize_candidate(
+            aig, cand.program, handles, cand.output_negated
+        )
         if try_replace(aig, var, cut, new_lit, cycle_check):
             changed += 1
     return changed

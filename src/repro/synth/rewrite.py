@@ -1,11 +1,12 @@
 """DAG-aware cut rewriting (ABC's ``rewrite`` / ``rewrite -z``).
 
 For every AND node in topological order, enumerate its 4-feasible cuts,
-compute each cut function, and test candidate implementations from the NPN
-rewriting library.  A candidate is committed when it strictly reduces the
-node count; with ``zero_cost=True`` (``rewrite -z``) equal-size replacements
-are also committed, which reshapes localities and unlocks later passes —
-the property ALMOST's recipe search exploits.
+compute each cut function, and test candidate implementations of its NPN
+class from the structure cache (:mod:`repro.synth.library`).  A candidate is
+committed when it strictly reduces the node count; with ``zero_cost=True``
+(``rewrite -z``) equal-size replacements are also committed, which reshapes
+localities and unlocks later passes — the property ALMOST's recipe search
+exploits.
 
 Pass-ordering safety: nodes are visited in a topological order snapshot;
 replacements only rewire the *fanout* cone of the visited node (always later
@@ -18,7 +19,7 @@ from __future__ import annotations
 from repro.aig.aig import Aig, lit_not, make_lit
 from repro.aig.cuts import CutManager
 from repro.aig.simulate import cut_truth_table
-from repro.synth.library import RewriteLibrary
+from repro.synth.library import rewrite_candidates
 from repro.synth.opt_common import (
     constant_or_leaf_lit,
     evaluate_candidate,
@@ -27,18 +28,14 @@ from repro.synth.opt_common import (
     try_replace,
 )
 
-_SHARED_LIBRARY = RewriteLibrary()
-
 
 def rewrite_pass(
     aig: Aig,
     zero_cost: bool = False,
     cut_size: int = 4,
     cut_limit: int = 8,
-    library: RewriteLibrary | None = None,
 ) -> int:
     """Run one rewriting pass in place; returns the number of replacements."""
-    library = library if library is not None else _SHARED_LIBRARY
     manager = CutManager(aig, k=cut_size, limit=cut_limit)
     changed = 0
     for var in aig.topological_ands():
@@ -58,14 +55,14 @@ def rewrite_pass(
                     best = candidate
                 continue
             mffc_set = aig.mffc(var, cut)
-            candidates, transform = library.candidates_for(table)
+            candidates, transform = rewrite_candidates(table)
+            bound = [
+                lit_not(handle) if neg else handle
+                for handle, neg in transform.leaf_order(handles)
+            ]
             for cand in candidates:
-                ordered = transform.leaf_order(handles)
-                bound = [
-                    lit_not(handle) if neg else handle for handle, neg in ordered
-                ]
                 evaluation = evaluate_candidate(
-                    aig, var, cut, mffc_set, cand.tree, bound
+                    aig, cut, mffc_set, cand.program, bound
                 )
                 entry = (
                     evaluation.gain,
@@ -86,7 +83,7 @@ def rewrite_pass(
             new_lit = neg_or_lit  # trivial constant / leaf literal
         else:
             cand, bound = payload
-            new_lit = realize_candidate(aig, cand.tree, bound, neg_or_lit)
+            new_lit = realize_candidate(aig, cand.program, bound, neg_or_lit)
         if try_replace(aig, var, cut, new_lit, cycle_check):
             changed += 1
     return changed

@@ -1,126 +1,149 @@
-"""Build factored-form trees into an AIG — for real, or as a dry run.
+"""Flat AND programs compiled from factored-form trees, and the loops that
+dry-run or build them.
 
-The *dry run* builder mirrors :meth:`Aig.add_and` semantics (constant
-folding + structural-hash lookups) without mutating the graph.  It reports
-how many genuinely new nodes a candidate structure would create and which
-existing nodes it would reuse, which is exactly what gain evaluation in
-``rewrite``/``refactor`` needs.
+``rewrite`` and ``refactor`` try several candidate structures at every
+node.  Each candidate is a factored-form tree (:class:`FNode`), compiled
+once, when the structure cache (:mod:`repro.synth.library`) first sees
+its truth table, into a :class:`Program`: a flat list of two-input ANDs
+over *operands*.
 
-Handles used by the builders are plain AIG literals for the real builder; the
-dry-run builder additionally uses negative integers for *ghost* nodes (nodes
-that would be created): ghost ``g`` with phase ``p`` is encoded as
-``-(2*g + p) - 1``.
+An operand is ``2*slot + neg``.  Slot 0 is constant false (so operand 0 is
+false and operand 1 is true), slots ``1..n`` are the cut leaves, and slot
+``n + 1 + k`` is the result of op ``k``.  The ops replay the exact
+``make_and`` sequence the tree's n-ary connectives expand to (balanced
+AND/OR trees, three ANDs per XOR).  Constant folding and repeated operand
+pairs are resolved at compile time: both are side-effect free in the
+loops below, so resolving them early changes no result.
+
+At a site, leaf ``i`` is bound to an AIG literal and the program runs in
+one of two loops:
+
+* :func:`dry_run` mirrors :meth:`Aig.add_and` (constant folding plus
+  structural-hash lookups) without mutating the graph.  It reports how
+  many genuinely new nodes the candidate needs and which existing AND
+  nodes it reuses, which is exactly what gain evaluation needs.  A node
+  that would be created is a *ghost*: ghost ``g`` in phase ``p`` has the
+  negative handle ``~(2*g + p)``, so ``h ^ 1`` complements real and ghost
+  handles alike.
+* :func:`realize` builds the program into the AIG with ``add_and``.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from repro.aig.aig import Aig, lit_not, lit_var
+from repro.aig.aig import Aig
 from repro.synth.factor import FNode
 
 
-def handle_not(handle: int) -> int:
-    """Complement a real-or-ghost handle."""
-    if handle >= 0:
-        return lit_not(handle)
-    return -((-handle - 1) ^ 1) - 1
+class Program(NamedTuple):
+    """A compiled candidate: flat operand pairs, one pair per AND."""
+
+    ops: tuple[int, ...]  # a0, b0, a1, b1, ...
+    out: int
 
 
-class RealBuilder:
-    """Builds structure directly into the AIG."""
+def compile_fnode(tree: FNode, num_leaves: int) -> Program:
+    """Compile ``tree`` over leaves ``0..num_leaves-1`` into a program."""
+    ops: list[int] = []
+    seen: dict[tuple[int, int], int] = {}
 
-    def __init__(self, aig: Aig):
-        self.aig = aig
-
-    def make_and(self, a: int, b: int) -> int:
-        return self.aig.add_and(a, b)
-
-    def const(self, value: bool) -> int:
-        return 1 if value else 0
-
-
-class DryRunBuilder:
-    """Counts the nodes a structure would add, honouring strashing.
-
-    Attributes after building:
-
-    * ``added`` — number of fresh nodes the structure needs;
-    * ``hits`` — set of existing AND variables the structure would reuse
-      (beyond the leaves themselves).
-    """
-
-    def __init__(self, aig: Aig):
-        self.aig = aig
-        self.added = 0
-        self.hits: set[int] = set()
-        self._ghosts: dict[tuple[int, int], int] = {}
-
-    def const(self, value: bool) -> int:
-        return 1 if value else 0
-
-    def make_and(self, a: int, b: int) -> int:
-        # Folding rules that do not require graph knowledge.
-        if a == 0 or b == 0 or a == handle_not(b):
+    def make_and(a: int, b: int) -> int:
+        if a > b:
+            a, b = b, a
+        if a == 0 or a == b ^ 1:
             return 0
-        if a == 1:
+        if a == 1 or a == b:
             return b
-        if b == 1:
-            return a
-        if a == b:
-            return a
-        if a >= 0 and b >= 0:
-            existing = self.aig.lookup_and(a, b)
-            if existing is not None:
-                var = lit_var(existing)
-                if self.aig.is_and(var):
-                    self.hits.add(var)
-                return existing
-        key = (a, b) if a <= b else (b, a)
-        ghost = self._ghosts.get(key)
+        operand = seen.get((a, b))
+        if operand is None:
+            operand = 2 * (num_leaves + 1 + len(ops) // 2)
+            ops.extend((a, b))
+            seen[(a, b)] = operand
+        return operand
+
+    def balanced(operands: list[int]) -> int:
+        while len(operands) > 1:
+            paired = [
+                make_and(operands[i], operands[i + 1])
+                for i in range(0, len(operands) - 1, 2)
+            ]
+            if len(operands) % 2:
+                paired.append(operands[-1])
+            operands = paired
+        return operands[0]
+
+    def build(node: FNode) -> int:
+        if node.kind == "const":
+            return int(node.value)
+        if node.kind == "lit":
+            return 2 * (node.var + 1) + node.negated
+        children = [build(child) for child in node.children]
+        if node.kind == "and":
+            return balanced(children)
+        if node.kind == "or":
+            return balanced([child ^ 1 for child in children]) ^ 1
+        if node.kind == "xor":
+            acc = children[0]
+            for child in children[1:]:
+                left = make_and(acc, child ^ 1)
+                right = make_and(acc ^ 1, child)
+                acc = make_and(left ^ 1, right ^ 1) ^ 1
+            return acc
+        raise ValueError(f"unknown FNode kind {node.kind}")  # pragma: no cover
+
+    out = build(tree)
+    return Program(tuple(ops), out)
+
+
+def dry_run(
+    aig: Aig, program: Program, leaf_handles: Sequence[int]
+) -> tuple[int, set[int]]:
+    """``(added, hits)``: fresh nodes ``program`` would need at this site,
+    and the existing AND variables it would reuse."""
+    values = [0, *leaf_handles]  # handle of each slot, positive phase
+    ops = program.ops
+    lookup = aig.lookup_and
+    ghosts: dict[tuple[int, int], int] = {}
+    hits: set[int] = set()
+    for index in range(0, len(ops), 2):
+        a = ops[index]
+        a = values[a >> 1] ^ (a & 1)
+        b = ops[index + 1]
+        b = values[b >> 1] ^ (b & 1)
+        if a == 0 or b == 0 or a == b ^ 1:
+            values.append(0)
+            continue
+        if a == 1:
+            values.append(b)
+            continue
+        if b == 1 or a == b:
+            values.append(a)
+            continue
+        key = (a, b) if a < b else (b, a)
+        if key[0] >= 0:  # both real: a structural-hash hit reuses a node
+            lit = lookup(a, b)
+            if lit is not None:
+                hits.add(lit >> 1)
+                values.append(lit)
+                continue
+        ghost = ghosts.get(key)
         if ghost is None:
-            ghost = self.added
-            self.added += 1
-            self._ghosts[key] = ghost
-        return -(2 * ghost) - 1
+            ghost = ghosts[key] = ~(2 * len(ghosts))
+        values.append(ghost)
+    return len(ghosts), hits
 
 
-def build_fnode(builder, node: FNode, leaves: Sequence[int]) -> int:
-    """Build a factored tree; ``leaves[i]`` is the handle for variable ``i``.
-
-    Works with either builder; returns the root handle.
-    """
-    if node.kind == "const":
-        return builder.const(node.value)
-    if node.kind == "lit":
-        handle = leaves[node.var]
-        return handle_not(handle) if node.negated else handle
-    child_handles = [build_fnode(builder, child, leaves) for child in node.children]
-    if node.kind == "and":
-        return _balanced(builder, child_handles, invert_in=False, invert_out=False)
-    if node.kind == "or":
-        return _balanced(builder, child_handles, invert_in=True, invert_out=True)
-    if node.kind == "xor":
-        acc = child_handles[0]
-        for handle in child_handles[1:]:
-            left = builder.make_and(acc, handle_not(handle))
-            right = builder.make_and(handle_not(acc), handle)
-            acc = handle_not(
-                builder.make_and(handle_not(left), handle_not(right))
-            )
-        return acc
-    raise ValueError(f"unknown FNode kind {node.kind}")  # pragma: no cover
-
-
-def _balanced(builder, handles: list[int], invert_in: bool, invert_out: bool) -> int:
-    if invert_in:
-        handles = [handle_not(h) for h in handles]
-    while len(handles) > 1:
-        nxt = [
-            builder.make_and(handles[i], handles[i + 1])
-            for i in range(0, len(handles) - 1, 2)
-        ]
-        if len(handles) % 2:
-            nxt.append(handles[-1])
-        handles = nxt
-    return handle_not(handles[0]) if invert_out else handles[0]
+def realize(aig: Aig, program: Program, leaf_handles: Sequence[int]) -> int:
+    """Build ``program`` into ``aig``; returns the output literal."""
+    values = [0, *leaf_handles]
+    ops = program.ops
+    add_and = aig.add_and
+    for index in range(0, len(ops), 2):
+        a = ops[index]
+        b = ops[index + 1]
+        values.append(
+            add_and(values[a >> 1] ^ (a & 1), values[b >> 1] ^ (b & 1))
+        )
+    out = program.out
+    return values[out >> 1] ^ (out & 1)

@@ -1,110 +1,271 @@
-"""Deeper tests of the optimization machinery: dry runs, gains, stress.
+"""Deeper tests of the optimization machinery: programs, gains, stress.
 
 These cover the parts of rewrite/refactor that are easy to get subtly wrong:
-dry-run node counting vs. real construction, MFFC-based gain accounting, and
-long random pass sequences as a structural stress test.
+compiling factored forms into AND programs, dry-run node counting vs. real
+construction, MFFC-based gain accounting, the structure cache, and long
+random pass sequences as a structural stress test.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.aig import Aig, aig_from_netlist, lit_var, make_lit
-from repro.aig.simulate import functionally_equal
+from repro.aig import Aig, aig_from_netlist, lit_var
+from repro.aig.simulate import cut_truth_table, functionally_equal
+from repro.obs.metrics import REGISTRY
 from repro.synth import apply_transform, random_recipe
 from repro.synth.factor import FNode
+from repro.synth import library
+from repro.synth.library import refactor_candidates, rewrite_candidates
 from repro.synth.opt_common import evaluate_candidate, leaf_lits
-from repro.synth.structure import DryRunBuilder, RealBuilder, build_fnode, handle_not
+from repro.synth.refactor import refactor_pass
+from repro.synth.structure import compile_fnode, dry_run, realize
+from repro.utils.rng import make_rng
+from repro.utils.truth import TruthTable
 from tests.conftest import build_random_netlist
 
 
+def _random_tree(rng, depth):
+    """A random and/or/xor tree over 4 leaves, with occasional constants."""
+    if depth == 0 or rng.random() < 0.3:
+        if rng.random() < 0.1:
+            return FNode.const(bool(rng.integers(2)))
+        return FNode.lit(int(rng.integers(4)), bool(rng.integers(2)))
+    kind = ["and", "or", "xor"][int(rng.integers(3))]
+    children = [
+        _random_tree(rng, depth - 1) for _ in range(int(rng.integers(2, 4)))
+    ]
+    return FNode(kind=kind, children=tuple(children))
+
+
+def _tree_table(node: FNode, nvars: int) -> TruthTable:
+    """The function a factored tree denotes, evaluated directly."""
+    if node.kind == "const":
+        return TruthTable.const(node.value, nvars)
+    if node.kind == "lit":
+        table = TruthTable.var(node.var, nvars)
+        return ~table if node.negated else table
+    tables = [_tree_table(child, nvars) for child in node.children]
+    result = tables[0]
+    for table in tables[1:]:
+        if node.kind == "and":
+            result = result & table
+        elif node.kind == "or":
+            result = result | table
+        else:
+            result = result ^ table
+    return result
+
+
+def _site_with_structure():
+    """Four PIs plus some existing logic, so strash hits occur."""
+    aig = Aig()
+    leaves = [aig.add_pi(f"p{i}") for i in range(4)]
+    aig.add_po(aig.add_and(leaves[0], leaves[1]), "pre")
+    aig.add_po(aig.add_and(leaves[2], leaves[3] ^ 1), "pre2")
+    return aig, leaves
+
+
 class TestHandleEncoding:
+    """``h ^ 1`` complements real literals and ghost handles alike."""
+
     def test_real_handles(self):
-        assert handle_not(4) == 5
-        assert handle_not(5) == 4
+        aig = Aig()
+        leaf = aig.add_pi("a")
+        program = compile_fnode(FNode.lit(0, True), 1)
+        assert realize(aig, program, [leaf]) == leaf ^ 1
+        assert realize(aig, program, [leaf ^ 1]) == leaf
 
     def test_ghost_handles(self):
-        ghost = -1  # ghost 0, phase 0
-        assert handle_not(ghost) == -2
-        assert handle_not(handle_not(ghost)) == ghost
+        ghost = ~(2 * 3)  # ghost 3, phase 0
+        assert ghost < 0
+        assert ghost ^ 1 == ~(2 * 3 + 1)
+        assert (ghost ^ 1) ^ 1 == ghost
+        # XOR feeds complemented ghosts into its third AND: three new nodes.
+        aig = Aig()
+        leaves = [aig.add_pi("a"), aig.add_pi("b")]
+        xor = FNode.xor([FNode.lit(0), FNode.lit(1)])
+        added, hits = dry_run(aig, compile_fnode(xor, 2), leaves)
+        assert (added, hits) == (3, set())
+
+
+class TestCompile:
+    def test_constants_and_literals_compile_to_no_ops(self):
+        assert compile_fnode(FNode.const(False), 3) == ((), 0)
+        assert compile_fnode(FNode.const(True), 3) == ((), 1)
+        assert compile_fnode(FNode.lit(2, True), 3) == ((), 2 * 3 + 1)
 
 
 class TestDryRunMatchesReal:
     @given(st.integers(min_value=0, max_value=200))
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=60, deadline=None)
     def test_added_count_matches(self, seed):
-        """Dry-run `added` must equal the real builder's node delta."""
-        from repro.utils.rng import make_rng
+        """Dry-run `added` must equal the real builder's node delta.
 
+        Leaves are bound to PIs, their complements, repeats and constants,
+        so the runtime folding rules all fire.
+        """
         rng = make_rng(seed)
-        aig = Aig()
-        leaves = [aig.add_pi(f"p{i}") for i in range(4)]
-        # Pre-populate with some structure so strash hits occur.
-        aig.add_po(aig.add_and(leaves[0], leaves[1]), "pre")
-        # Random factored tree over the 4 leaves.
-        tree = self._random_tree(rng, depth=3)
-        dry = DryRunBuilder(aig)
-        build_fnode(dry, tree, leaves)
+        aig, pis = _site_with_structure()
+        choices = pis + [pi ^ 1 for pi in pis] + [0, 1]
+        leaves = [choices[int(rng.integers(len(choices)))] for _ in range(4)]
+        program = compile_fnode(_random_tree(rng, depth=3), 4)
+        added, hits = dry_run(aig, program, leaves)
         before = aig.num_ands()
-        real = RealBuilder(aig)
-        out = build_fnode(real, tree, leaves)
-        added_real = aig.num_ands() - before
-        assert dry.added == added_real
+        existing = set(aig.live_vars())
+        realize(aig, program, leaves)
+        assert added == aig.num_ands() - before
+        assert hits <= existing
 
-    def _random_tree(self, rng, depth):
-        if depth == 0 or rng.random() < 0.3:
-            return FNode.lit(int(rng.integers(4)), bool(rng.integers(2)))
-        kind = ["and", "or", "xor"][int(rng.integers(3))]
-        children = [
-            self._random_tree(rng, depth - 1)
-            for _ in range(int(rng.integers(2, 4)))
-        ]
-        return FNode(kind=kind, children=tuple(children))
+    @given(st.integers(min_value=0, max_value=200))
+    @settings(max_examples=30, deadline=None)
+    def test_realized_program_computes_the_tree(self, seed):
+        """The realized cut function equals the tree's own function."""
+        rng = make_rng(seed)
+        tree = _random_tree(rng, depth=3)
+        aig, leaves = _site_with_structure()
+        out = realize(aig, compile_fnode(tree, 4), leaves)
+        cut = [lit_var(leaf) for leaf in leaves]
+        assert cut_truth_table(aig, out, cut) == _tree_table(tree, 4)
+
+
+def _wasteful_and3():
+    """a & b & c built as ((a&b)&(a&c))&(b&c): 5-node MFFC."""
+    aig = Aig()
+    a, b, c = (aig.add_pi(name) for name in "abc")
+    top = aig.add_and(aig.add_and(a, b), aig.add_and(a, c))
+    root = aig.add_and(top, aig.add_and(b, c))
+    aig.add_po(root, "y")
+    return aig, root, (lit_var(a), lit_var(b), lit_var(c))
+
+
+def _partial_and3():
+    """(a & b) & c: a 2-node MFFC the candidate can partly reuse."""
+    aig = Aig()
+    a, b, c = (aig.add_pi(name) for name in "abc")
+    root = aig.add_and(aig.add_and(a, b), c)
+    aig.add_po(root, "y")
+    return aig, root, (lit_var(a), lit_var(b), lit_var(c))
+
+
+def _shared_fanin():
+    """(a & b) & (b & c) where a & b also drives a PO (outside the MFFC)."""
+    aig = Aig()
+    a, b, c = (aig.add_pi(name) for name in "abc")
+    ab = aig.add_and(a, b)
+    root = aig.add_and(ab, aig.add_and(b, c))
+    aig.add_po(root, "y")
+    aig.add_po(ab, "z")
+    return aig, root, (lit_var(a), lit_var(b), lit_var(c))
+
+
+_AND3 = FNode.and_([FNode.lit(0), FNode.lit(1), FNode.lit(2)])
+_NOR3N = FNode.or_([FNode.lit(0, True), FNode.lit(1, True), FNode.lit(2, True)])
+_XOR_AND = FNode.xor([FNode.lit(2), FNode.and_([FNode.lit(0), FNode.lit(1)])])
+_AND_C_AB = FNode.and_([FNode.lit(2), FNode.lit(0), FNode.lit(1)])
 
 
 class TestEvaluateCandidate:
-    def test_positive_gain_for_simplification(self):
-        # Cut function = a & b & c built wastefully as ((a&b)&(a&c))&(b&c);
-        # the candidate AND-tree of 2 nodes must show positive gain.
-        aig = Aig()
-        a = aig.add_pi("a")
-        b = aig.add_pi("b")
-        c = aig.add_pi("c")
-        ab = aig.add_and(a, b)
-        ac = aig.add_and(a, c)
-        bc = aig.add_and(b, c)
-        top1 = aig.add_and(ab, ac)
-        root = aig.add_and(top1, bc)
-        aig.add_po(root, "y")
-        cut = (lit_var(a), lit_var(b), lit_var(c))
+    # (gain, added, needs_cycle_check) per hand-built site and candidate,
+    # as the tree-walking dry-run builder scored them.
+    @pytest.mark.parametrize(
+        "site, tree, expected",
+        [
+            (_wasteful_and3, _AND3, (3, 1, False)),
+            (_wasteful_and3, _NOR3N, (3, 1, False)),
+            (_wasteful_and3, _XOR_AND, (1, 3, False)),
+            (_wasteful_and3, _AND_C_AB, (3, 1, False)),
+            (_partial_and3, _AND3, (0, 0, False)),
+            (_partial_and3, _NOR3N, (0, 0, False)),
+            (_partial_and3, _XOR_AND, (-2, 3, False)),
+            (_partial_and3, _AND_C_AB, (0, 2, False)),
+            (_shared_fanin, _AND3, (1, 1, True)),
+            (_shared_fanin, _NOR3N, (1, 1, True)),
+            (_shared_fanin, _XOR_AND, (-1, 3, True)),
+            (_shared_fanin, _AND_C_AB, (0, 2, False)),
+        ],
+    )
+    def test_gains_on_hand_built_sites(self, site, tree, expected):
+        aig, root, cut = site()
         mffc = aig.mffc(lit_var(root), cut)
-        tree = FNode.and_(
-            [FNode.lit(0), FNode.lit(1), FNode.lit(2)]
-        )
         evaluation = evaluate_candidate(
-            aig, lit_var(root), cut, mffc, tree, leaf_lits(cut)
+            aig, cut, mffc, compile_fnode(tree, 3), leaf_lits(cut)
         )
-        # 5 nodes die, 2 new nodes: gain 3 (strash hits may improve it).
-        assert evaluation.gain >= 2
+        assert (
+            evaluation.gain, evaluation.added, evaluation.needs_cycle_check
+        ) == expected
+
+    def test_positive_gain_for_simplification(self):
+        # The candidate AND-tree reuses a&b and adds one node for the 5
+        # wasted ones: gain 3.
+        aig, root, cut = _wasteful_and3()
+        mffc = aig.mffc(lit_var(root), cut)
+        evaluation = evaluate_candidate(
+            aig, cut, mffc, compile_fnode(_AND3, 3), leaf_lits(cut)
+        )
+        assert evaluation.gain == 3
 
     def test_hits_inside_mffc_reduce_savings(self):
-        aig = Aig()
-        a = aig.add_pi("a")
-        b = aig.add_pi("b")
-        c = aig.add_pi("c")
-        ab = aig.add_and(a, b)
-        root = aig.add_and(ab, c)
-        aig.add_po(root, "y")
-        cut = (lit_var(a), lit_var(b), lit_var(c))
+        aig, root, cut = _partial_and3()
         mffc = aig.mffc(lit_var(root), cut)
         assert len(mffc) == 2
-        # Candidate reuses (a&b): the ab node survives, so saved = 1,
-        # added = 1 (the new top AND strash-hits the root itself -> 0...).
-        tree = FNode.and_([FNode.lit(0), FNode.lit(1), FNode.lit(2)])
-        evaluation = evaluate_candidate(
-            aig, lit_var(root), cut, mffc, tree, leaf_lits(cut)
+        # The candidate reuses (a&b) and then the root itself: both MFFC
+        # nodes survive, so nothing is saved and nothing is added.
+        added, hits = dry_run(aig, compile_fnode(_AND3, 3), leaf_lits(cut))
+        assert (added, hits) == (0, mffc)
+
+
+class TestStructureCache:
+    @pytest.mark.parametrize("nvars", [3, 4, 5, 6])
+    def test_cached_programs_compute_their_table(self, nvars):
+        rng = make_rng(nvars)
+        for _ in range(20):
+            bits = int.from_bytes(rng.bytes(8), "little")
+            table = TruthTable(bits & ((1 << (1 << nvars)) - 1), nvars)
+            aig = Aig()
+            leaves = [aig.add_pi() for _ in range(nvars)]
+            cut = [lit_var(leaf) for leaf in leaves]
+            for cand in refactor_candidates(table):
+                out = realize(aig, cand.program, leaves) ^ cand.output_negated
+                assert cut_truth_table(aig, out, cut) == table
+            if nvars <= 4:
+                candidates, transform = rewrite_candidates(table)
+                canonical = transform.apply(table)
+                for cand in candidates:
+                    out = realize(aig, cand.program, leaves)
+                    out ^= cand.output_negated
+                    assert cut_truth_table(aig, out, cut) == canonical
+
+    def test_bounded_cache_evicts_least_recently_used(self, monkeypatch):
+        monkeypatch.setattr(library, "STRUCT_CACHE_SIZE", 2)
+        library.clear_structure_cache()
+        t1, t2, t3 = (TruthTable(bits, 3) for bits in (0x96, 0xE8, 0x1E))
+
+        def hit(table) -> bool:
+            before = REGISTRY.counters().get("synth.struct_cache.hits", 0)
+            refactor_candidates(table)
+            after = REGISTRY.counters().get("synth.struct_cache.hits", 0)
+            return after > before
+
+        assert [hit(t1), hit(t2), hit(t1)] == [False, False, True]
+        assert not hit(t3)  # evicts t2, the least recently used
+        assert [hit(t1), hit(t2)] == [True, False]
+        library.clear_structure_cache()
+
+    def test_second_pass_over_a_clone_only_hits(self, c432_quick):
+        aig = aig_from_netlist(c432_quick)
+        refactor_pass(aig.clone())
+        before = REGISTRY.counters()
+        refactor_pass(aig.clone())
+        after = REGISTRY.counters()
+        hits = after.get("synth.struct_cache.hits", 0) - before.get(
+            "synth.struct_cache.hits", 0
         )
-        assert evaluation.gain <= 1
+        misses = after.get("synth.struct_cache.misses", 0) - before.get(
+            "synth.struct_cache.misses", 0
+        )
+        assert hits > 0
+        assert misses == 0
 
 
 class TestStress:

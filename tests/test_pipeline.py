@@ -311,6 +311,63 @@ class TestDag:
         _arts, log = execute_stages(changed, cache)
         assert [e["cached"] for e in log] == [False, False]
 
+    def test_pool_workers_die_on_sigterm(self):
+        """``Pool.terminate()`` must kill workers, whatever the parent's
+        SIGTERM handler (``Runner.run`` maps it to KeyboardInterrupt)."""
+        import signal
+
+        from repro.pipeline.runner import _worker_init
+
+        previous = signal.signal(signal.SIGTERM, lambda *_: None)
+        try:
+            _worker_init(None)
+            assert signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+
+    def test_source_edit_invalidates_cached_stages(self, tmp_path):
+        """A synth edit misses the cache; a CLI edit does not."""
+        import os
+        import shutil
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        src = tmp_path / "src"
+        shutil.copytree(
+            Path(repro.__file__).parent, src / "repro",
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        script = (
+            "import sys\n"
+            "from repro.pipeline import ArtifactCache, Stage, execute_stages\n"
+            "stage = Stage('synth', {'v': 1}, (), lambda deps: 42)\n"
+            "_arts, log = execute_stages([stage], ArtifactCache(sys.argv[1]))\n"
+            "print(log[0]['cached'])\n"
+        )
+
+        def cached() -> bool:
+            done = subprocess.run(
+                [sys.executable, "-c", script, str(tmp_path / "cache")],
+                env={**os.environ, "PYTHONPATH": str(src)},
+                capture_output=True, text=True, check=True,
+            )
+            return done.stdout.strip() == "True"
+
+        def append_comment(relative: str) -> None:
+            path = src / "repro" / relative
+            path.write_text(path.read_text() + "\n# edited\n")
+
+        assert not cached()
+        assert cached()
+        append_comment("cli.py")
+        assert cached()
+        append_comment("synth/refactor.py")
+        assert not cached()
+        assert cached()
+
 
 # -- end-to-end runner ---------------------------------------------------
 
