@@ -26,7 +26,7 @@ from repro.synth import RESYN2, apply_recipe, random_recipe
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "synth_golden.json"
 
-CIRCUITS = ("c432", "c499", "c880", "c1355", "c1908")
+CIRCUITS = ("c432", "c499", "c880", "c1355", "c1908", "c2670", "c3540")
 KEY_SIZE = 8
 LOCK_SEED = 0
 RECIPES = {
