@@ -26,6 +26,7 @@ pool is torn down and shuts the store down on :meth:`close`.
 
 from __future__ import annotations
 
+import signal
 from typing import Callable, Sequence
 
 from repro.errors import SearchError
@@ -87,7 +88,15 @@ _WORKER_FN = None
 
 
 def _pool_initializer(fn, tracer_handle=None) -> None:
+    """Pool initializer: install the scorer and the telemetry handle.
+
+    It also restores SIGTERM's default action, as the Runner's pool
+    initializer does: a forked worker inherits ``Runner.run``'s
+    SIGTERM-to-KeyboardInterrupt mapping and could then survive
+    ``Pool.terminate()``, hanging the parent's join.
+    """
     global _WORKER_FN
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     _WORKER_FN = fn
     if tracer_handle is not None:
         # Worker spans/metrics flow back through the handle's queue; the

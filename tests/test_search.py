@@ -332,6 +332,22 @@ class TestEvaluators:
         with pytest.raises(SearchError):
             ProcessPoolEvaluator(_square, jobs=0)
 
+    def test_pool_workers_die_on_sigterm(self):
+        """``Pool.terminate()`` must kill workers, whatever the parent's
+        SIGTERM handler (``Runner.run`` maps it to KeyboardInterrupt)."""
+        import signal
+
+        from repro.core.search import evaluator
+
+        previous = signal.signal(signal.SIGTERM, lambda *_: None)
+        worker_fn = evaluator._WORKER_FN
+        try:
+            evaluator._pool_initializer(_square)
+            assert signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+            evaluator._WORKER_FN = worker_fn
+
 
 # -- prefix-cached synthesis ----------------------------------------------
 
