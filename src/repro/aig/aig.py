@@ -17,7 +17,7 @@ The class supports the two usage styles synthesis needs:
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from repro.errors import AigError
 
@@ -204,14 +204,14 @@ class Aig:
         self._fanouts[lit_var(lit1)].add(var)
         return make_lit(var)
 
-    def lookup_and(self, lit0: int, lit1: int) -> Optional[int]:
-        """Folded or strash-hit literal for AND(lit0, lit1); None if absent."""
-        folded = self.fold_and(lit0, lit1)
-        if folded is not None:
-            return folded
-        lit0, lit1 = self._normalize(lit0, lit1)
-        existing = self._strash.get((lit0, lit1))
-        return make_lit(existing) if existing is not None else None
+    @property
+    def strash(self) -> Mapping[tuple[int, int], int]:
+        """The structural-hash table, read-only: fanin pair -> AND variable.
+
+        Keys are normalized (smaller literal first) and never constant-
+        foldable; callers fold first, then probe (see ``structure.dry_run``).
+        """
+        return self._strash
 
     # -- derived operators ----------------------------------------------------
 

@@ -2,17 +2,58 @@
 
 Two flavours, matching what the synthesis passes need:
 
-* :func:`enumerate_cuts` — classic bottom-up k-feasible cut enumeration with
-  a per-node cut limit, used by ``rewrite`` (k = 4).
+* :class:`CutManager` / :func:`enumerate_cuts` — classic bottom-up
+  k-feasible cut enumeration with a per-node cut limit, used by ``rewrite``
+  (k = 4).  Each stored :class:`Cut` carries its sorted leaf tuple, a leaf
+  bitset (bit ``v`` set for leaf ``v``) and its truth table over the
+  leaves, as ABC's cut manager does.  Merging two fanin cuts is bitset
+  arithmetic: the union is ``s0 | s1``, its size ``.bit_count()``,
+  duplicates are keyed on the bitset and a cut dominates another when its
+  bitset is a subset.  The merged table is the AND of the two fanin tables,
+  each re-indexed onto the union's leaves by :func:`_stretch` and
+  complemented by its fanin phase, so ``rewrite`` never re-simulates a cut
+  cone.
 * :func:`reconvergence_cut` — Mishchenko-style reconvergence-driven cut
-  growing, used by ``refactor`` and ``resub`` for larger windows (k = 8-12).
+  growing, used by ``refactor`` and ``resub`` for larger windows (k = 8-12);
+  their cone tables come from :func:`repro.aig.simulate.cut_truth_table`.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from functools import lru_cache
+from operator import itemgetter
+from typing import NamedTuple, Optional
 
 from repro.aig.aig import Aig, lit_var
+
+
+class Cut(NamedTuple):
+    """A stored cut: leaves, leaf bitset, and the node's function over them.
+
+    ``bits`` is a truth table in :mod:`repro.utils.truth` layout: variable
+    ``i`` is ``leaves[i]``.
+    """
+
+    leaves: tuple[int, ...]
+    sig: int
+    bits: int
+
+
+#: The table of a single variable over one input (the trivial cut's).
+_PROJECTION = 0b10
+
+
+@lru_cache(maxsize=1 << 16)
+def _stretch(bits: int, positions: tuple[int, ...], nvars: int) -> int:
+    """Re-index a table onto ``nvars`` inputs: its variable ``i`` becomes
+    variable ``positions[i]`` of the result."""
+    out = 0
+    for minterm in range(1 << nvars):
+        source = 0
+        for index, position in enumerate(positions):
+            source |= (minterm >> position & 1) << index
+        out |= (bits >> source & 1) << minterm
+    return out
 
 
 class CutManager:
@@ -27,10 +68,10 @@ class CutManager:
         self.aig = aig
         self.k = k
         self.limit = limit
-        self._memo: dict[int, list[tuple[int, ...]]] = {}
+        self._memo: dict[int, list[Cut]] = {}
 
-    def cuts(self, var: int) -> list[tuple[int, ...]]:
-        """All stored cuts of ``var`` (sorted leaf tuples), trivial cut first."""
+    def cuts(self, var: int) -> list[Cut]:
+        """All stored cuts of ``var``, trivial cut first."""
         memo = self._memo
         cached = memo.get(var)
         if cached is not None:
@@ -44,7 +85,7 @@ class CutManager:
                 stack.pop()
                 continue
             if not aig.is_and(v):
-                memo[v] = [(v,)]
+                memo[v] = [Cut((v,), 1 << v, _PROJECTION)]
                 stack.pop()
                 continue
             f0, f1 = aig.fanins(v)
@@ -54,46 +95,57 @@ class CutManager:
                 stack.extend(missing)
                 continue
             stack.pop()
-            memo[v] = self._merge(v, memo[c0], memo[c1])
+            memo[v] = self._merge(v, f0, f1, memo[c0], memo[c1])
         return memo[var]
 
     def _merge(
-        self,
-        var: int,
-        cuts0: list[tuple[int, ...]],
-        cuts1: list[tuple[int, ...]],
-    ) -> list[tuple[int, ...]]:
-        seen: set[tuple[int, ...]] = set()
-        merged: list[tuple[int, ...]] = []
+        self, var: int, f0: int, f1: int, cuts0: list[Cut], cuts1: list[Cut]
+    ) -> list[Cut]:
+        k = self.k
+        seen: set[int] = set()
+        merged: list[tuple[int, int, Cut, Cut]] = []
         for cut0 in cuts0:
+            sig0 = cut0.sig
             for cut1 in cuts1:
-                union = tuple(sorted(set(cut0) | set(cut1)))
-                if len(union) > self.k or union in seen:
+                sig = sig0 | cut1.sig
+                if sig in seen:
                     continue
-                seen.add(union)
-                merged.append(union)
-        # Drop dominated cuts (a cut is dominated if a subset cut exists).
-        merged.sort(key=len)
-        kept: list[tuple[int, ...]] = []
-        for cut in merged:
-            cut_set = set(cut)
-            if any(set(k) <= cut_set for k in kept):
+                seen.add(sig)
+                size = sig.bit_count()
+                if size <= k:
+                    merged.append((size, sig, cut0, cut1))
+        # Drop dominated cuts (a cut is dominated if a subset cut exists);
+        # the sort is stable, so equal sizes keep their merge order.
+        merged.sort(key=itemgetter(0))
+        kept_sigs: list[int] = []
+        kept = [Cut((var,), 1 << var, _PROJECTION)]
+        for size, sig, cut0, cut1 in merged:
+            if any(other & sig == other for other in kept_sigs):
                 continue
-            kept.append(cut)
-            if len(kept) >= self.limit:
+            kept_sigs.append(sig)
+            leaves = tuple(sorted({*cut0.leaves, *cut1.leaves}))
+            full = (1 << (1 << size)) - 1
+            bits0 = _stretch(
+                cut0.bits, tuple(map(leaves.index, cut0.leaves)), size
+            ) ^ (full if f0 & 1 else 0)
+            bits1 = _stretch(
+                cut1.bits, tuple(map(leaves.index, cut1.leaves)), size
+            ) ^ (full if f1 & 1 else 0)
+            kept.append(Cut(leaves, sig, bits0 & bits1))
+            if len(kept_sigs) >= self.limit:
                 break
-        return [(var,)] + kept
-
-    def invalidate(self, var: int) -> None:
-        self._memo.pop(var, None)
+        return kept
 
 
 def enumerate_cuts(
     aig: Aig, k: int = 4, limit: int = 8
 ) -> dict[int, list[tuple[int, ...]]]:
-    """All k-feasible cuts for every live AND node (convenience wrapper)."""
+    """Leaf tuples of the k-feasible cuts of every live AND node."""
     manager = CutManager(aig, k=k, limit=limit)
-    return {var: manager.cuts(var) for var in aig.topological_ands()}
+    return {
+        var: [cut.leaves for cut in manager.cuts(var)]
+        for var in aig.topological_ands()
+    }
 
 
 def reconvergence_cut(

@@ -15,15 +15,23 @@ Candidates arrive as compiled AND programs from the structure cache
 (:mod:`repro.synth.library`); :func:`evaluate_candidate` scores one with
 :func:`~repro.synth.structure.dry_run` and :func:`realize_candidate`
 builds the winner with :func:`~repro.synth.structure.realize`.
+
+The gain ``|MFFC| - |kept| - added`` is at most ``|MFFC| - added``, so a
+candidate can only matter if ``|MFFC| - added`` reaches the caller's floor
+(the gain it must match or beat).  Callers pass ``limit = |MFFC| - floor``
+and the dry-run stops, returning ``None``, once the candidate needs more
+than ``limit`` new nodes; about half of ``rewrite``'s candidates end there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from repro.aig.aig import Aig, lit_not, lit_var, make_lit
 from repro.synth.structure import Program, dry_run, realize
+from repro.utils.truth import TruthTable
 
 
 @dataclass
@@ -41,9 +49,16 @@ def evaluate_candidate(
     mffc_set: set[int],
     program: Program,
     leaf_handles: Sequence[int],
-) -> Evaluation:
-    """Estimate the node gain of replacing the cut cone with ``program``."""
-    added, hits = dry_run(aig, program, leaf_handles)
+    limit: Optional[int] = None,
+) -> Optional[Evaluation]:
+    """Estimate the node gain of replacing the cut cone with ``program``.
+
+    ``None`` when the candidate needs more than ``limit`` new nodes.
+    """
+    outcome = dry_run(aig, program, leaf_handles, limit)
+    if outcome is None:
+        return None
+    added, hits = outcome
     hits_inside = hits & mffc_set
     kept = _closure_within(aig, hits_inside, mffc_set, set(cut))
     saved = len(mffc_set) - len(kept)
@@ -107,20 +122,24 @@ def constant_or_leaf_lit(
     table_bits: int, nvars: int, leaf_handles: Sequence[int]
 ) -> Optional[int]:
     """Detect trivial cut functions: constants or a (complemented) leaf."""
-    full = (1 << (1 << nvars)) - 1
-    if table_bits == 0:
-        return 0
-    if table_bits == full:
-        return 1
-    from repro.utils.truth import TruthTable
+    trivial = _trivial_functions(nvars).get(table_bits)
+    if trivial is None:
+        return None
+    index, negated = trivial
+    return negated if index < 0 else leaf_handles[index] ^ negated
 
+
+@lru_cache(maxsize=None)
+def _trivial_functions(nvars: int) -> dict[int, tuple[int, int]]:
+    """``bits -> (leaf index, negated)`` for every constant and (negated)
+    projection on ``nvars`` inputs; index -1 marks the constants."""
+    full = (1 << (1 << nvars)) - 1
+    functions = {0: (-1, 0), full: (-1, 1)}
     for index in range(nvars):
         var_bits = TruthTable.var(index, nvars).bits
-        if table_bits == var_bits:
-            return leaf_handles[index]
-        if table_bits == var_bits ^ full:
-            return lit_not(leaf_handles[index])
-    return None
+        functions[var_bits] = (index, 0)
+        functions[var_bits ^ full] = (index, 1)
+    return functions
 
 
 def leaf_lits(cut: Sequence[int]) -> list[int]:

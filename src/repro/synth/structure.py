@@ -19,18 +19,21 @@ At a site, leaf ``i`` is bound to an AIG literal and the program runs in
 one of two loops:
 
 * :func:`dry_run` mirrors :meth:`Aig.add_and` (constant folding plus
-  structural-hash lookups) without mutating the graph.  It reports how
-  many genuinely new nodes the candidate needs and which existing AND
-  nodes it reuses, which is exactly what gain evaluation needs.  A node
-  that would be created is a *ghost*: ghost ``g`` in phase ``p`` has the
-  negative handle ``~(2*g + p)``, so ``h ^ 1`` complements real and ghost
-  handles alike.
+  structural-hash lookups) without mutating the graph: it folds inline
+  and probes :attr:`Aig.strash` directly.  It reports how many genuinely
+  new nodes the candidate needs and which existing AND nodes it reuses,
+  which is exactly what gain evaluation needs.  A node that would be
+  created is a *ghost*: ghost ``g`` in phase ``p`` has the negative
+  handle ``~(2*g + p)``, so ``h ^ 1`` complements real and ghost handles
+  alike.  Given a ``limit``, it gives up as soon as a candidate needs more
+  than ``limit`` ghosts: the caller has derived that such a candidate
+  cannot win (see :mod:`repro.synth.opt_common`).
 * :func:`realize` builds the program into the AIG with ``add_and``.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from repro.aig.aig import Aig
 from repro.synth.factor import FNode
@@ -97,13 +100,24 @@ def compile_fnode(tree: FNode, num_leaves: int) -> Program:
 
 
 def dry_run(
-    aig: Aig, program: Program, leaf_handles: Sequence[int]
-) -> tuple[int, set[int]]:
+    aig: Aig,
+    program: Program,
+    leaf_handles: Sequence[int],
+    limit: Optional[int] = None,
+) -> Optional[tuple[int, set[int]]]:
     """``(added, hits)``: fresh nodes ``program`` would need at this site,
-    and the existing AND variables it would reuse."""
-    values = [0, *leaf_handles]  # handle of each slot, positive phase
+    and the existing AND variables it would reuse.
+
+    With ``limit``, returns ``None`` as soon as the candidate would need
+    more than ``limit`` fresh nodes, and exactly then.
+    """
     ops = program.ops
-    lookup = aig.lookup_and
+    if limit is None:
+        limit = len(ops) >> 1  # a program never needs more nodes than ops
+    elif limit < 0:
+        return None
+    values = [0, *leaf_handles]  # handle of each slot, positive phase
+    strash = aig.strash
     ghosts: dict[tuple[int, int], int] = {}
     hits: set[int] = set()
     for index in range(0, len(ops), 2):
@@ -122,13 +136,15 @@ def dry_run(
             continue
         key = (a, b) if a < b else (b, a)
         if key[0] >= 0:  # both real: a structural-hash hit reuses a node
-            lit = lookup(a, b)
-            if lit is not None:
-                hits.add(lit >> 1)
-                values.append(lit)
+            var = strash.get(key)
+            if var is not None:
+                hits.add(var)
+                values.append(var << 1)
                 continue
         ghost = ghosts.get(key)
         if ghost is None:
+            if len(ghosts) == limit:
+                return None
             ghost = ghosts[key] = ~(2 * len(ghosts))
         values.append(ghost)
     return len(ghosts), hits

@@ -18,7 +18,10 @@ from repro.synth.factor import FNode
 from repro.synth import library
 from repro.synth.library import refactor_candidates, rewrite_candidates
 from repro.synth.opt_common import evaluate_candidate, leaf_lits
+from repro.synth import refactor as refactor_module
+from repro.synth import rewrite as rewrite_module
 from repro.synth.refactor import refactor_pass
+from repro.synth.rewrite import rewrite_pass
 from repro.synth.structure import compile_fnode, dry_run, realize
 from repro.utils.rng import make_rng
 from repro.utils.truth import TruthTable
@@ -118,6 +121,24 @@ class TestDryRunMatchesReal:
         assert hits <= existing
 
     @given(st.integers(min_value=0, max_value=200))
+    @settings(max_examples=60, deadline=None)
+    def test_limit_stops_exactly_past_the_bound(self, seed):
+        """A bounded dry-run gives up exactly when the unbounded one
+        needs more than ``limit`` new nodes, and agrees with it otherwise."""
+        rng = make_rng(seed)
+        aig, pis = _site_with_structure()
+        choices = pis + [pi ^ 1 for pi in pis] + [0, 1]
+        leaves = [choices[int(rng.integers(len(choices)))] for _ in range(4)]
+        program = compile_fnode(_random_tree(rng, depth=3), 4)
+        added, hits = dry_run(aig, program, leaves)
+        for limit in range(-2, added + 3):
+            bounded = dry_run(aig, program, leaves, limit)
+            if added > limit:
+                assert bounded is None
+            else:
+                assert bounded == (added, hits)
+
+    @given(st.integers(min_value=0, max_value=200))
     @settings(max_examples=30, deadline=None)
     def test_realized_program_computes_the_tree(self, seed):
         """The realized cut function equals the tree's own function."""
@@ -205,6 +226,20 @@ class TestEvaluateCandidate:
         )
         assert evaluation.gain == 3
 
+    def test_bounded_evaluation_gives_up_past_the_limit(self):
+        aig, root, cut = _wasteful_and3()
+        mffc = aig.mffc(lit_var(root), cut)
+        program = compile_fnode(_XOR_AND, 3)
+        full = evaluate_candidate(aig, cut, mffc, program, leaf_lits(cut))
+        assert full.added > 0
+        at_limit = evaluate_candidate(
+            aig, cut, mffc, program, leaf_lits(cut), full.added
+        )
+        assert at_limit == full
+        assert evaluate_candidate(
+            aig, cut, mffc, program, leaf_lits(cut), full.added - 1
+        ) is None
+
     def test_hits_inside_mffc_reduce_savings(self):
         aig, root, cut = _partial_and3()
         mffc = aig.mffc(lit_var(root), cut)
@@ -266,6 +301,55 @@ class TestStructureCache:
         )
         assert hits > 0
         assert misses == 0
+
+
+class TestBoundedPasses:
+    """Bounded dry-runs commit exactly what unbounded ones would."""
+
+    @staticmethod
+    def _fingerprint(aig, pass_fn, zero_cost):
+        aig = aig.clone()
+        pass_fn(aig, zero_cost=zero_cost)
+        return aig.fingerprint()
+
+    # Random circuit 47 has a rewrite site where a later candidate of equal
+    # gain wins on literal cost, so a floor of best gain + 1 would differ.
+    @pytest.mark.parametrize("seed", [3, 11, 47])
+    @pytest.mark.parametrize("zero_cost", [False, True])
+    @pytest.mark.parametrize(
+        "module,pass_fn",
+        [(rewrite_module, rewrite_pass), (refactor_module, refactor_pass)],
+        ids=["rewrite", "refactor"],
+    )
+    def test_same_result_as_unbounded(
+        self, monkeypatch, module, pass_fn, zero_cost, seed
+    ):
+        aig = aig_from_netlist(
+            build_random_netlist(seed=seed, num_inputs=6, num_gates=40)
+        )
+        bounded = self._fingerprint(aig, pass_fn, zero_cost)
+        bounded_evaluate = module.evaluate_candidate
+
+        def unbounded(aig, cut, mffc_set, program, leaf_handles, limit=None):
+            return bounded_evaluate(aig, cut, mffc_set, program, leaf_handles)
+
+        monkeypatch.setattr(module, "evaluate_candidate", unbounded)
+        assert self._fingerprint(aig, pass_fn, zero_cost) == bounded
+
+
+class TestPassCounters:
+    def test_rewrite_prunes_candidates_below_the_floor(self, locked_c432):
+        aig = aig_from_netlist(locked_c432.netlist)
+        before = REGISTRY.counters()
+        rewrite_pass(aig)
+        after = REGISTRY.counters()
+
+        def delta(name):
+            return after.get(name, 0) - before.get(name, 0)
+
+        assert delta("synth.cuts") > 0
+        pruned = delta("synth.candidates_pruned")
+        assert 0 < pruned <= delta("synth.candidates_evaluated")
 
 
 class TestStress:

@@ -33,7 +33,7 @@ class TestCuts:
         manager = CutManager(aig)
         for var in aig.topological_ands()[:10]:
             cuts = manager.cuts(var)
-            assert cuts[0] == (var,)
+            assert cuts[0].leaves == (var,)
 
     def test_cut_sizes_bounded(self, c432_quick):
         aig = aig_from_netlist(c432_quick)
@@ -45,11 +45,10 @@ class TestCuts:
         aig = aig_from_netlist(c432_quick)
         manager = CutManager(aig)
         for var in aig.topological_ands()[:20]:
-            f0, f1 = aig.fanins(var)
             for cut in manager.cuts(var)[1:3]:
-                table = cut_truth_table(aig, var << 1, cut)
-                # Verify on a few random minterms against direct evaluation.
-                assert 0 <= table.bits < (1 << (1 << len(cut)))
+                table = cut_truth_table(aig, var << 1, cut.leaves)
+                assert 0 <= table.bits < (1 << (1 << len(cut.leaves)))
+                assert table.bits == cut.bits
 
     def test_reconvergence_cut_bounds(self, c880_quick):
         aig = aig_from_netlist(c880_quick)
