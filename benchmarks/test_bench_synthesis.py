@@ -4,7 +4,9 @@ Not a paper table, but the numbers every other bench stands on: per-pass
 runtime and the reduction achieved by ``resyn2`` per benchmark circuit.
 ``test_bench_synth_recipes`` writes ``BENCH_synth.json``: per-pass time of
 the recipes ALMOST scores, on a locked c1355, with the structure cache's
-hit rate and the inputs that produced them.
+hit rate, the cuts and candidates ``rewrite``/``refactor`` examined (and
+how many candidates the bounded dry-run pruned), and the inputs that
+produced them.
 """
 
 from __future__ import annotations
@@ -112,10 +114,12 @@ def _time_recipes(start, recipes) -> dict:
         assert current.compact().num_ands() <= start.num_ands()
     total_s = time.perf_counter() - started
     after = REGISTRY.counters()
-    hits, misses = (
-        after.get(name, 0) - before.get(name, 0)
-        for name in ("synth.struct_cache.hits", "synth.struct_cache.misses")
-    )
+
+    def delta(name: str) -> int:
+        return after.get(name, 0) - before.get(name, 0)
+
+    hits = delta("synth.struct_cache.hits")
+    misses = delta("synth.struct_cache.misses")
     return {
         "total_s": round(total_s, 4),
         "passes": {
@@ -126,6 +130,10 @@ def _time_recipes(start, recipes) -> dict:
             "hits": hits,
             "misses": misses,
             "hit_rate": round(hits / max(hits + misses, 1), 4),
+        },
+        "work": {
+            name: delta(f"synth.{name}")
+            for name in ("cuts", "candidates_evaluated", "candidates_pruned")
         },
     }
 
