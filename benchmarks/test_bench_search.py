@@ -1,20 +1,20 @@
-"""Search-engine benchmark: prefix-cached parallel search vs the seed SA.
+"""Search-engine benchmark: cached parallel search vs the seed SA.
 
 Two pins, matching the search-engine refactor's contract:
 
 1. **Fidelity** — the default ``sa`` strategy with paper defaults
    reproduces the seed annealer's trace bit-for-bit on a fixed seed, both
    on a synthetic energy (full 100-iteration schedule) and through the
-   real ALMOST + proxy stack (prefix-cached synthesis included — exact
+   real ALMOST + proxy stack (cached synthesis included — exact
    AIG-snapshot resume keeps the energies identical).
 2. **Throughput** — on the same energy-evaluation budget, the
-   prefix-cached parallel search (``pt`` chains + process fan-out when
+   cached parallel search (``pt`` chains + process fan-out when
    cores are available) beats a faithful re-implementation of the seed
-   serial SA by >= 3x with >= 2 workers, and by >= 1.5x from prefix
+   serial SA by >= 3x with >= 2 workers, and by >= 1.5x from synthesis
    caching alone on a single core.
 3. **Shared cache** — with ``jobs`` >= 2 the workers synthesize through
    one cross-process :class:`~repro.synth.cache.SharedSynthCache`; its
-   aggregated prefix hit rate must stay >= 0.9x the serial run's on the
+   aggregated hit rate must stay >= 0.9x the serial run's on the
    identical candidate stream (per-worker private caches would start
    cold and forfeit the fan-out win).
 
@@ -170,7 +170,7 @@ def test_bench_sa_strategy_reproduces_seed_trace(
         assert {key: new[key] for key in old} == old
 
     # Short run through the real ALMOST + proxy stack: the seed reference
-    # scores without the prefix cache, the new engine with it — exact
+    # scores without the synthesis cache, the new engine with it — exact
     # snapshot resume must keep every accuracy (hence the trace) identical.
     almost_seed = derive_seed(BENCH_SEED, "fidelity-almost")
     reference_proxy = _fresh_proxy(trained_attack, locked, "seed", cached=False)
@@ -205,15 +205,15 @@ def test_bench_prefix_cached_parallel_search_speedup(locked, trained_attack):
     """Throughput pins on the same energy-evaluation budget:
 
     * speedup — >= 3x over the seed serial SA with >= 2 cores
-      (>= 1.5x from prefix caching alone on a single core);
+      (>= 1.5x from synthesis caching alone on a single core);
     * shared cache — with ``jobs`` >= 2 every worker synthesizes through
       one :class:`~repro.synth.cache.SharedSynthCache`, whose aggregated
-      prefix hit rate must stay >= 0.9x the serial run's (a private
+      hit rate must stay >= 0.9x the serial run's (a private
       per-worker cache would start cold in every process and fail this).
     """
     search_seed = derive_seed(BENCH_SEED, "bench-search")
 
-    # -- seed serial SA: per-candidate synthesis, no prefix cache ---------
+    # -- seed serial SA: per-candidate synthesis, no synthesis cache ------
     seed_proxy = _fresh_proxy(trained_attack, locked, "seed", cached=False)
 
     def seed_energy(recipe):
@@ -249,7 +249,7 @@ def test_bench_prefix_cached_parallel_search_speedup(locked, trained_attack):
         result = defense.generate_recipe()
         return result, time.perf_counter() - started
 
-    # -- prefix-cached serial search: the single-process hit-rate baseline
+    # -- cached serial search: the single-process hit-rate baseline
     serial_result, serial_elapsed = cached_search(jobs=1)
     serial_stats = serial_result.synth_cache
     serial_hit_rate = serial_stats["hit_rate"]
@@ -269,7 +269,7 @@ def test_bench_prefix_cached_parallel_search_speedup(locked, trained_attack):
     assert shared_result.predicted_accuracy == serial_result.predicted_accuracy
 
     # The wall-clock pin follows the hardware: parallel 3x needs real
-    # cores, the 1.5x single-core pin isolates the prefix-cache win.
+    # cores, the 1.5x single-core pin isolates the synthesis-cache win.
     if cpus >= 2:
         fast_elapsed, jobs, minimum = shared_elapsed, shared_jobs, 3.0
     else:
@@ -285,7 +285,7 @@ def test_bench_prefix_cached_parallel_search_speedup(locked, trained_attack):
             elapsed_s=seed_elapsed,
         ),
         SearchStrategyRecord(
-            strategy="pt (prefix-cached)", chains=CHAINS, jobs=1,
+            strategy="pt (cached)", chains=CHAINS, jobs=1,
             best_energy=abs(serial_result.predicted_accuracy - 0.5),
             predicted_accuracy=serial_result.predicted_accuracy,
             iterations=serial_result.iterations,
@@ -338,12 +338,12 @@ def test_bench_prefix_cached_parallel_search_speedup(locked, trained_attack):
     Path("BENCH_search.json").write_text(json.dumps(payload, indent=2) + "\n")
 
     # Cross-worker sharing pin: fan-out must keep (within tolerance — two
-    # workers can race to synthesize the same prefix once each) the hit
+    # workers can race to run the same step once each) the hit
     # rate the serial path gets on the identical candidate stream.
     assert shared_hit_rate >= 0.9 * serial_hit_rate, payload
 
     assert speedup >= minimum, (
-        f"prefix-cached {'parallel ' if jobs >= 2 else ''}search managed "
+        f"cached {'parallel ' if jobs >= 2 else ''}search managed "
         f"only {speedup:.2f}x over the seed serial SA "
         f"(needed {minimum}x, jobs={jobs}): {payload}"
     )

@@ -76,9 +76,9 @@ def main() -> None:
         r.strategy for r in records if (r.cache_hit_rate or 0) > 0
     ]
     if cached:
-        print(f"prefix-cache hits observed for: {', '.join(cached)} "
+        print(f"synth-cache hits observed for: {', '.join(cached)} "
               "(batched strategies cluster candidates around shared "
-              "recipe prefixes)")
+              "AIG states)")
 
 
 if __name__ == "__main__":

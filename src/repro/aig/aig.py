@@ -439,7 +439,7 @@ class Aig:
                     self._po_refs[new_var] += 1
             # Redirect fanout AND nodes.  Iterate in sorted order: raw set
             # order depends on the set's insertion/deletion history, which a
-            # prefix-cache snapshot (clone()) cannot reproduce — the cascade
+            # synthesis-cache snapshot (clone()) cannot reproduce — the cascade
             # below is order-sensitive through strash merges, so a canonical
             # order is what keeps cache-resumed synthesis bit-identical to
             # uncached on any circuit.
@@ -561,9 +561,9 @@ class Aig:
         into the live PO cone).
 
         In-place passes resumed on a clone behave exactly as they would have
-        on the original — the property the recipe-prefix cache
-        (:mod:`repro.synth.cache`) relies on to make cached synthesis
-        bit-identical to uncached.  Fanout sets are rebuilt in sorted order
+        on the original — the property the synthesis cache
+        (:mod:`repro.synth.cache`) relies on when it serves a stored state
+        instead of recomputing it.  Fanout sets are rebuilt in sorted order
         so clones are deterministic regardless of the source set's history.
         """
         out = Aig.__new__(Aig)
@@ -586,7 +586,11 @@ class Aig:
 
         Two AIGs with equal fingerprints are interchangeable as synthesis
         inputs: every deterministic transform produces the same result on
-        both.  Used as the circuit half of the recipe-prefix cache key.
+        both.  The synthesis cache (:mod:`repro.synth.cache`) keys its
+        stored states and its ``(state, step)`` transitions on it.  The
+        strash table, fanout sets and PO reference counts are left out
+        because they are derived from the hashed fields; :meth:`check`
+        verifies that they are.
         """
         import hashlib
 
@@ -603,11 +607,21 @@ class Aig:
         return hashlib.sha256(repr(payload).encode("utf-8")).hexdigest()
 
     def check(self) -> None:
-        """Validate internal invariants; raises :class:`AigError` on failure."""
+        """Validate internal invariants; raises :class:`AigError` on failure.
+
+        Besides the node structure this checks the state that
+        :meth:`fingerprint` leaves out, as it must be between operations:
+        the strash table holds exactly the live ANDs, every fanout set is
+        exactly the live readers of its node, and the PO reference counts
+        match the primary outputs.
+        """
+        readers: list[set[int]] = [set() for _ in range(self.num_vars)]
+        live_ands = 0
         for var in range(self.num_vars):
             if self._dead[var]:
                 continue
             if self.is_and(var):
+                live_ands += 1
                 f0, f1 = self._fanin0[var], self._fanin1[var]
                 if f0 > f1:
                     raise AigError(f"node {var} fanins not normalized")
@@ -619,11 +633,25 @@ class Aig:
                     child = lit_var(lit)
                     if self._dead[child]:
                         raise AigError(f"node {var} reads dead node {child}")
-                    if var not in self._fanouts[child]:
-                        raise AigError(f"fanout set of {child} misses {var}")
+                    readers[child].add(var)
+        if len(self._strash) != live_ands:
+            raise AigError(
+                f"strash table has {len(self._strash)} entries for "
+                f"{live_ands} live AND nodes"
+            )
+        for var in range(self.num_vars):
+            if self._fanouts[var] != readers[var]:
+                raise AigError(
+                    f"fanout set of {var} is {sorted(self._fanouts[var])}, "
+                    f"live readers are {sorted(readers[var])}"
+                )
+        po_refs = [0] * self.num_vars
         for po in self._pos:
             if self._dead[lit_var(po)]:
                 raise AigError("primary output references a dead node")
+            po_refs[lit_var(po)] += 1
+        if self._po_refs != po_refs:
+            raise AigError("PO reference counts do not match the outputs")
         self.topological_ands()  # raises on cycles
 
     def stats(self) -> dict[str, int]:

@@ -356,8 +356,8 @@ def cmd_almost(args: argparse.Namespace) -> int:
     # snapshot store; only report when the cache saw traffic at all.
     if hit_rate is not None:
         shared = " (shared across workers)" if cache_stats.get("shared") else ""
-        print(f"prefix cache{shared}: {100 * hit_rate:.1f}% "
-              f"of recipe steps served from snapshots "
+        print(f"synth cache{shared}: {100 * hit_rate:.1f}% "
+              f"of recipe steps served "
               f"({cache_stats['steps_saved']} saved / "
               f"{cache_stats['steps_executed']} executed)")
     if args.out:

@@ -58,11 +58,10 @@ def _adversarial_energy(
 
     Lower accuracy = higher loss = better adversarial sample source, so SA
     minimizes this value directly (Eq. 3's argmax of loss).  ``cache`` is a
-    recipe-prefix :class:`~repro.synth.cache.SynthCache`; the relocked
-    circuit's fingerprint keys it, so entries are effectively
-    per-(relock seed, recipe prefix) and a re-evaluated recipe — the SA
-    revisiting a state, or a top-up resynthesizing ``S_adv`` — resumes
-    from the snapshot instead of rerunning the whole recipe.  Snapshots
+    state-keyed :class:`~repro.synth.cache.SynthCache`; each relocked
+    circuit is its own starting state, and a re-evaluated recipe — the SA
+    revisiting a state, or a top-up resynthesizing ``S_adv`` — is served
+    from the stored states instead of rerunning the whole recipe.  Snapshots
     are exact, so the localities (and hence ``M*``) are bit-identical to
     the uncached computation.
     """
@@ -110,10 +109,9 @@ def train_adversarial_attack(
     )
     rng = make_rng(derive_seed(config.seed, "adv-sa"))
     rounds_done = 0
-    # One bounded prefix cache across every adversarial round: keys carry
-    # the relocked circuit's fingerprint, so each (relock seed, prefix)
-    # pair gets its own snapshot chain and the top-up loop's repeated
-    # S_adv synthesis resumes instead of starting from scratch.
+    # One bounded synthesis cache across every adversarial round: each
+    # relocked circuit starts its own chain of states, and the top-up
+    # loop's repeated S_adv synthesis is served instead of rerun.
     synth_cache = (
         SynthCache(max_entries=adv_config.cache_entries)
         if adv_config.cache_entries

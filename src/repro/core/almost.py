@@ -59,7 +59,7 @@ class AlmostConfig:
 class AlmostResult:
     """Output of one ALMOST run.
 
-    ``synth_cache`` carries the recipe-prefix synthesis-cache stats of the
+    ``synth_cache`` carries the synthesis-cache stats of the
     run — for ``jobs`` > 1 these are the *aggregated cross-worker* totals
     read from the :class:`~repro.synth.cache.SharedSynthCache` (they used
     to be lost when the worker pool was torn down).
@@ -91,7 +91,7 @@ class _AccuracyEnergyEvaluator(EnergyEvaluator):
     ``accuracy_batch`` maps a recipe batch to predicted accuracies; the
     observed values land in ``accuracy_of`` (keyed on the full step tuple)
     for the trace and the final result.  ``synth_cache`` is whichever
-    recipe-prefix cache the scorer synthesizes through (the proxy's own,
+    synthesis cache the scorer synthesizes through (the proxy's own,
     or the cross-worker shared store under ``jobs`` > 1) so the run's
     cache accounting can be read back — **before** :meth:`close`, which
     tears the worker pool and the shared store down.
@@ -119,7 +119,7 @@ class _AccuracyEnergyEvaluator(EnergyEvaluator):
         return [abs(accuracy - self.target) for accuracy in accuracies]
 
     def cache_stats(self) -> dict:
-        """Prefix-cache accounting for this run (cross-worker aggregated)."""
+        """Synthesis-cache accounting for this run (cross-worker aggregated)."""
         if self.synth_cache is None:
             return {}
         return self.synth_cache.stats()
@@ -144,7 +144,7 @@ class AlmostDefense:
     ``config.jobs`` > 1 the scorer (which must be picklable) is shipped to
     a worker pool instead and candidates fan out across processes, all
     synthesizing through one :class:`~repro.synth.cache.SharedSynthCache`
-    so fan-out keeps the serial path's prefix-hit rate and the aggregated
+    so fan-out keeps the serial path's cache hit rate and the aggregated
     cache stats stay parent-visible in ``AlmostResult.synth_cache``.
     """
 

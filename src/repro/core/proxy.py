@@ -11,8 +11,8 @@ Sec. IV-A):
 
 Scoring is built for the batched search engine: recipes are memoized in a
 bounded LRU keyed on the full step tuple, synthesis goes through a
-recipe-prefix :class:`~repro.synth.cache.SynthCache` (a one-step recipe
-mutation re-applies only the suffix), and
+state-keyed :class:`~repro.synth.cache.SynthCache` (a recipe step already
+run on the same AIG state is served, not re-run), and
 :meth:`ProxyModel.predicted_accuracy_batch` scores a whole candidate batch
 in one vectorized GNN pass.
 """
@@ -53,8 +53,9 @@ class ProxyModel:
     ``_cache`` memoizes predicted accuracies keyed on the **full recipe
     step tuple** (the seed keyed on ``recipe.short()`` and never evicted),
     bounded to ``cache_size`` entries with LRU eviction.  ``synth_cache``
-    holds recipe-prefix AIG snapshots so the search engine's one-step
-    mutations skip the shared synthesis prefix; pass ``None`` to disable.
+    holds AIG states and the recipe steps between them, so the search
+    engine's one-step mutations run only the steps no earlier candidate ran
+    on the same state; pass ``None`` to disable.
     """
 
     name: str
@@ -83,7 +84,7 @@ class ProxyModel:
     # -- scoring ----------------------------------------------------------
 
     def _synthesize(self, recipe: Recipe):
-        """Prefix-cached synthesis of the locked netlist under ``recipe``."""
+        """Cached synthesis of the locked netlist under ``recipe``."""
         _netlist, mapped = synthesize_and_map(
             self.locked.netlist, recipe, cache=self.synth_cache
         )
@@ -111,7 +112,7 @@ class ProxyModel:
         """Score a whole candidate batch in one vectorized GNN pass.
 
         Memo hits and in-batch duplicates are resolved first; the remaining
-        unique recipes are synthesized (prefix-cached), their key-gate
+        unique recipes are synthesized (cached), their key-gate
         localities packed into a single block-diagonal batch, and the model
         runs one forward for the lot.  Per-recipe values are identical to
         :meth:`predicted_accuracy`.

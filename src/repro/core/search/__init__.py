@@ -27,7 +27,7 @@ the same config always reproduces the same trace::
     >>> (result.best_energy, result.energy_evaluations)
     (0.0, 5)
 
-Recipe energies are usually scored through a prefix-cached synthesizer
+Recipe energies are usually scored through a cached synthesizer
 (:mod:`repro.synth.cache`); because its snapshots resume exactly, the
 trace above is identical whether or not (and wherever) a cache is
 attached.  ``repro.core.sa.simulated_annealing`` remains as a thin

@@ -14,7 +14,7 @@ The serial evaluators wrap plain callables::
 
 :class:`ProcessPoolEvaluator` fans batches out over a persistent
 ``multiprocessing`` pool.  The scorer ships once per worker; worker-side
-state it carries (memo tables, recipe-prefix synthesis caches) persists
+state it carries (memo tables, synthesis caches) persists
 across batches.  A *private* :class:`~repro.synth.cache.SynthCache` on the
 scorer is duplicated per worker — each starts cold — so scorers that want
 the serial path's hit rate under fan-out carry a
@@ -116,7 +116,7 @@ class ProcessPoolEvaluator(EnergyEvaluator):
     """Fans a candidate batch out over a persistent ``multiprocessing`` pool.
 
     ``fn`` must be picklable — it is shipped to each worker exactly once.
-    Worker-side state (memo tables, recipe-prefix synthesis caches) then
+    Worker-side state (memo tables, synthesis caches) then
     persists across batches.  ``chunksize=1`` spreads a small batch across
     all workers instead of lumping it onto one.
 

@@ -65,8 +65,9 @@ def attacker_resynthesis_sweep(
 
     points: list[ResynthesisPoint] = []
     evaluations: dict[str, tuple[float, float]] = {}
-    # The attacker's SA mutates one step at a time, so its evaluations share
-    # long synthesis prefixes — the same prefix cache the defender uses.
+    # The attacker's SA mutates one step at a time, so its evaluations pass
+    # through the same AIG states — the same synthesis cache the defender
+    # uses.
     synth_cache = SynthCache()
 
     def measure(recipe: Recipe) -> tuple[float, float]:

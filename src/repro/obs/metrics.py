@@ -4,7 +4,7 @@ One registry per process holds every named metric the library increments —
 solver effort (``sat.conflicts`` / ``sat.decisions`` / ``sat.propagations``
 / ``sat.restarts``), DIP-loop progress (``dip.iterations`` /
 ``dip.oracle_queries``), search accounting (``search.rounds`` /
-``search.energy_evaluations``), recipe-prefix synthesis-cache traffic
+``search.energy_evaluations``), state-keyed synthesis-cache traffic
 (``synth_cache.prefix_hits`` / ``prefix_misses`` / ``steps_saved`` /
 ``steps_executed``) and artifact-cache traffic (``artifact_cache.hits`` /
 ``misses`` / ``writes``).  The canonical name list lives in

@@ -313,7 +313,7 @@ def _defend_almost(lock: LockArtifact, spec: DefenseSpec) -> dict:
     ``spec.strategy``/``chains``/``jobs`` select and size the search engine
     (:mod:`repro.core.search`); the defaults reproduce the paper's serial
     SA.  The returned dict carries the search accounting — evaluation
-    counts and the recipe-prefix synthesis-cache stats (for ``jobs`` > 1
+    counts and the synthesis-cache stats (for ``jobs`` > 1
     the cross-worker aggregate from the shared snapshot store, which used
     to be lost on pool teardown) — so grid reports can compare strategies.
     """

@@ -2,7 +2,7 @@
 
 One row per search run: strategy, batch shape, outcome quality (best
 energy / predicted accuracy) and throughput accounting (iterations vs.
-energy evaluations, wall-clock, evals/sec, prefix-cache hit rate).  Used
+energy evaluations, wall-clock, evals/sec, synth-cache hit rate).  Used
 by ``benchmarks/test_bench_search.py``, the ``repro almost`` CLI, and —
 via :func:`records_from_run` and the ``search`` reporter — by strategy
 sweeps: one spec with ``strategy = ["sa", "pt", "beam"]`` yields a
@@ -19,7 +19,7 @@ from repro.reporting.tables import render_table
 
 
 def hit_rate_if_traffic(stats: Optional[dict]) -> Optional[float]:
-    """The stats dict's prefix-cache hit rate, or ``None`` if the cache
+    """The stats dict's synth-cache hit rate, or ``None`` if the cache
     never saw traffic (so tables render ``n/a`` instead of a bogus 0%)."""
     stats = stats or {}
     if stats.get("steps_saved", 0) + stats.get("steps_executed", 0):
@@ -185,7 +185,7 @@ def render_search_comparison_table(
         "evals",
         "wall s",
         "evals/s",
-        "prefix-cache hits",
+        "synth-cache hits",
     ]
     if labelled:
         headers.insert(0, "benchmark")

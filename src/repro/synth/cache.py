@@ -1,268 +1,259 @@
-"""Recipe-prefix caching of intermediate AIG snapshots.
+"""State-keyed caching of intermediate AIGs for recipe synthesis.
 
 The recipe-search engine evaluates thousands of candidate recipes that are
-one-step mutations of each other: a candidate mutated at position ``p``
-shares its first ``p`` transforms with the state it was derived from.  The
-seed engine re-applied all ``L`` transforms from scratch for every
-candidate; :class:`SynthCache` snapshots the AIG after every applied step,
-keyed by ``(circuit fingerprint, recipe prefix)``, so the next evaluation
-resumes from the longest cached prefix and re-applies only the suffix.
+one-step mutations of each other, and many of their steps leave the AIG
+unchanged or reach an AIG another recipe already reached.  A synthesis
+cache therefore keys everything on the AIG itself:
 
-**The exact-resume contract.**  Snapshots are **exact clones**
-(:meth:`repro.aig.aig.Aig.clone`), not compacted copies, so resuming from a
-snapshot is bit-identical to having run the whole recipe in one go — cached
-and uncached synthesis produce the same AIG, which keeps search traces
-deterministic no matter the cache state (and SAT-equivalent by
-construction; ``tests/test_search.py`` proves both properties).  Every
-consumer of a cache — :func:`repro.synth.engine.apply_recipe`, the proxy
-scorer, the adversarial trainer — relies on this contract, so any new cache
-implementation must preserve it: a lookup returns either ``(0, None)`` or a
-*private* AIG whose subsequent transforms behave exactly as they would have
-on the uncached original.
+* a **state** is an exact AIG snapshot keyed by its
+  :meth:`~repro.aig.aig.Aig.fingerprint`, stored once however many recipes
+  reach it;
+* a **transition** ``(state, step) -> state`` records what one recipe step
+  did to a stored state.
 
-Two implementations share the protocol (``lookup`` / ``store`` /
-``count_executed`` / ``stats``):
+:meth:`SynthCache.apply` (the engine of
+:func:`repro.synth.engine.apply_recipe`) walks the transitions from the
+input's state as far as they are cached.  On a miss it runs one step,
+stores the transition, then walks again from the state it reached.  So
+``rw; rf`` and ``rf; rw`` that meet in one AIG share every later step, and
+a pass that changed nothing lands back on a state whose continuations are
+already known.
 
-* :class:`SynthCache` — in-process bounded LRU of clones; the default on
-  every :class:`~repro.core.proxy.ProxyModel`.
-* :class:`SharedSynthCache` — a ``multiprocessing.Manager``-backed snapshot
-  store shared by every worker of a ``--jobs`` process pool, so fan-out
+**The exact-resume contract.**  It rests on one premise: equal
+fingerprints mean interchangeable synthesis inputs (every transform is
+deterministic, and the fingerprint covers the exact structure, ids and
+dead slots included; :meth:`~repro.aig.aig.Aig.check` verifies that the
+state it leaves out is derived).  Snapshots are **exact clones**
+(:meth:`~repro.aig.aig.Aig.clone`), not compacted copies, so a served state
+is bit-identical to the one the walk would have computed — cached and
+uncached synthesis produce the same AIG, which keeps search traces
+deterministic no matter the cache state (``tests/test_search.py`` and the
+golden search traces pin both).  Any new store must preserve it:
+:meth:`SynthCache.lookup` returns either ``(0, None)`` or a *private* AIG
+whose subsequent transforms behave exactly as they would on the original.
+
+**Bounds.**  ``max_entries`` counts distinct states, evicted least recently
+used first.  Each stored state carries its outgoing transitions, and they
+are dropped with it; a transition into an evicted state is a dead end that
+the walk stops at, and the next miss there overwrites it.  A cache thus
+holds at most ``max_entries`` states and one transition per state and
+distinct step.
+
+Two stores share the walk and differ only in storage:
+
+* :class:`SynthCache` — in-process LRU of clones; the default on every
+  :class:`~repro.core.proxy.ProxyModel`.
+* :class:`SharedSynthCache` — ``multiprocessing.Manager`` dicts shared by
+  every worker of a ``--jobs`` process pool under one lock, so fan-out
   keeps the serial path's hit rate instead of warming one cold cache per
   worker.  Counters live in the shared store too, which is what makes the
   hit/miss totals parent-visible after the pool is torn down.
 
-A cold cache misses and counts it::
+A no-op pass lands on the state it started from, so a later recipe that
+repeats it is served without running anything::
 
+    >>> from repro.aig.aig import Aig
+    >>> aig = Aig("and2")
+    >>> _ = aig.add_po(aig.add_and(aig.add_pi("x"), aig.add_pi("y")), "z")
     >>> cache = SynthCache(max_entries=8)
-    >>> cache.lookup("fp", ("balance", "rewrite"))
-    (0, None)
-    >>> cache.stats()["prefix_misses"]
-    1
-    >>> cache.count_executed(2)
-    >>> cache.steps_executed
-    2
+    >>> _ = cache.apply(aig.clone(), ("rewrite", "balance"))
+    >>> cache.stats()["prefix_misses"], cache.steps_executed
+    (1, 2)
+    >>> _ = cache.apply(aig.clone(), ("balance", "rewrite", "rewrite"))
+    >>> cache.stats()["prefix_hits"], cache.steps_saved, len(cache)
+    (1, 3, 1)
 """
 
 from __future__ import annotations
 
+import contextlib
 import pickle
-from collections import OrderedDict
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from repro.aig.aig import Aig
 from repro.errors import SynthesisError
 from repro.obs import metrics as _metrics
+from repro.synth.engine import apply_transform
+
+_COUNTERS = ("prefix_hits", "prefix_misses", "steps_saved", "steps_executed")
 
 
 class SynthCache:
-    """Bounded LRU of intermediate AIG snapshots keyed by recipe prefix.
+    """Bounded LRU of AIG states and the recipe steps between them.
 
-    ``max_entries`` bounds memory: one entry is one mid-recipe AIG clone,
-    and the least recently used prefix is evicted first.  ``steps_saved`` /
-    ``steps_executed`` account transform applications skipped vs. run, so
-    benches can report the prefix-cache hit rate directly.
+    ``max_entries`` bounds memory: one entry is one distinct AIG clone
+    together with its outgoing transitions.  Every :meth:`apply` call counts
+    one hit (at least one step served) or one miss, and ``steps_saved`` /
+    ``steps_executed`` account transform applications served vs. run, so
+    benches can report the cache hit rate directly.
+
+    Everything lives here; :class:`SharedSynthCache` swaps in only other
+    storage: its dicts, its lock and how a snapshot is frozen and thawed.
     """
 
     def __init__(self, max_entries: int = 512):
         if max_entries < 1:
             raise SynthesisError(
-                f"SynthCache needs max_entries >= 1, got {max_entries}"
+                f"{type(self).__name__} needs max_entries >= 1, "
+                f"got {max_entries}"
             )
         self.max_entries = max_entries
-        self._entries: "OrderedDict[tuple[str, tuple[str, ...]], Aig]" = (
-            OrderedDict()
-        )
-        self.prefix_hits = 0
-        self.prefix_misses = 0
-        self.steps_saved = 0
-        self.steps_executed = 0
+        self._lock = contextlib.nullcontext()
+        self._snapshots: dict = {}  # state -> frozen AIG
+        self._moves: dict[str, dict[str, str]] = {}  # state -> {step: state}
+        self._ticks: dict[str, int] = {}  # state -> last-use tick
+        self._counts = dict.fromkeys(_COUNTERS + ("tick",), 0)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._moves)
+
+    # -- the walk (shared by both stores) -------------------------------------
+
+    def apply(self, aig: Aig, steps: Sequence[str]) -> Aig:
+        """Apply ``steps`` to ``aig``, serving every step the cache knows.
+
+        A step that runs may mutate ``aig``.  Returns the final AIG, which
+        is the caller's ``aig`` or a private clone; it is bit-identical to
+        applying every step uncached.
+        """
+        steps = tuple(steps)
+        state = self._keep(aig)
+        done = saved = 0
+        while done < len(steps):
+            served, resumed = self.lookup(state, steps[done:])
+            if resumed is not None:
+                aig, done, saved = resumed, done + served, saved + served
+                if done == len(steps):
+                    break
+                state = aig.fingerprint()
+            aig = apply_transform(aig, steps[done])
+            state = self.store(state, steps[done], aig)
+            done += 1
+        self._record(saved, len(steps) - saved)
+        return aig
 
     def lookup(
         self, fingerprint: str, steps: Sequence[str]
     ) -> tuple[int, Optional[Aig]]:
-        """Longest cached prefix of ``steps`` for this circuit.
+        """Follow cached transitions from state ``fingerprint`` along ``steps``.
 
-        Returns ``(k, clone)`` where the clone is the snapshot after the
-        first ``k`` steps — the caller applies only ``steps[k:]`` — or
-        ``(0, None)`` when nothing is cached.
+        Returns ``(k, clone)`` where the clone is the state after the first
+        ``k`` steps — the caller applies only ``steps[k:]`` — or
+        ``(0, None)`` when not even the first step is cached.
         """
-        for length in range(len(steps), 0, -1):
-            key = (fingerprint, tuple(steps[:length]))
-            snapshot = self._entries.get(key)
-            if snapshot is not None:
-                self._entries.move_to_end(key)
-                self.prefix_hits += 1
-                self.steps_saved += length
-                _metrics.inc("synth_cache.prefix_hits")
-                _metrics.inc("synth_cache.steps_saved", length)
-                return length, snapshot.clone()
-        self.prefix_misses += 1
-        _metrics.inc("synth_cache.prefix_misses")
-        return 0, None
+        with self._lock:
+            path = [fingerprint]
+            moves = self._moves.get(fingerprint)
+            for step in steps:
+                target = moves.get(step) if moves is not None else None
+                moves = self._moves.get(target) if target is not None else None
+                if moves is None:  # unknown step, or its target was evicted
+                    break
+                path.append(target)
+            if len(path) == 1:
+                return 0, None
+            self._touch(path)
+            frozen = self._snapshots[path[-1]]
+        return len(path) - 1, self._thaw(frozen)
 
-    def store(self, fingerprint: str, steps: Sequence[str], aig: Aig) -> None:
-        """Snapshot ``aig`` as the state after applying ``steps``."""
-        key = (fingerprint, tuple(steps))
-        if key in self._entries:
-            self._entries.move_to_end(key)
-            return
-        self._entries[key] = aig.clone()
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
+    def store(self, fingerprint: str, step: str, aig: Aig) -> str:
+        """Record that ``step`` takes state ``fingerprint`` to ``aig``.
 
-    def count_executed(self, steps: int = 1) -> None:
-        """Account ``steps`` transform applications actually run."""
-        self.steps_executed += steps
-        _metrics.inc("synth_cache.steps_executed", steps)
+        Snapshots ``aig`` unless its state is stored already; returns the
+        new state's fingerprint.
+        """
+        target = self._keep(aig)
+        with self._lock:
+            moves = self._moves.get(fingerprint)
+            if moves is not None:  # the source may have been evicted
+                moves[step] = target
+                self._moves[fingerprint] = moves
+        return target
+
+    def _keep(self, aig: Aig) -> str:
+        """Store ``aig`` as a state unless it is stored already."""
+        state = aig.fingerprint()
+        with self._lock:
+            if state in self._moves:
+                self._touch([state])
+                return state
+        frozen = self._freeze(aig)
+        with self._lock:
+            if state not in self._moves:
+                self._snapshots[state] = frozen
+                self._moves[state] = {}
+            self._touch([state])
+            while len(self._moves) > self.max_entries:
+                self._forget_oldest()
+        return state
+
+    def _record(self, saved: int, executed: int) -> None:
+        """Count one :meth:`apply` call: a hit iff it served any step."""
+        outcome = "prefix_hits" if saved else "prefix_misses"
+        with self._lock:
+            counts = self._counts
+            counts.update({
+                outcome: counts[outcome] + 1,
+                "steps_saved": counts["steps_saved"] + saved,
+                "steps_executed": counts["steps_executed"] + executed,
+            })
+        # Mirrored into the calling process's metrics registry, so a pool
+        # worker's span carries the traffic it generated.
+        _metrics.inc(f"synth_cache.{outcome}")
+        _metrics.inc("synth_cache.steps_saved", saved)
+        _metrics.inc("synth_cache.steps_executed", executed)
+
+    # Called with the lock held.
+    def _touch(self, states: Iterable[str]) -> None:
+        tick = self._counts["tick"] + 1
+        self._counts["tick"] = tick
+        self._ticks.update(dict.fromkeys(states, tick))
+
+    def _forget_oldest(self) -> None:
+        oldest = min(self._ticks.items(), key=lambda item: item[1])[0]
+        del self._snapshots[oldest]
+        del self._moves[oldest]
+        del self._ticks[oldest]
+
+    @staticmethod
+    def _freeze(aig: Aig):
+        return aig.clone()
+
+    @staticmethod
+    def _thaw(frozen) -> Aig:
+        return frozen.clone()
+
+    # -- accounting ----------------------------------------------------------
 
     def clear(self) -> None:
-        self._entries.clear()
+        """Drop every state and transition; the counters are kept."""
+        with self._lock:
+            self._snapshots.clear()
+            self._moves.clear()
+            self._ticks.clear()
+
+    def stats(self) -> dict:
+        with self._lock:
+            counts = dict(self._counts)
+            transitions = sum(len(moves) for moves in self._moves.values())
+            entries = len(self._moves)
+        total = counts["steps_saved"] + counts["steps_executed"]
+        return {
+            "entries": entries,
+            "transitions": transitions,
+            "max_entries": self.max_entries,
+            **{name: counts[name] for name in _COUNTERS},
+            "hit_rate": (
+                round(counts["steps_saved"] / total, 4) if total else 0.0
+            ),
+        }
 
     @property
     def hit_rate(self) -> float:
         """Fraction of recipe steps served from snapshots instead of run."""
-        total = self.steps_saved + self.steps_executed
-        return self.steps_saved / total if total else 0.0
-
-    def stats(self) -> dict:
-        return {
-            "entries": len(self._entries),
-            "max_entries": self.max_entries,
-            "prefix_hits": self.prefix_hits,
-            "prefix_misses": self.prefix_misses,
-            "steps_saved": self.steps_saved,
-            "steps_executed": self.steps_executed,
-            "hit_rate": round(self.hit_rate, 4),
-        }
-
-
-class SharedSynthCache:
-    """A recipe-prefix snapshot store shared across ``--jobs`` workers.
-
-    The private :class:`SynthCache` defeats process fan-out: the scorer is
-    pickled once per worker, so every worker warms its own cold cache and
-    the hits that make parallel search pay are forfeited.  This class keeps
-    one store — snapshots, recency and counters — in a
-    ``multiprocessing.Manager`` server process; the handle pickles into
-    pool workers (the unpicklable manager itself stays behind), so parent
-    and workers all read and extend the same cache, and the aggregated
-    hit/miss totals remain visible in the parent after pool teardown.
-
-    Snapshots cross the process boundary as pickled AIGs; a looked-up
-    snapshot is re-:meth:`~repro.aig.aig.Aig.clone`'d on arrival, which
-    rebuilds the fanout sets in canonical sorted order — the same
-    normalization :class:`SynthCache` applies — so the exact-resume
-    contract (cached == uncached, bit for bit) holds across processes
-    exactly as it does within one.
-
-    Eviction is LRU via a shared recency tick; all store mutations happen
-    under one shared lock, so concurrent workers never corrupt the index
-    (at worst two workers race to synthesize the same prefix once each).
-
-    ``close()`` freezes the final stats in the parent and shuts the manager
-    server down; call it only after the pool's workers have exited.
-    """
-
-    def __init__(self, max_entries: int = 512, manager=None):
-        if max_entries < 1:
-            raise SynthesisError(
-                f"SharedSynthCache needs max_entries >= 1, got {max_entries}"
-            )
-        import multiprocessing
-
-        self.max_entries = max_entries
-        self._owns_manager = manager is None
-        self._manager = (
-            multiprocessing.Manager() if manager is None else manager
-        )
-        self._lock = self._manager.Lock()
-        self._snapshots = self._manager.dict()  # key -> pickled Aig bytes
-        self._ticks = self._manager.dict()      # key -> last-use tick
-        self._counters = self._manager.dict(
-            {
-                "tick": 0,
-                "prefix_hits": 0,
-                "prefix_misses": 0,
-                "steps_saved": 0,
-                "steps_executed": 0,
-            }
-        )
-        self._closed = False
-        self._final_stats: Optional[dict] = None
-
-    # The SyncManager itself cannot be pickled (and workers never need it);
-    # the proxies it handed out reconnect to the server from any process.
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state["_manager"] = None
-        state["_owns_manager"] = False
-        return state
-
-    def __len__(self) -> int:
-        return len(self._snapshots)
-
-    def _touch(self, key) -> None:
-        tick = self._counters["tick"] + 1
-        self._counters["tick"] = tick
-        self._ticks[key] = tick
-
-    def lookup(
-        self, fingerprint: str, steps: Sequence[str]
-    ) -> tuple[int, Optional[Aig]]:
-        """Longest prefix of ``steps`` any worker has snapshotted."""
-        payload = None
-        length = 0
-        with self._lock:
-            for candidate in range(len(steps), 0, -1):
-                key = (fingerprint, tuple(steps[:candidate]))
-                payload = self._snapshots.get(key)
-                if payload is not None:
-                    length = candidate
-                    self._touch(key)
-                    self._counters["prefix_hits"] += 1
-                    self._counters["steps_saved"] += candidate
-                    break
-            else:
-                self._counters["prefix_misses"] += 1
-        # Mirror into the *calling process's* metrics registry so each
-        # worker's span carries the traffic it generated (the shared
-        # counters above stay the cross-process source of truth).
-        if payload is None:
-            _metrics.inc("synth_cache.prefix_misses")
-            return 0, None
-        _metrics.inc("synth_cache.prefix_hits")
-        _metrics.inc("synth_cache.steps_saved", length)
-        # clone() after unpickling canonicalizes fanout-set order, keeping
-        # resumed passes deterministic regardless of pickling history.
-        return length, pickle.loads(payload).clone()
-
-    def store(self, fingerprint: str, steps: Sequence[str], aig: Aig) -> None:
-        """Snapshot ``aig`` into the shared store (worker- or parent-side)."""
-        key = (fingerprint, tuple(steps))
-        payload = pickle.dumps(aig, protocol=pickle.HIGHEST_PROTOCOL)
-        with self._lock:
-            if key in self._snapshots:
-                self._touch(key)
-                return
-            self._snapshots[key] = payload
-            self._touch(key)
-            while len(self._snapshots) > self.max_entries:
-                oldest = min(self._ticks.items(), key=lambda item: item[1])[0]
-                del self._snapshots[oldest]
-                del self._ticks[oldest]
-
-    def count_executed(self, steps: int = 1) -> None:
-        with self._lock:
-            self._counters["steps_executed"] += steps
-        _metrics.inc("synth_cache.steps_executed", steps)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._snapshots.clear()
-            self._ticks.clear()
+        stats = self.stats()
+        total = stats["steps_saved"] + stats["steps_executed"]
+        return stats["steps_saved"] / total if total else 0.0
 
     @property
     def prefix_hits(self) -> int:
@@ -280,30 +271,74 @@ class SharedSynthCache:
     def steps_executed(self) -> int:
         return self.stats()["steps_executed"]
 
-    @property
-    def hit_rate(self) -> float:
-        stats = self.stats()
-        total = stats["steps_saved"] + stats["steps_executed"]
-        return stats["steps_saved"] / total if total else 0.0
+
+class SharedSynthCache(SynthCache):
+    """A :class:`SynthCache` whose store is shared across ``--jobs`` workers.
+
+    A private :class:`SynthCache` defeats process fan-out: the scorer is
+    pickled once per worker, so every worker warms its own cold cache and
+    the hits that make parallel search pay are forfeited.  This class keeps
+    the states, transitions, recency and counters in
+    ``multiprocessing.Manager`` dicts; the handle pickles into pool workers
+    (the unpicklable manager itself stays behind), so parent and workers
+    all walk and extend the same cache, and the aggregated hit/miss totals
+    remain visible in the parent after pool teardown.
+
+    Snapshots cross the process boundary as pickled AIGs; a served state
+    is re-:meth:`~repro.aig.aig.Aig.clone`'d on arrival, which rebuilds the
+    fanout sets in canonical sorted order — the same normalization
+    :class:`SynthCache` applies — so the exact-resume contract holds across
+    processes exactly as it does within one.
+
+    Eviction is LRU via a shared recency tick.  Every read and write of the
+    store happens under one shared lock, so concurrent workers never
+    corrupt it (at worst two workers race to run the same step once each).
+
+    ``close()`` freezes the final stats in the parent and shuts the manager
+    server down; call it only after the pool's workers have exited.
+    """
+
+    def __init__(self, max_entries: int = 512, manager=None):
+        super().__init__(max_entries)
+        import multiprocessing
+
+        self._owns_manager = manager is None
+        self._manager = (
+            multiprocessing.Manager() if manager is None else manager
+        )
+        self._lock = self._manager.Lock()
+        self._snapshots = self._manager.dict()  # state -> pickled Aig bytes
+        self._moves = self._manager.dict()      # state -> {step: state}
+        self._ticks = self._manager.dict()      # state -> last-use tick
+        self._counts = self._manager.dict(
+            dict.fromkeys(_COUNTERS + ("tick",), 0)
+        )
+        self._closed = False
+        self._final_stats: Optional[dict] = None
+
+    # The SyncManager itself cannot be pickled (and workers never need it);
+    # the proxies it handed out reconnect to the server from any process.
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["_manager"] = None
+        state["_owns_manager"] = False
+        return state
+
+    @staticmethod
+    def _freeze(aig: Aig) -> bytes:
+        return pickle.dumps(aig, protocol=pickle.HIGHEST_PROTOCOL)
+
+    @staticmethod
+    def _thaw(frozen: bytes) -> Aig:
+        # clone() after unpickling canonicalizes fanout-set order, keeping
+        # resumed passes deterministic regardless of pickling history.
+        return pickle.loads(frozen).clone()
 
     def stats(self) -> dict:
         """Aggregated counters across every process that used the store."""
         if self._final_stats is not None:
             return dict(self._final_stats)
-        counters = dict(self._counters)
-        saved = counters["steps_saved"]
-        executed = counters["steps_executed"]
-        total = saved + executed
-        return {
-            "entries": len(self._snapshots),
-            "max_entries": self.max_entries,
-            "prefix_hits": counters["prefix_hits"],
-            "prefix_misses": counters["prefix_misses"],
-            "steps_saved": saved,
-            "steps_executed": executed,
-            "hit_rate": round(saved / total, 4) if total else 0.0,
-            "shared": True,
-        }
+        return {**super().stats(), "shared": True}
 
     def close(self) -> None:
         """Freeze final stats and shut the manager server down; idempotent.

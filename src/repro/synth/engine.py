@@ -49,26 +49,19 @@ def apply_recipe(
 ) -> Aig:
     """Apply a whole recipe; by default works on a compacted copy.
 
-    ``cache`` optionally names a :class:`repro.synth.cache.SynthCache`:
-    the longest already-seen prefix of ``recipe`` for this circuit is
-    restored from an exact AIG snapshot and only the remaining suffix is
-    applied (and snapshotted in turn).  Because snapshots are exact clones,
-    the result is bit-identical to the uncached computation.
+    ``cache`` optionally names a :class:`repro.synth.cache.SynthCache` (or
+    its shared variant), keyed on AIG state: from the input's state, every
+    step whose ``(state, step)`` transition is cached is served from an
+    exact AIG snapshot, and only the others are run (and recorded in
+    turn).  A step that reaches a state some other recipe reached — or
+    that changed nothing — continues from there.  Because snapshots are
+    exact clones, the result is bit-identical to the uncached computation.
     """
     current = aig.compact() if copy else aig
-    if cache is None:
-        for step in recipe:
-            current = apply_transform(current, step)
-        return current.compact()
-    steps = tuple(recipe)
-    fingerprint = current.fingerprint()
-    done, resumed = cache.lookup(fingerprint, steps)
-    if resumed is not None:
-        current = resumed
-    for index in range(done, len(steps)):
-        current = apply_transform(current, steps[index])
-        cache.count_executed(1)
-        cache.store(fingerprint, steps[: index + 1], current)
+    if cache is not None:
+        return cache.apply(current, recipe).compact()
+    for step in recipe:
+        current = apply_transform(current, step)
     return current.compact()
 
 
@@ -111,7 +104,7 @@ def synthesize_netlist(
     defender and the attacks perform.  ``verify`` optionally checks the
     result against the input — ``"sim"`` for sampled simulation, ``"sat"``
     for an exact equivalence proof (see :func:`verify_transformation`).
-    ``cache`` is a recipe-prefix :class:`~repro.synth.cache.SynthCache`
+    ``cache`` is a state-keyed :class:`~repro.synth.cache.SynthCache`
     (see :func:`apply_recipe`).
     """
     from repro.aig.build import aig_from_netlist

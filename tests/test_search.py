@@ -1,5 +1,5 @@
-"""Tests for the batched search engine, prefix-cached synthesis, and the
-vectorized proxy scorer."""
+"""Tests for the batched search engine, state-keyed cached synthesis, and
+the vectorized proxy scorer."""
 
 import math
 
@@ -26,7 +26,8 @@ from repro.errors import SearchError, SpecError
 from repro.locking import lock_rll
 from repro.pipeline.spec import DefenseSpec
 from repro.synth import RESYN2, Recipe, SynthCache, random_recipe
-from repro.synth.engine import apply_recipe, synthesize_netlist
+from repro.synth.engine import apply_recipe, apply_transform, synthesize_netlist
+from repro.synth.recipe import TRANSFORM_NAMES
 from repro.utils.rng import derive_seed, make_rng
 
 
@@ -349,11 +350,55 @@ class TestEvaluators:
             evaluator._WORKER_FN = worker_fn
 
 
-# -- prefix-cached synthesis ----------------------------------------------
+# -- state-keyed cached synthesis ------------------------------------------
 
 @pytest.fixture(scope="module")
 def c432_netlist():
     return load_iscas85("c432", scale="quick")
+
+
+def replayed_pairs(netlist, recipes) -> set:
+    """Distinct ``(state, step)`` pairs an uncached replay of ``recipes``
+    runs — exactly the steps a state-keyed cache must execute when it
+    never evicts."""
+    pairs = set()
+    for recipe in recipes:
+        aig = aig_from_netlist(netlist).compact()  # apply_recipe's input
+        for step in recipe:
+            pairs.add((aig.fingerprint(), step))
+            aig = apply_transform(aig, step)
+    return pairs
+
+
+def convergent_recipes(netlist, base):
+    """Two copies of ``base`` that differ in one step only, at the first
+    position where two different steps both leave the AIG unchanged."""
+    aig = aig_from_netlist(netlist).compact()
+    for position, step in enumerate(base):
+        state = aig.fingerprint()
+        noops = [
+            name for name in TRANSFORM_NAMES
+            if apply_transform(aig.clone(), name).fingerprint() == state
+        ]
+        if len(noops) >= 2:
+            return base.with_step(position, noops[0]), base.with_step(
+                position, noops[1]
+            )
+        aig = apply_transform(aig, step)
+    raise AssertionError(f"{base.short()} has no position with two no-ops")
+
+
+def assert_bounded(cache) -> None:
+    """States within ``max_entries``; transitions only on stored states,
+    at most one per distinct step."""
+    stats = cache.stats()
+    assert len(cache) == stats["entries"] <= cache.max_entries
+    assert set(cache._moves.keys()) == set(cache._snapshots.keys())
+    assert set(cache._ticks.keys()) == set(cache._snapshots.keys())
+    assert stats["transitions"] == sum(
+        len(moves) for moves in cache._moves.values()
+    )
+    assert stats["transitions"] <= stats["entries"] * len(TRANSFORM_NAMES)
 
 
 class TestSynthCache:
@@ -370,7 +415,7 @@ class TestSynthCache:
             assert cached.fingerprint() == uncached.fingerprint()
 
     def test_prefix_resume_is_sat_equivalent(self, c432_netlist):
-        # verify="sat" proves the (prefix-cached) output equivalent to the
+        # verify="sat" proves the (cache-served) output equivalent to the
         # input; a broken snapshot/resume would be caught by the miter.
         cache = SynthCache()
         recipe = random_recipe(8, seed=1)
@@ -384,15 +429,46 @@ class TestSynthCache:
     def test_mutation_resumes_from_prefix(self, c432_netlist):
         cache = SynthCache()
         recipe = random_recipe(10, seed=3)
-        aig = aig_from_netlist(c432_netlist)
-        apply_recipe(aig, recipe, cache=cache)
-        assert cache.steps_executed == 10
         mutated = recipe.with_step(9, "resub")
+        apply_recipe(aig_from_netlist(c432_netlist), recipe, cache=cache)
+        # Each distinct (state, step) pair runs once.  This recipe repeats
+        # some of its own pairs, so even the cold call is served a step
+        # and counts as a hit.
+        first = len(replayed_pairs(c432_netlist, [recipe]))
+        assert first < 10
+        assert cache.steps_executed == first
+        assert cache.steps_saved == 10 - first
+        assert (cache.prefix_hits, cache.prefix_misses) == (1, 0)
         apply_recipe(aig_from_netlist(c432_netlist), mutated, cache=cache)
-        # Only the mutated tail step is recomputed.
-        assert cache.steps_executed == 11
-        assert cache.steps_saved == 9
+        # The shared 9-step prefix is served; at most the tail step runs.
+        assert cache.steps_executed == len(
+            replayed_pairs(c432_netlist, [recipe, mutated])
+        )
+        assert cache.steps_executed <= first + 1
+        assert cache.steps_saved + cache.steps_executed == 20
+        assert (cache.prefix_hits, cache.prefix_misses) == (2, 0)
         assert 0.0 < cache.hit_rate < 1.0
+
+    def test_convergent_prefixes_share_later_steps(self, c432_netlist):
+        first, second = convergent_recipes(
+            c432_netlist, random_recipe(10, seed=3)
+        )
+        cache = SynthCache()
+        executed = []
+        for recipe in (first, second):
+            cached = apply_recipe(
+                aig_from_netlist(c432_netlist), recipe, cache=cache
+            )
+            uncached = apply_recipe(aig_from_netlist(c432_netlist), recipe)
+            assert cached.fingerprint() == uncached.fingerprint()
+            executed.append(cache.steps_executed)
+        # Only the differing no-op step is new; it lands back on a state
+        # whose every later step the first recipe already ran.
+        assert executed[1] - executed[0] == 1
+        assert executed[1] == len(
+            replayed_pairs(c432_netlist, [first, second])
+        )
+        assert cache.steps_saved + cache.steps_executed == 20
 
     def test_full_recipe_repeat_is_free(self, c432_netlist):
         cache = SynthCache()
@@ -409,16 +485,21 @@ class TestSynthCache:
 
     def test_lru_bound(self, c432_netlist):
         cache = SynthCache(max_entries=4)
-        for seed in range(3):
-            apply_recipe(
-                aig_from_netlist(c432_netlist),
-                random_recipe(5, seed=seed),
-                cache=cache,
+        recipes = [random_recipe(5, seed=seed) for seed in range(3)]
+        for recipe in recipes + recipes:
+            cached = apply_recipe(
+                aig_from_netlist(c432_netlist), recipe, cache=cache
             )
-        assert len(cache) <= 4
+            uncached = apply_recipe(aig_from_netlist(c432_netlist), recipe)
+            assert cached.fingerprint() == uncached.fingerprint()
+            assert_bounded(cache)
         stats = cache.stats()
-        assert stats["entries"] <= 4
-        assert stats["steps_executed"] == 15
+        assert stats["entries"] == 4  # full: states were evicted
+        assert stats["steps_saved"] + stats["steps_executed"] == 30
+        # Eviction only ever costs re-runs, never a skipped step.
+        assert stats["steps_executed"] >= len(
+            replayed_pairs(c432_netlist, recipes)
+        )
 
     def test_rejects_bad_bound(self):
         with pytest.raises(Exception):
@@ -629,12 +710,19 @@ class TestCliAlmost:
             )
 
 
-# -- cross-worker shared prefix cache --------------------------------------
+# -- cross-worker shared state-keyed cache ---------------------------------
 
 def _shared_cache_energy(cache, netlist, recipe) -> float:
     """Module-level (picklable) pool scorer synthesizing through ``cache``."""
     synthesize_netlist(netlist, recipe, cache=cache)
     return abs(derive_seed(55, *recipe.steps) % 10_000 / 10_000 - 0.5)
+
+
+def _shared_cache_fingerprint(cache, netlist, recipe) -> str:
+    """Module-level pool task: cached synthesis, reported by fingerprint."""
+    return apply_recipe(
+        aig_from_netlist(netlist), recipe, cache=cache
+    ).fingerprint()
 
 
 class TestSharedSynthCache:
@@ -682,7 +770,7 @@ class TestSharedSynthCache:
             config=SearchConfig(iterations=3, chains=4, seed=9),
         )
         # Every energy evaluation synthesizes exactly once through the
-        # shared store: one prefix lookup each, and every one of the 10
+        # shared store: one hit or miss each, and every one of the 10
         # recipe steps is either served from a snapshot or executed.
         # These totals are exact regardless of how the pool scheduled the
         # candidates across workers.
@@ -697,17 +785,68 @@ class TestSharedSynthCache:
         # close() froze the final totals; they remain readable.
         assert pool.cache_stats() == stats
 
+    def test_pool_workers_run_each_state_step_pair_once(self, c432_netlist):
+        """The serial checks, with the steps spread over a 2-worker pool:
+        exact step counts, convergent prefixes, cached == uncached."""
+        import multiprocessing
+
+        base = random_recipe(10, seed=3)
+        first, second = convergent_recipes(c432_netlist, base)
+        recipes = [base, base.with_step(9, "resub"), first, second]
+        uncached = {
+            recipe: apply_recipe(
+                aig_from_netlist(c432_netlist), recipe
+            ).fingerprint()
+            for recipe in recipes
+        }
+        cache = self._fresh()
+        try:
+            with multiprocessing.get_context("spawn").Pool(2) as pool:
+                # One task at a time, so the counts are exact whichever
+                # worker runs each recipe.
+                executed = []
+                for recipe in recipes:
+                    assert pool.apply(
+                        _shared_cache_fingerprint,
+                        (cache, c432_netlist, recipe),
+                    ) == uncached[recipe]
+                    executed.append(cache.steps_executed)
+                # Concurrent tasks may race on a step, never on a result.
+                assert pool.starmap(
+                    _shared_cache_fingerprint,
+                    [(cache, c432_netlist, recipe) for recipe in recipes],
+                ) == [uncached[recipe] for recipe in recipes]
+            assert executed == [
+                len(replayed_pairs(c432_netlist, recipes[:count]))
+                for count in range(1, len(recipes) + 1)
+            ]
+            assert executed[3] - executed[2] == 1  # the convergent pair
+            stats = cache.stats()
+            assert stats["prefix_hits"] + stats["prefix_misses"] == 8
+            assert stats["steps_saved"] + stats["steps_executed"] == 80
+            assert_bounded(cache)
+        finally:
+            cache.close()
+
     def test_lru_bound_holds_across_stores(self, c432_netlist):
         cache = self._fresh(max_entries=4)
         try:
-            for seed in range(3):
-                apply_recipe(
-                    aig_from_netlist(c432_netlist),
-                    random_recipe(5, seed=seed),
-                    cache=cache,
+            recipes = [random_recipe(5, seed=seed) for seed in range(3)]
+            for recipe in recipes + recipes:
+                cached = apply_recipe(
+                    aig_from_netlist(c432_netlist), recipe, cache=cache
                 )
-            assert len(cache) <= 4
-            assert cache.stats()["steps_executed"] == 15
+                uncached = apply_recipe(
+                    aig_from_netlist(c432_netlist), recipe
+                )
+                assert cached.fingerprint() == uncached.fingerprint()
+                assert_bounded(cache)
+            stats = cache.stats()
+            assert stats["entries"] == 4
+            assert stats["steps_saved"] + stats["steps_executed"] == 30
+            assert stats["steps_executed"] >= len(
+                replayed_pairs(c432_netlist, recipes)
+            )
         finally:
             cache.close()
 

@@ -22,7 +22,8 @@ from repro.aig import aig_from_netlist
 from repro.circuits import load_iscas85
 from repro.locking import lock_rll
 from repro.mapping.mapper import map_aig
-from repro.synth import RESYN2, apply_recipe, random_recipe
+from repro.synth import RESYN2, SynthCache, apply_recipe, random_recipe
+from repro.synth.engine import apply_transform
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "synth_golden.json"
 
@@ -36,12 +37,16 @@ RECIPES = {
 }
 
 
-def synthesize_case(circuit: str, recipe_name: str) -> dict:
-    """Fingerprint and mapped area of one corpus case."""
+def _locked_aig(circuit: str):
     locked = lock_rll(
         load_iscas85(circuit, scale="quick"), key_size=KEY_SIZE, seed=LOCK_SEED
     )
-    optimized = apply_recipe(aig_from_netlist(locked.netlist), RECIPES[recipe_name])
+    return aig_from_netlist(locked.netlist)
+
+
+def synthesize_case(circuit: str, recipe_name: str) -> dict:
+    """Fingerprint and mapped area of one corpus case."""
+    optimized = apply_recipe(_locked_aig(circuit), RECIPES[recipe_name])
     return {
         "fingerprint": optimized.fingerprint(),
         "ands": optimized.num_ands(),
@@ -91,6 +96,29 @@ def test_synthesis_matches_golden(circuit):
         assert synthesize_case(circuit, name) == cases[f"{circuit}/{name}"], (
             f"{circuit} under {name} drifted from the golden corpus"
         )
+
+
+@pytest.mark.parametrize("circuit", CIRCUITS)
+def test_every_step_and_cached_resume_passes_check(circuit):
+    """``Aig.check()`` holds after every corpus step, and every state the
+    synthesis cache serves is the replayed state and passes it too."""
+    start = _locked_aig(circuit).compact()
+    cache = SynthCache()
+    for recipe in RECIPES.values():
+        aig = start.clone()
+        replayed = []
+        for step in recipe:
+            aig = apply_transform(aig, step)
+            aig.check()
+            replayed.append(aig.fingerprint())
+        apply_recipe(start, recipe, cache=cache)
+        for length in range(1, len(recipe) + 1):
+            served, resumed = cache.lookup(
+                start.fingerprint(), recipe.steps[:length]
+            )
+            assert served == length
+            resumed.check()
+            assert resumed.fingerprint() == replayed[length - 1]
 
 
 if __name__ == "__main__":
