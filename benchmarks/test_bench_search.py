@@ -146,20 +146,21 @@ def test_bench_sa_strategy_reproduces_seed_trace(
 ):
     """Paper-fidelity pin: default sa == seed annealer, bit for bit."""
     # Full paper schedule on a deterministic synthetic energy.
-    from repro.core.sa import SaConfig, simulated_annealing
+    from repro.core.search import SearchConfig, SearchProblem, run_search
 
     def synthetic_energy(recipe):
         return abs(derive_seed(7, *recipe.steps) % 10_000 / 10_000 - 0.5)
 
     start = random_recipe(10, seed=derive_seed(BENCH_SEED, "fidelity"))
-    config = SaConfig()  # paper defaults: 100 iterations, T0=120, a=1.8
+    config = SearchConfig()  # paper defaults: 100 iterations, T0=120, a=1.8
     best, best_energy, legacy = _seed_annealer(
         start, synthetic_energy, _neighbour,
         iterations=config.iterations, seed=config.seed,
     )
     result = benchmark.pedantic(
-        lambda: simulated_annealing(
-            start, synthetic_energy, _neighbour, config
+        lambda: run_search(
+            SearchProblem(initial=start, neighbour=_neighbour),
+            synthetic_energy, strategy="sa", config=config,
         ),
         rounds=1, iterations=1,
     )

@@ -4,7 +4,7 @@ Format is one entry per line, diff-friendly and line-number-free so
 unrelated edits don't invalidate it::
 
     # justification comment for the entry below
-    src/repro/service/store.py:RPR203: self._jobs[record.id] = record
+    src/repro/obs/trace.py:RPR203: self.records.append(record)
 
 The key is ``relpath:CODE: <stripped source line>`` — a finding matches
 when all three agree, wherever the line moved to.  Duplicate keys stack

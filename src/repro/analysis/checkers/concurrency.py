@@ -1,8 +1,8 @@
 """Concurrency and picklability rules (RPR2xx).
 
-Everything shipped to a ``multiprocessing`` pool, a supervised service
-worker, or a ``ProcessPoolEvaluator`` crosses a pickle boundary — under
-the ``spawn`` start method *nothing* is inherited.  These rules encode
+Everything shipped to a ``multiprocessing`` pool or a
+``ProcessPoolEvaluator`` crosses a pickle boundary — under the ``spawn``
+start method *nothing* is inherited.  These rules encode
 the unpicklable-Manager and fork-vs-spawn bridge lessons of PRs 5–6:
 no lambdas/closures into pools, no Manager proxies in classes without a
 ``__getstate__``, and no lock-guarded state mutated off-lock.
@@ -263,7 +263,7 @@ class SharedStateMutatedOffLock(Checker):
     name = "shared-state-off-lock"
     summary = (
         "attribute that is mutated under `with self._lock` elsewhere is "
-        "also mutated without it — a supervisor/store race"
+        "also mutated without it — a data race"
     )
 
     def check_module(self, module: ModuleUnderLint) -> Iterable[Finding]:

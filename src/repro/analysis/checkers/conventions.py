@@ -33,8 +33,8 @@ _NAME_SHAPE = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)+$")
 #: Fallback namespaces when docs/observability.md is out of reach (lint
 #: run on a file tree without the docs, e.g. test fixtures).
 DEFAULT_METRIC_NAMESPACES = frozenset({
-    "sat", "dip", "search", "synth_cache", "artifact_cache", "service",
-    "stage", "lint",
+    "sat", "dip", "search", "synth_cache", "artifact_cache", "stage",
+    "lint",
 })
 
 _BACKTICKED_METRIC = re.compile(r"`([a-z][a-z0-9_]*)\.[a-z0-9_.*]+`")

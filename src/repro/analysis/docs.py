@@ -1,10 +1,9 @@
 """Documentation checks, unified into the lint finding model (RPR4xx).
 
-This is the engine behind both ``repro lint --docs`` and the legacy
-``tools/check_docs.py`` entry point: internal markdown links must
-resolve (anchors included) and every ``repro <cmd>`` the docs mention
-must answer ``--help`` with exit 0, so the docs can drift neither ahead
-of nor behind the CLI surface.
+This is the engine behind ``repro lint --docs``: internal markdown
+links must resolve (anchors included) and every ``repro <cmd>`` the docs
+mention must answer ``--help`` with exit 0, so the docs can drift neither
+ahead of nor behind the CLI surface.
 
 Rule codes: ``RPR401`` broken link / missing anchor, ``RPR402`` unknown
 subcommand, ``RPR403`` docs reference no subcommands at all (the check
@@ -31,8 +30,7 @@ _SUBCOMMAND = re.compile(
     r"(?:python -m repro\.cli|(?<![\w./-])repro)\s+([a-z][a-z0-9-]*)\b"
 )
 #: Tokens that follow "repro" in code spans without being subcommands.
-#: ("daemon": docs quote the `repro serve` startup banner verbatim.)
-NOT_SUBCOMMANDS = frozenset({"console", "daemon"})
+NOT_SUBCOMMANDS = frozenset({"console"})
 
 
 def doc_files(root: Path) -> list[Path]:

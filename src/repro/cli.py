@@ -589,70 +589,6 @@ def cmd_grid(args: argparse.Namespace) -> int:
     return _finish_run(runner, run, spec, args.out)
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
-    from repro.service import Service, serve
-
-    service = Service(
-        state_dir=args.state_dir or None,
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        cache_root=args.workdir or None,
-        use_cache=not args.no_cache,
-        watchdog_s=args.watchdog,
-        max_attempts=args.max_attempts,
-    )
-    return serve(service)
-
-
-def cmd_submit(args: argparse.Namespace) -> int:
-    from repro.service import ServiceClient
-
-    spec = ExperimentSpec.load(args.spec)
-    client = ServiceClient(host=args.host, port=args.port)
-    options: dict = {}
-    if args.jobs > 1:
-        options["jobs"] = args.jobs
-    job = client.submit(
-        spec.to_dict(), name=args.name or spec.name, options=options
-    )
-    print(f"submitted job {job['id']} ({job['name'] or 'unnamed'})")
-    if not args.wait:
-        return 0
-    job = client.wait(job["id"], timeout_s=args.timeout)
-    print(f"job {job['id']} {job['state']} "
-          f"(attempts: {job['attempts']})")
-    if job["state"] != "done":
-        if job.get("error"):
-            print(f"error: {job['error']}", file=sys.stderr)
-        return 1
-    from repro.pipeline.runner import RunResult
-    from repro.reporting import render_run_table
-
-    print(render_run_table(RunResult.from_dict(job["result"])))
-    return 0
-
-
-def cmd_jobs(args: argparse.Namespace) -> int:
-    from repro.reporting import render_job_table
-    from repro.service import ServiceClient
-
-    summaries = ServiceClient(host=args.host, port=args.port).jobs()
-    if not summaries:
-        print("no jobs")
-        return 0
-    print(render_job_table(summaries))
-    return 0
-
-
-def cmd_cancel(args: argparse.Namespace) -> int:
-    from repro.service import ServiceClient
-
-    job = ServiceClient(host=args.host, port=args.port).cancel(args.job_id)
-    print(f"job {job['id']} cancelled")
-    return 0
-
-
 def cmd_cache(args: argparse.Namespace) -> int:
     from repro.pipeline.cache import (
         ArtifactCache,
@@ -950,62 +886,6 @@ def build_parser() -> argparse.ArgumentParser:
     # The subparser rides along so --spec conflict checks can read the
     # authoritative flag defaults instead of duplicating them.
     grid.set_defaults(func=cmd_grid, _grid_parser=grid)
-
-    serve = sub.add_parser(
-        "serve",
-        help="run the async job daemon: accept specs over HTTP, execute "
-             "them on a supervised worker pool, survive crashes",
-    )
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8737,
-                       help="HTTP port (0 = pick an ephemeral one)")
-    serve.add_argument("--workers", type=int, default=2,
-                       help="worker processes in the pool")
-    serve.add_argument("--state-dir", default="",
-                       help="event-log directory (default $REPRO_STATE_DIR "
-                            "or ~/.local/state/repro); restarting over the "
-                            "same dir resumes unfinished jobs")
-    serve.add_argument("--watchdog", type=float, default=60.0,
-                       help="seconds without a heartbeat before a busy "
-                            "worker is presumed wedged and killed")
-    serve.add_argument("--max-attempts", type=int, default=3,
-                       help="dispatches per job before a crash loop is "
-                            "declared FAILED")
-    _add_cache_flags(serve)
-    serve.set_defaults(func=cmd_serve)
-
-    submit = sub.add_parser(
-        "submit", help="submit an experiment spec to a running job daemon"
-    )
-    submit.add_argument("spec", help="spec file (.toml/.json)")
-    submit.add_argument("--host", default="127.0.0.1")
-    submit.add_argument("--port", type=int, default=8737)
-    submit.add_argument("--name", default="",
-                        help="job label (default: the spec's name)")
-    submit.add_argument("--jobs", type=int, default=1,
-                        help="in-worker process fan-out for the job's "
-                             "grid cells")
-    submit.add_argument("--wait", action="store_true",
-                        help="poll until the job settles and print its "
-                             "result table")
-    submit.add_argument("--timeout", type=float, default=3600.0,
-                        help="--wait limit in seconds")
-    submit.set_defaults(func=cmd_submit)
-
-    jobs = sub.add_parser(
-        "jobs", help="list the daemon's jobs as a table"
-    )
-    jobs.add_argument("--host", default="127.0.0.1")
-    jobs.add_argument("--port", type=int, default=8737)
-    jobs.set_defaults(func=cmd_jobs)
-
-    cancel = sub.add_parser(
-        "cancel", help="cancel a queued or running job by id"
-    )
-    cancel.add_argument("job_id")
-    cancel.add_argument("--host", default="127.0.0.1")
-    cancel.add_argument("--port", type=int, default=8737)
-    cancel.set_defaults(func=cmd_cancel)
 
     cache = sub.add_parser(
         "cache", help="inspect or prune the on-disk artifact cache"

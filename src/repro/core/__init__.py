@@ -12,7 +12,6 @@ Pipeline (paper Fig. 3):
    (:mod:`repro.attacks`).
 """
 
-from repro.core.sa import SaConfig, SaResult, simulated_annealing
 from repro.core.search import (
     SearchConfig,
     SearchProblem,
@@ -25,9 +24,6 @@ from repro.core.adversarial import AdversarialConfig, train_adversarial_attack
 from repro.core.almost import AlmostConfig, AlmostResult, AlmostDefense
 
 __all__ = [
-    "SaConfig",
-    "SaResult",
-    "simulated_annealing",
     "SearchConfig",
     "SearchProblem",
     "run_search",

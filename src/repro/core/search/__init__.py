@@ -30,8 +30,7 @@ the same config always reproduces the same trace::
 Recipe energies are usually scored through a cached synthesizer
 (:mod:`repro.synth.cache`); because its snapshots resume exactly, the
 trace above is identical whether or not (and wherever) a cache is
-attached.  ``repro.core.sa.simulated_annealing`` remains as a thin
-compatibility wrapper over this package.
+attached.
 """
 
 from repro.core.search.strategy import (

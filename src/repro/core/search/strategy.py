@@ -63,7 +63,7 @@ class SearchConfig:
     """Shared strategy knobs.
 
     The first five fields are the paper's annealing schedule (Sec. IV-C
-    defaults, identical to the seed :class:`~repro.core.sa.SaConfig`);
+    defaults: 100 iterations, ``t_initial`` 120, ``acceptance`` 1.8);
     ``chains`` sizes the proposal batch (parallel-tempering chains, beam
     width, random-sampling batch), ``t_hot``/``swap_period`` parameterize
     the tempering ladder, and ``max_evaluations`` optionally caps the total

@@ -63,11 +63,3 @@ class CacheError(PipelineError):
 
 class AnalysisError(ReproError):
     """Static-analysis failure (duplicate rule code, bad baseline file)."""
-
-
-class ServiceError(ReproError):
-    """Job-service failure (daemon unreachable, bad request, HTTP error)."""
-
-
-class JobStateError(ServiceError):
-    """An invalid job-state transition was attempted (or an unknown job)."""

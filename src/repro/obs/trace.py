@@ -325,8 +325,8 @@ class Tracer:
         """Exclusively create the sink file, never clobbering a sibling.
 
         Two tracers pointed at the same path (two grid runs launched with
-        the same ``--trace`` argument, a daemon and a CLI sharing a
-        scratch dir) used to silently truncate each other's output.
+        the same ``--trace`` argument, or two CLI runs sharing a scratch
+        dir) used to silently truncate each other's output.
         ``O_EXCL`` makes creation atomic; on collision the name gets a
         ``-1``/``-2``/... suffix and :attr:`path` is updated to the file
         actually written, so callers report the real location.

@@ -52,8 +52,8 @@ _log = get_logger(__name__)
 # -- generic DAG machinery ------------------------------------------------
 
 #: Top-level entries of ``src/repro`` that cannot change an artifact: the
-#: command-line front end, result rendering and the job daemon.
-_SOURCE_DIGEST_EXCLUDES = frozenset({"cli.py", "reporting", "service"})
+#: command-line front end and result rendering.
+_SOURCE_DIGEST_EXCLUDES = frozenset({"cli.py", "reporting"})
 
 
 @functools.lru_cache(maxsize=None)
@@ -127,13 +127,8 @@ def topological_order(stages: Sequence[Stage]) -> list[Stage]:
 def execute_stages(
     stage_list: Sequence[Stage],
     cache: Optional[ArtifactCache],
-    progress: Optional[Callable[[dict], None]] = None,
 ) -> tuple[dict[str, Any], list[dict]]:
-    """Run a stage DAG; returns (artifacts by stage, execution log).
-
-    ``progress`` (if given) receives each execution-log entry as soon as
-    its stage settles — the job daemon streams these to the client.
-    """
+    """Run a stage DAG; returns (artifacts by stage, execution log)."""
     artifacts: dict[str, Any] = {}
     fingerprints: dict[str, str] = {}
     log: list[dict] = []
@@ -174,8 +169,6 @@ def execute_stages(
             "elapsed_s": elapsed,
         }
         log.append(entry)
-        if progress is not None:
-            progress(entry)
     return artifacts, log
 
 
@@ -342,9 +335,7 @@ class Runner:
     ``workdir`` overrides the artifact-cache root (default
     ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``); ``jobs`` > 1 distributes
     grid cells over a process pool; ``use_cache=False`` recomputes
-    everything (cold-run benchmarking).  ``progress`` receives each
-    stage's execution-log entry (labelled with its benchmark/attack) as
-    it settles — the job daemon's workers stream these upward.
+    everything (cold-run benchmarking).
     """
 
     def __init__(
@@ -353,13 +344,11 @@ class Runner:
         jobs: int = 1,
         use_cache: bool = True,
         cache: Optional[ArtifactCache] = None,
-        progress: Optional[Callable[[dict], None]] = None,
     ):
         if jobs < 1:
             raise PipelineError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
         self.use_cache = use_cache
-        self.progress = progress
         self.workdir = Path(workdir).expanduser() if workdir else None
         if cache is not None:
             self.cache: Optional[ArtifactCache] = cache
@@ -542,16 +531,11 @@ class Runner:
     ) -> CellResult:
         started = time.perf_counter()
         attack_label = attack.cell_label if attack is not None else ""
-        progress = None
-        if self.progress is not None:
-            def progress(entry, _b=bench.label, _a=attack_label):
-                self.progress({**entry, "benchmark": _b, "attack": _a})
         with get_tracer().span(
             "cell", benchmark=bench.label, attack=attack_label
         ):
             artifacts, log = execute_stages(
-                self._build_cell_stages(spec, bench, attack), self.cache,
-                progress=progress,
+                self._build_cell_stages(spec, bench, attack), self.cache
             )
         lock_artifact = _stages.effective_lock(artifacts)
         synth_artifact = artifacts["synth"]
@@ -600,9 +584,9 @@ class Runner:
     @staticmethod
     def _install_sigterm():
         """Map SIGTERM onto :class:`KeyboardInterrupt` for the duration
-        of a run, so daemon-style termination rides the same
-        partial-result path as Ctrl-C.  Returns the previous handler, or
-        ``None`` when signals are off-limits (not the main thread)."""
+        of a run, so ``kill`` rides the same partial-result path as
+        Ctrl-C.  Returns the previous handler, or ``None`` when signals
+        are off-limits (not the main thread)."""
         if threading.current_thread() is not threading.main_thread():
             return None
 
@@ -703,24 +687,6 @@ class Runner:
         workers = min(self.jobs, len(payloads))
         warmup: list = []
         interrupted = False
-        on_prefix = on_cell = None
-        if self.progress is not None:
-            def on_prefix(outcome):
-                for entry in outcome["log"]:
-                    self.progress(
-                        {**entry, "benchmark": "", "attack": ""}
-                    )
-
-            def on_cell(outcome):
-                cell = outcome["cell"]
-                for entry in cell["stages"]:
-                    self.progress(
-                        {
-                            **entry,
-                            "benchmark": cell["benchmark"],
-                            "attack": cell["attack"],
-                        }
-                    )
         with multiprocessing.Pool(
             processes=workers,
             initializer=_worker_init,
@@ -733,7 +699,7 @@ class Runner:
                 # attack cells below all hit the cache instead of racing
                 # to recompute the same — possibly expensive — prefix.
                 prefix_outcomes, interrupted = _collect_async(
-                    pool, _prefix_worker, prefix_payloads, on_prefix
+                    pool, _prefix_worker, prefix_payloads
                 )
                 self._absorb_worker_stats(prefix_outcomes)
                 warmup = [
@@ -743,7 +709,7 @@ class Runner:
                 ]
             if not interrupted:
                 outcomes, interrupted = _collect_async(
-                    pool, _cell_worker, payloads, on_cell
+                    pool, _cell_worker, payloads
                 )
         # Workers are gone once the pool context exits; fold their queued
         # spans into the parent's stream.
@@ -776,34 +742,18 @@ class Runner:
         return text
 
 
-def _collect_async(
-    pool, fn, payloads, on_result=None
-) -> tuple[list, bool]:
+def _collect_async(pool, fn, payloads) -> tuple[list, bool]:
     """``pool.map``, but a Ctrl-C actually lands.
 
     A plain ``map()`` parks the parent in a condition-variable wait
     where ``KeyboardInterrupt`` delivery is unreliable; ``apply_async``
     plus a ``ready()`` poll keeps the main thread interruptible.  On
     interrupt the pool is terminated and whatever already finished is
-    returned with ``interrupted=True``.  ``on_result`` sees each
-    successful outcome once, as soon as it is ready (progress streaming).
+    returned with ``interrupted=True``.
     """
     handles = [pool.apply_async(fn, (payload,)) for payload in payloads]
-    reported = [False] * len(handles)
-
-    def _scan() -> bool:
-        pending = False
-        for index, handle in enumerate(handles):
-            if not handle.ready():
-                pending = True
-            elif not reported[index]:
-                reported[index] = True
-                if on_result is not None and handle.successful():
-                    on_result(handle.get())
-        return pending
-
     try:
-        while _scan():
+        while not all(handle.ready() for handle in handles):
             time.sleep(0.05)
     except KeyboardInterrupt:
         pool.terminate()

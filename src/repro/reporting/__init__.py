@@ -14,7 +14,6 @@ from repro.reporting.query import (
 )
 from repro.reporting.scale import Scale, resolve_scale
 from repro.reporting.run import render_run_table, run_result_rows
-from repro.reporting.jobs import job_rows, render_job_table
 from repro.reporting.search import (
     SearchStrategyRecord,
     records_from_run,
@@ -41,8 +40,6 @@ __all__ = [
     "resolve_scale",
     "render_run_table",
     "run_result_rows",
-    "job_rows",
-    "render_job_table",
     "SearchStrategyRecord",
     "records_from_run",
     "render_search_comparison_table",

@@ -314,8 +314,8 @@ def test_rpr302_flags_negative_counter_and_gauge_inc(tmp_path):
         from repro.obs import metrics
 
         def record():
-            metrics.inc("service.depth", -1)
-            metrics.gauge("service.depth").inc()
+            metrics.inc("search.depth", -1)
+            metrics.gauge("search.depth").inc()
     """)
     assert codes_at(findings) == [("RPR302", 4), ("RPR302", 5)]
 
@@ -325,8 +325,8 @@ def test_rpr302_clean_counter_up_gauge_set(tmp_path):
         from repro.obs import metrics
 
         def record(depth):
-            metrics.inc("service.jobs")
-            metrics.gauge("service.depth").set(depth)
+            metrics.inc("search.rounds")
+            metrics.gauge("search.depth").set(depth)
     """)
     assert findings == []
 

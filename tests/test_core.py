@@ -8,8 +8,9 @@ from repro.core import (
     AlmostConfig,
     AlmostDefense,
     ProxyConfig,
-    SaConfig,
-    simulated_annealing,
+    SearchConfig,
+    SearchProblem,
+    run_search,
     train_adversarial_attack,
 )
 from repro.core.adversarial import AdversarialConfig
@@ -24,20 +25,24 @@ from repro.synth import RESYN2, Recipe, random_recipe
 
 class TestSimulatedAnnealing:
     def test_minimizes_quadratic(self):
-        result = simulated_annealing(
-            10.0,
-            energy_fn=lambda x: (x - 3.0) ** 2,
-            neighbour_fn=lambda x, rng: x + rng.normal(0, 1.0),
-            config=SaConfig(iterations=300, t_initial=5.0, seed=1),
+        result = run_search(
+            SearchProblem(
+                initial=10.0, neighbour=lambda x, rng: x + rng.normal(0, 1.0)
+            ),
+            lambda x: (x - 3.0) ** 2,
+            strategy="sa",
+            config=SearchConfig(iterations=300, t_initial=5.0, seed=1),
         )
         assert abs(result.best_state - 3.0) < 0.5
 
     def test_trace_structure(self):
-        result = simulated_annealing(
-            0.0,
-            energy_fn=lambda x: abs(x),
-            neighbour_fn=lambda x, rng: x + rng.normal(),
-            config=SaConfig(iterations=10, seed=2),
+        result = run_search(
+            SearchProblem(
+                initial=0.0, neighbour=lambda x, rng: x + rng.normal()
+            ),
+            abs,
+            strategy="sa",
+            config=SearchConfig(iterations=10, seed=2),
             trace_fn=lambda state, energy: {"state": state},
         )
         assert len(result.trace) == 11  # initial + 10 iterations
@@ -46,11 +51,11 @@ class TestSimulatedAnnealing:
         )
 
     def test_stop_energy_short_circuits(self):
-        result = simulated_annealing(
-            100.0,
-            energy_fn=lambda x: abs(x),
-            neighbour_fn=lambda x, rng: x / 2,
-            config=SaConfig(iterations=100, seed=3),
+        result = run_search(
+            SearchProblem(initial=100.0, neighbour=lambda x, rng: x / 2),
+            abs,
+            strategy="sa",
+            config=SearchConfig(iterations=100, seed=3),
             stop_energy=1.0,
         )
         assert len(result.trace) < 101
@@ -58,11 +63,13 @@ class TestSimulatedAnnealing:
 
     def test_deterministic(self):
         def run():
-            return simulated_annealing(
-                5.0,
-                energy_fn=lambda x: x * x,
-                neighbour_fn=lambda x, rng: x + rng.normal(),
-                config=SaConfig(iterations=50, seed=9),
+            return run_search(
+                SearchProblem(
+                    initial=5.0, neighbour=lambda x, rng: x + rng.normal()
+                ),
+                lambda x: x * x,
+                strategy="sa",
+                config=SearchConfig(iterations=50, seed=9),
             ).best_state
 
         assert run() == run()
@@ -70,11 +77,11 @@ class TestSimulatedAnnealing:
     def test_accepts_worse_moves_at_high_temperature(self):
         # With huge T, the walk should wander to worse states sometimes.
         states = []
-        simulated_annealing(
-            0.0,
-            energy_fn=lambda x: abs(x),
-            neighbour_fn=lambda x, rng: x + 1.0,
-            config=SaConfig(iterations=20, t_initial=1e9, seed=4),
+        run_search(
+            SearchProblem(initial=0.0, neighbour=lambda x, rng: x + 1.0),
+            abs,
+            strategy="sa",
+            config=SearchConfig(iterations=20, t_initial=1e9, seed=4),
             trace_fn=lambda s, e: states.append(s) or {},
         )
         assert max(states) > 0.0

@@ -3,17 +3,22 @@ links in ``docs/``/README, and CLI subcommands named by the docs.
 
 The doctest pass is the "verified importable" guarantee for the search
 API's module docstrings: every documented module imports cleanly and its
-inline examples execute as written.  The link/command checks share their
-implementation with ``tools/check_docs.py`` (the CI docs job), so a doc
-rot caught in CI is reproducible locally with plain pytest.
+inline examples execute as written.  The link/command checks run the
+``repro lint --docs`` engine (:mod:`repro.analysis.docs`, the CI lint
+job), so a doc rot caught in CI is reproducible locally with plain pytest.
 """
 
 from __future__ import annotations
 
 import doctest
 import importlib
+from pathlib import Path
 
 import pytest
+
+from repro.analysis import docs
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 DOCUMENTED_MODULES = [
     "repro.core.search",
@@ -57,27 +62,13 @@ def test_exact_resume_contract_is_documented(module_name):
     ), f"{module_name} docstring no longer states its determinism contract"
 
 
-def _tools():
-    import sys
-    from pathlib import Path
-
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
-    try:
-        import check_docs
-    finally:
-        sys.path.pop(0)
-    return check_docs
-
-
 def test_docs_internal_links_resolve():
-    check_docs = _tools()
-    problems = check_docs.check_links(check_docs.doc_files())
-    assert not problems, "\n".join(problems)
+    problems = docs.link_problems(docs.doc_files(REPO_ROOT), REPO_ROOT)
+    assert not problems, "\n".join(p.text() for p in problems)
 
 
 def test_docs_name_only_real_cli_subcommands():
-    check_docs = _tools()
-    commands = check_docs.referenced_subcommands(check_docs.doc_files())
-    assert commands, "docs no longer reference any `repro <cmd>` commands"
-    problems = check_docs.check_subcommands(commands)
-    assert not problems, "\n".join(problems)
+    mentions = docs.subcommand_mentions(docs.doc_files(REPO_ROOT))
+    assert mentions, "docs no longer reference any `repro <cmd>` commands"
+    problems = docs.subcommand_problems(mentions, REPO_ROOT)
+    assert not problems, "\n".join(p.text() for p in problems)

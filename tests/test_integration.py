@@ -106,13 +106,15 @@ class TestProxyContract:
 
 class TestSaInvariants:
     def test_best_energy_monotone_in_trace(self):
-        from repro.core.sa import SaConfig, simulated_annealing
+        from repro.core.search import SearchConfig, SearchProblem, run_search
 
-        result = simulated_annealing(
-            10.0,
-            energy_fn=lambda x: abs(x - 2.0),
-            neighbour_fn=lambda x, rng: x + rng.normal(),
-            config=SaConfig(iterations=40, seed=5),
+        result = run_search(
+            SearchProblem(
+                initial=10.0, neighbour=lambda x, rng: x + rng.normal()
+            ),
+            lambda x: abs(x - 2.0),
+            strategy="sa",
+            config=SearchConfig(iterations=40, seed=5),
         )
         best_values = [entry["best_energy"] for entry in result.trace]
         assert all(b1 >= b2 for b1, b2 in zip(best_values, best_values[1:])) or (

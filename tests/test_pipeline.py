@@ -1028,25 +1028,59 @@ def _sleepy_attack(ctx, params):
     )
 
 
+def _interrupt_second_cell(runner: Runner) -> None:
+    """Make ``runner`` raise Ctrl-C as its second grid cell starts."""
+    original = runner.run_cell
+    calls = {"n": 0}
+
+    def flaky(spec, bench, attack):
+        calls["n"] += 1
+        if calls["n"] == 2:
+            raise KeyboardInterrupt
+        return original(spec, bench, attack)
+
+    runner.run_cell = flaky
+
+
 class TestInterruption:
     def test_serial_interrupt_keeps_completed_cells(self, tmp_path):
         runner = Runner(workdir=tmp_path)
-        original = runner.run_cell
-        calls = {"n": 0}
-
-        def flaky(spec, bench, attack):
-            calls["n"] += 1
-            if calls["n"] == 2:
-                raise KeyboardInterrupt
-            return original(spec, bench, attack)
-
-        runner.run_cell = flaky
+        _interrupt_second_cell(runner)
         run = runner.run(small_spec())
         assert run.interrupted
         assert len(run.cells) == 1
         assert run.cells[0].attack == "scope"
         # The flag survives the JSON round trip.
         assert RunResult.from_json(run.to_json()).interrupted
+
+    def test_rerun_over_the_workdir_resumes_an_interrupted_grid(
+        self, tmp_path
+    ):
+        runner = Runner(workdir=tmp_path)
+        _interrupt_second_cell(runner)
+        first = runner.run(small_spec())
+        assert first.interrupted
+        done = first.cells[0]
+
+        rerun = Runner(workdir=tmp_path).run(small_spec())
+        assert not rerun.interrupted
+        assert [cell.attack for cell in rerun.cells] == [
+            "scope", "redundancy"
+        ]
+        # The completed cell comes back from the cache, stage for stage.
+        resumed = rerun.cell("c432", "scope")
+        assert all(entry["cached"] for entry in resumed.stages)
+        assert [entry["fingerprint"] for entry in resumed.stages] == [
+            entry["fingerprint"] for entry in done.stages
+        ]
+        # The missing cell reuses the shared lock/synth prefix and runs
+        # only its own attack.
+        missing = rerun.cell("c432", "redundancy")
+        cached = {e["stage"] for e in missing.stages if e["cached"]}
+        executed = [e["stage"] for e in missing.stages if not e["cached"]]
+        assert {"lock", "synth"} <= cached
+        assert executed == ["attack"]
+        assert rerun.executed_stages == len(executed)
 
     def test_parallel_interrupt_terminates_pool(self, tmp_path):
         import signal as _signal
@@ -1099,20 +1133,6 @@ class TestInterruption:
         run = runner.run(small_spec())
         assert run.interrupted
         assert run.cells == []
-
-    def test_progress_callback_labels_entries(self, tmp_path):
-        seen: list[dict] = []
-        runner = Runner(workdir=tmp_path, progress=seen.append)
-        runner.run(small_spec())
-        assert {entry["benchmark"] for entry in seen} == {"c432"}
-        assert {entry["attack"] for entry in seen} == {
-            "scope", "redundancy"
-        }
-        assert all(
-            {"stage", "fingerprint", "cached", "elapsed_s"}
-            <= set(entry)
-            for entry in seen
-        )
 
     def test_cli_grid_interrupt_exits_130(self, tmp_path, capsys,
                                           monkeypatch):

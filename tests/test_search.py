@@ -10,7 +10,6 @@ from repro.aig.export import netlist_from_aig
 from repro.circuits import load_iscas85
 from repro.core.almost import AlmostConfig, AlmostDefense
 from repro.core.proxy import ProxyConfig, build_resyn2_proxy
-from repro.core.sa import SaConfig, simulated_annealing
 from repro.core.search import (
     BatchCallableEvaluator,
     CallableEvaluator,
@@ -136,15 +135,12 @@ class TestSaFidelity:
     @pytest.mark.parametrize("seed", [0, 1, 5])
     def test_trace_matches_seed_annealer(self, seed):
         problem = recipe_problem()
-        config = SaConfig(iterations=60, seed=seed)
+        config = SearchConfig(iterations=60, seed=seed)
         best, best_energy, legacy = _seed_annealer(
             problem.initial, synthetic_recipe_energy, problem.neighbour, config
         )
-        result = simulated_annealing(
-            problem.initial,
-            synthetic_recipe_energy,
-            problem.neighbour,
-            config,
+        result = run_search(
+            problem, synthetic_recipe_energy, strategy="sa", config=config
         )
         assert result.best_state == best
         assert result.best_energy == best_energy
@@ -155,12 +151,13 @@ class TestSaFidelity:
             assert {key: new[key] for key in old} == old
 
     def test_stop_energy_matches_seed_annealer(self):
-        config = SaConfig(iterations=100, seed=3)
+        config = SearchConfig(iterations=100, seed=3)
         best, best_energy, legacy = _seed_annealer(
             100.0, abs, lambda x, rng: x / 2, config, stop_energy=1.0
         )
-        result = simulated_annealing(
-            100.0, abs, lambda x, rng: x / 2, config, stop_energy=1.0
+        result = run_search(
+            SearchProblem(initial=100.0, neighbour=lambda x, rng: x / 2),
+            abs, strategy="sa", config=config, stop_energy=1.0,
         )
         assert result.best_energy == best_energy
         assert len(result.trace) == len(legacy)
@@ -261,14 +258,16 @@ class TestDriverAccounting:
     def test_stop_at_initial_matches_seed_annealer(self):
         # The exact edge case: initial best energy already below the stop
         # threshold must reproduce the seed loop's one-extra-iteration.
-        config = SaConfig(iterations=40, seed=6)
+        config = SearchConfig(iterations=40, seed=6)
         best, best_energy, legacy = _seed_annealer(
             0.5, abs, lambda x, rng: x + rng.normal(), config,
             stop_energy=10.0,
         )
-        result = simulated_annealing(
-            0.5, abs, lambda x, rng: x + rng.normal(), config,
-            stop_energy=10.0,
+        result = run_search(
+            SearchProblem(
+                initial=0.5, neighbour=lambda x, rng: x + rng.normal()
+            ),
+            abs, strategy="sa", config=config, stop_energy=10.0,
         )
         assert result.best_energy == best_energy
         assert len(result.trace) == len(legacy) == 2
