@@ -1,28 +1,15 @@
 """AIG simulation with arbitrary-width bit-parallel words.
 
-Two interchangeable backends share the same semantics:
+Words are Python integers: bit ``p`` of a node's word is its value under
+pattern ``p``.  Arbitrary precision makes complementation exact (XOR with
+a width mask) and supports exhaustive simulation of cones up to ~16
+inputs, which is how cut functions are computed during rewriting.
 
-* **int** — words are Python integers: bit ``p`` of a node's word is its
-  value under pattern ``p``.  Arbitrary precision makes complementation
-  exact (XOR with a width mask) and supports exhaustive simulation of
-  cones up to ~16 inputs, which is how cut functions are computed during
-  rewriting.  This is the reference implementation.
-* **packed** — words are numpy ``uint64`` lane arrays (64 patterns per
-  lane, little-endian: lane ``i`` holds pattern bits ``64*i .. 64*i+63``).
-  Bit-identical to the int backend by construction: the same
-  AND/complement algebra, with tail bits beyond ``width`` masked only at
-  extraction.  Its value is staying in the lane domain end-to-end — the
-  miter prefilter and batched oracle evaluation consume
-  :func:`simulate_lanes`/:func:`po_lanes` output directly (popcounts,
-  first-set-bit extraction, numpy pattern matrices) without ever
-  materialising a Python bigint per node.
-
-CPython's bigint bitwise ops are themselves memory-bandwidth-bound C
-loops, so for whole-word results the int path is competitive at any
-width; ``backend="auto"`` therefore only switches the int-in/int-out
-entry points to packed at or above :data:`PACKED_MIN_WIDTH` bits, where
-the lane pass amortises numpy per-op overhead.  Callers that want the
-packed backend's real speedup should consume lanes, not words.
+:func:`simulate_lanes`/:func:`po_lanes` run the same AND/complement
+algebra over numpy ``uint64`` lane arrays (64 patterns per lane,
+little-endian: lane ``i`` holds pattern bits ``64*i .. 64*i+63``) for
+callers that stay in the lane domain — the SAT miter prefilter consumes
+popcounts and first-set bits without materialising a bigint per node.
 """
 
 from __future__ import annotations
@@ -38,21 +25,10 @@ from repro.utils.truth import TruthTable
 
 _LANE_BITS = 64
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
-#: ``backend="auto"`` switches from int words to packed lanes at this
-#: width: below it, numpy call overhead loses to CPython's bigint bit ops.
-PACKED_MIN_WIDTH = 1 << 18
 
 
 def _num_lanes(width: int) -> int:
     return max(1, (width + _LANE_BITS - 1) // _LANE_BITS)
-
-
-def _resolve_backend(backend: str, width: int) -> str:
-    if backend == "auto":
-        return "packed" if width >= PACKED_MIN_WIDTH else "int"
-    if backend not in ("packed", "int"):
-        raise AigError(f"unknown simulation backend {backend!r}")
-    return backend
 
 
 def word_to_lanes(word: int, width: int) -> np.ndarray:
@@ -62,20 +38,6 @@ def word_to_lanes(word: int, width: int) -> np.ndarray:
         word &= (1 << width) - 1
     raw = word.to_bytes(nlanes * 8, "little")
     return np.frombuffer(raw, dtype="<u8").astype(np.uint64)
-
-
-def lanes_to_word(lanes: np.ndarray, width: int) -> int:
-    """Reassemble lanes into an integer word, masking bits beyond ``width``.
-
-    The tail is masked lane-side (one uint64 op) rather than with a
-    ``width``-bit integer mask, which would dominate at large widths.
-    """
-    tail = width % _LANE_BITS
-    if tail:
-        lanes = np.array(lanes, dtype=np.uint64)
-        lanes[-1] &= np.uint64((1 << tail) - 1)
-    raw = np.ascontiguousarray(lanes, dtype="<u8").tobytes()
-    return int.from_bytes(raw, "little")
 
 
 def simulate_words(
@@ -113,13 +75,13 @@ def po_words(aig: Aig, words: Mapping[int, int], width: int) -> list[int]:
 def simulate_lanes(
     aig: Aig, pi_lanes: Mapping[int, np.ndarray], width: int
 ) -> dict[int, np.ndarray]:
-    """Packed-backend core: simulate all live nodes over uint64 lanes.
+    """Simulate all live nodes over uint64 lanes.
 
     ``pi_lanes`` maps PI variable ids to uint64 arrays of
     ``ceil(width / 64)`` lanes.  Complementation flips whole lanes, so
     lane bits beyond ``width`` are garbage in-flight — they are masked at
-    extraction (:func:`lanes_to_word` / :func:`po_lanes`), never before,
-    which keeps the inner loop to two vector ops per AND node.
+    extraction (:func:`po_lanes`), never before, which keeps the inner
+    loop to two vector ops per AND node.
     """
     nlanes = _num_lanes(width)
     lanes: dict[int, np.ndarray] = {CONST_VAR: np.zeros(nlanes, dtype=np.uint64)}
@@ -166,42 +128,20 @@ def po_lanes(
     return out
 
 
-def simulate_packed(
-    aig: Aig, pi_words: Mapping[int, int], width: int
-) -> dict[int, int]:
-    """Packed-backend drop-in for :func:`simulate_words`.
-
-    Takes and returns integer words like the reference implementation but
-    runs the AND-graph pass over uint64 lanes.  Bit-identical to
-    :func:`simulate_words` for every live variable.
-    """
-    pi_lanes = {
-        var: word_to_lanes(word, width) for var, word in pi_words.items()
-    }
-    lanes = simulate_lanes(aig, pi_lanes, width)
-    return {var: lanes_to_word(arr, width) for var, arr in lanes.items()}
-
-
 def random_signatures(
-    aig: Aig, width: int = 256, seed: int = 0, backend: str = "auto"
+    aig: Aig, width: int = 256, seed: int = 0
 ) -> dict[int, int]:
     """Random simulation signatures for every live node (for equivalence
-    filtering in resubstitution and for quick functional checks).
-
-    Both backends consume the same rng byte stream, so signatures are
-    identical regardless of ``backend``.
-    """
+    filtering in resubstitution and for quick functional checks)."""
     rng = make_rng(seed)
     pi_words = {
         var: int.from_bytes(rng.bytes((width + 7) // 8), "big") & ((1 << width) - 1)
         for var in aig.pi_vars()
     }
-    if _resolve_backend(backend, width) == "packed":
-        return simulate_packed(aig, pi_words, width)
     return simulate_words(aig, pi_words, width)
 
 
-def exhaustive_signatures(aig: Aig, backend: str = "auto") -> dict[int, int]:
+def exhaustive_signatures(aig: Aig) -> dict[int, int]:
     """Exhaustive simulation over all ``2**num_pis`` patterns (<= 16 PIs)."""
     num = aig.num_pis
     if num > 16:
@@ -210,8 +150,6 @@ def exhaustive_signatures(aig: Aig, backend: str = "auto") -> dict[int, int]:
     pi_words = {}
     for index, var in enumerate(aig.pi_vars()):
         pi_words[var] = TruthTable.var(index, num).bits
-    if _resolve_backend(backend, width) == "packed":
-        return simulate_packed(aig, pi_words, width)
     return simulate_words(aig, pi_words, width)
 
 
@@ -261,7 +199,6 @@ def functionally_equal(
     exhaustive_limit: int = 14,
     width: int = 1024,
     seed: int = 7,
-    backend: str = "auto",
 ) -> bool:
     """Check PO-by-PO functional equality of two AIGs with shared PI names.
 
@@ -294,26 +231,6 @@ def functionally_equal(
     pis_b = {
         var: pi_bits[name] for var, name in zip(second.pi_vars(), second.pi_names())
     }
-    if _resolve_backend(backend, sim_width) == "packed":
-        # Stay in the lane domain: only POs are extracted, never converted
-        # back to bigints, so the comparison is pure numpy.
-        lanes_a = simulate_lanes(
-            first,
-            {var: word_to_lanes(w, sim_width) for var, w in pis_a.items()},
-            sim_width,
-        )
-        lanes_b = simulate_lanes(
-            second,
-            {var: word_to_lanes(w, sim_width) for var, w in pis_b.items()},
-            sim_width,
-        )
-        return all(
-            np.array_equal(a, b)
-            for a, b in zip(
-                po_lanes(first, lanes_a, sim_width),
-                po_lanes(second, lanes_b, sim_width),
-            )
-        )
     words_a = simulate_words(first, pis_a, sim_width)
     words_b = simulate_words(second, pis_b, sim_width)
     return po_words(first, words_a, sim_width) == po_words(

@@ -1,8 +1,8 @@
 """Concurrency and picklability rules (RPR2xx).
 
-Everything shipped to a ``multiprocessing`` pool or a
-``ProcessPoolEvaluator`` crosses a pickle boundary — under the ``spawn``
-start method *nothing* is inherited.  These rules encode
+Everything shipped to a :class:`~repro.utils.pool.WorkerPool` (or any
+other process pool or executor) crosses a pickle boundary — under the
+``spawn`` start method *nothing* is inherited.  These rules encode
 the unpicklable-Manager and fork-vs-spawn bridge lessons of PRs 5–6:
 no lambdas/closures into pools, no Manager proxies in classes without a
 ``__getstate__``, and no lock-guarded state mutated off-lock.
@@ -29,10 +29,11 @@ _POOL_METHODS = frozenset({
     "apply_async", "map_async", "starmap_async", "imap", "imap_unordered",
 })
 #: Methods that only pickle when the receiver is a pool/executor.
-_POOLISH_METHODS = frozenset({"map", "apply", "starmap", "submit"})
+_POOLISH_METHODS = frozenset({"map", "apply", "starmap", "submit", "run"})
 #: Constructors whose callable kwargs/args cross the process boundary.
 _POOL_CONSTRUCTORS = frozenset({
     "Pool", "Process", "ProcessPoolExecutor", "ProcessPoolEvaluator",
+    "WorkerPool",
 })
 
 

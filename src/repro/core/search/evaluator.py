@@ -13,8 +13,8 @@ The serial evaluators wrap plain callables::
     [2.0]
 
 :class:`ProcessPoolEvaluator` fans batches out over a persistent
-``multiprocessing`` pool.  The scorer ships once per worker; worker-side
-state it carries (memo tables, synthesis caches) persists
+:class:`~repro.utils.pool.WorkerPool`.  The scorer ships once per worker;
+worker-side state it carries (memo tables, synthesis caches) persists
 across batches.  A *private* :class:`~repro.synth.cache.SynthCache` on the
 scorer is duplicated per worker — each starts cold — so scorers that want
 the serial path's hit rate under fan-out carry a
@@ -26,11 +26,11 @@ pool is torn down and shuts the store down on :meth:`close`.
 
 from __future__ import annotations
 
-import signal
 from typing import Callable, Sequence
 
 from repro.errors import SearchError
-from repro.obs.trace import get_tracer, set_tracer
+from repro.obs.trace import get_tracer
+from repro.utils.pool import WorkerPool, worker_state
 
 
 class EnergyEvaluator:
@@ -81,44 +81,21 @@ class BatchCallableEvaluator(EnergyEvaluator):
         return [float(value) for value in values]
 
 
-# A worker process holds the scoring callable in a module global: the
-# callable (often a whole trained proxy model) ships once per worker via
-# the pool initializer instead of once per task.
-_WORKER_FN = None
-
-
-def _pool_initializer(fn, tracer_handle=None) -> None:
-    """Pool initializer: install the scorer and the telemetry handle.
-
-    It also restores SIGTERM's default action, as the Runner's pool
-    initializer does: a forked worker inherits ``Runner.run``'s
-    SIGTERM-to-KeyboardInterrupt mapping and could then survive
-    ``Pool.terminate()``, hanging the parent's join.
-    """
-    global _WORKER_FN
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    _WORKER_FN = fn
-    if tracer_handle is not None:
-        # Worker spans/metrics flow back through the handle's queue; the
-        # parent folds them in with drain() at pool teardown.
-        set_tracer(tracer_handle)
-
-
 def _pool_call(state) -> float:
     # The span both times the scoring call and carries the worker-local
     # metric deltas (synth-cache traffic, solver effort) back to the parent
     # — without it a worker's counters would die with the pool.
     with get_tracer().span("search.eval"):
-        return float(_WORKER_FN(state))
+        return float(worker_state()(state))
 
 
 class ProcessPoolEvaluator(EnergyEvaluator):
-    """Fans a candidate batch out over a persistent ``multiprocessing`` pool.
+    """Fans a candidate batch out over a persistent :class:`WorkerPool`.
 
-    ``fn`` must be picklable — it is shipped to each worker exactly once.
-    Worker-side state (memo tables, synthesis caches) then
-    persists across batches.  ``chunksize=1`` spreads a small batch across
-    all workers instead of lumping it onto one.
+    ``fn`` must be picklable — it is shipped to each worker exactly once
+    as the pool's worker state.  Worker-side state (memo tables, synthesis
+    caches) then persists across batches.  Each state is its own pool
+    task, so a small batch spreads across all workers.
 
     ``shared_cache`` optionally hands over ownership of the
     :class:`~repro.synth.cache.SharedSynthCache` the scorer synthesizes
@@ -131,38 +108,37 @@ class ProcessPoolEvaluator(EnergyEvaluator):
     def __init__(self, fn: Callable, jobs: int, shared_cache=None):
         if jobs < 1:
             raise SearchError(f"jobs must be >= 1, got {jobs}")
-        import multiprocessing
-
         self.jobs = jobs
         self.shared_cache = shared_cache
-        self._pool = multiprocessing.Pool(
-            processes=jobs,
-            initializer=_pool_initializer,
-            initargs=(fn, get_tracer().worker_handle()),
-        )
+        self._pool = WorkerPool(jobs, state=fn)
 
     def evaluate(self, states: Sequence) -> list[float]:
         states = list(states)
         if not states:
             return []
-        try:
-            return self._pool.map(_pool_call, states, chunksize=1)
-        except KeyboardInterrupt:
-            # Ctrl-C mid-batch: tear the workers down hard (close/join
-            # would wait on the very tasks the user just aborted), then
-            # let the interrupt keep unwinding to the partial-result
-            # handling in the driver / Runner.
+        values, interrupted = self._pool.run(_pool_call, states)
+        if interrupted:
+            # The pool already terminated the workers; let the interrupt
+            # keep unwinding to the search's / Runner's partial-result
+            # handling.
             self.terminate()
-            raise
+            raise KeyboardInterrupt
+        return values
 
     def terminate(self) -> None:
         """Kill the pool without waiting for in-flight tasks; idempotent."""
+        self._shutdown(WorkerPool.terminate)
+
+    def close(self) -> None:
+        self._shutdown(WorkerPool.close)
+
+    def _shutdown(self, stop: Callable) -> None:
         if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
+            stop(self._pool)
             self._pool = None
-            get_tracer().drain()
         if self.shared_cache is not None:
+            # Freeze the final aggregated stats, then stop the store's
+            # manager server — the workers that fed it are gone.
             self.shared_cache.close()
 
     def cache_stats(self) -> dict:
@@ -174,19 +150,6 @@ class ProcessPoolEvaluator(EnergyEvaluator):
         if self.shared_cache is None:
             return {}
         return self.shared_cache.stats()
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.close()
-            self._pool.join()
-            self._pool = None
-            # Workers have exited; fold their queued telemetry into the
-            # parent's stream.
-            get_tracer().drain()
-        if self.shared_cache is not None:
-            # Freeze the final aggregated stats, then stop the store's
-            # manager server — the workers that fed it are gone.
-            self.shared_cache.close()
 
 
 def as_evaluator(obj) -> EnergyEvaluator:

@@ -53,6 +53,26 @@ def simulate(
     return words
 
 
+def pack_patterns(
+    patterns: np.ndarray, order: Sequence[str]
+) -> dict[str, np.ndarray]:
+    """Pack a 0/1 ``(num_patterns, len(order))`` matrix into uint64 words.
+
+    Column ``col`` becomes net ``order[col]``'s stimulus: bit ``p % 64``
+    of word ``p // 64`` holds pattern ``p``.
+    """
+    nwords = (patterns.shape[0] + 63) // 64
+    packed: dict[str, np.ndarray] = {}
+    for col, net in enumerate(order):
+        bits = np.zeros(nwords, dtype=np.uint64)
+        ones = np.nonzero(patterns[:, col])[0]
+        np.bitwise_or.at(
+            bits, ones // 64, np.uint64(1) << (ones % 64).astype(np.uint64)
+        )
+        packed[net] = bits
+    return packed
+
+
 def simulate_patterns(
     netlist: Netlist, patterns: np.ndarray, input_order: Optional[Sequence[str]] = None
 ) -> np.ndarray:
@@ -69,16 +89,7 @@ def simulate_patterns(
             f"patterns must be (N, {len(order)}), got {patterns.shape}"
         )
     num = patterns.shape[0]
-    nwords = (num + 63) // 64
-    packed: dict[str, np.ndarray] = {}
-    for col, net in enumerate(order):
-        bits = np.zeros(nwords, dtype=np.uint64)
-        ones = np.nonzero(patterns[:, col])[0]
-        np.bitwise_or.at(
-            bits, ones // 64, np.uint64(1) << (ones % 64).astype(np.uint64)
-        )
-        packed[net] = bits
-    words = simulate(netlist, packed)
+    words = simulate(netlist, pack_patterns(patterns, order))
     out = np.zeros((num, len(netlist.outputs)), dtype=np.uint8)
     idx = np.arange(num)
     for col, net in enumerate(netlist.outputs):
@@ -117,16 +128,7 @@ def signal_probabilities(
     the GNN attacks attach to each gate.
     """
     patterns = random_patterns(len(netlist.inputs), num_patterns, seed)
-    nwords = (num_patterns + 63) // 64
-    packed: dict[str, np.ndarray] = {}
-    for col, net in enumerate(netlist.inputs):
-        bits = np.zeros(nwords, dtype=np.uint64)
-        ones = np.nonzero(patterns[:, col])[0]
-        np.bitwise_or.at(
-            bits, ones // 64, np.uint64(1) << (ones % 64).astype(np.uint64)
-        )
-        packed[net] = bits
-    words = simulate(netlist, packed)
+    words = simulate(netlist, pack_patterns(patterns, netlist.inputs))
     tail = num_patterns % 64
     probs: dict[str, float] = {}
     for net, arr in words.items():

@@ -27,12 +27,14 @@ therefore never guard themselves::
     True
 
 **Cross-process bridge.**  Pool workers (grid cells, ``ProcessPoolEvaluator``
-scoring) report into the parent's stream through a ``multiprocessing``
-manager queue: :meth:`Tracer.worker_handle` lazily creates the queue and
-returns a picklable handle (``__getstate__`` drops the unpicklable manager,
-mirroring :class:`~repro.synth.cache.SharedSynthCache`); unpickled handles
-emit straight into the queue, and the parent folds the queue back into its
-buffer with :meth:`Tracer.drain` when the pool is torn down.  Worker spans
+scoring — both on :class:`~repro.utils.pool.WorkerPool`) report into the
+parent's stream through a ``multiprocessing`` manager queue:
+:meth:`Tracer.worker_handle` lazily creates the queue and returns a
+picklable handle (``__getstate__`` drops the unpicklable manager,
+mirroring :class:`~repro.synth.cache.SharedSynthCache`); the pool's worker
+initializer installs it, handles emit straight into the queue, and the
+pool's teardown folds the queue back into the parent's buffer with
+:meth:`Tracer.drain`.  Worker spans
 parent to whatever span was open when the handle was created, so the tree
 stays connected across process boundaries.
 """
@@ -302,8 +304,8 @@ class Tracer:
     def drain(self) -> int:
         """Fold queued worker records into the buffer; returns the count.
 
-        Call after a pool's tasks complete (the evaluator/runner teardown
-        hooks do).  Safe when no bridge was ever created.
+        Call after a pool's workers exit (``WorkerPool`` teardown does).
+        Safe when no bridge was ever created.
         """
         if self._qsend is None or self._worker:
             return 0

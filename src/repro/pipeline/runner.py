@@ -11,10 +11,10 @@ untouched prefixes keep hitting the :class:`~repro.pipeline.cache.\
 ArtifactCache`.  Every fingerprint is also salted with a digest of the
 package source (:func:`source_digest`), so an artifact computed by other
 code is never served.  Cells are independent, so :class:`Runner` fans them
-out over a ``multiprocessing`` pool — the Table 1/2-style sweeps become
-embarrassingly parallel, and because workers share the on-disk cache, the
-lock/synth prefix of a benchmark is computed once no matter how many
-attacks cross it.
+out over a :class:`~repro.utils.pool.WorkerPool` — the Table 1/2-style
+sweeps become embarrassingly parallel, and because workers share the
+on-disk cache, the lock/synth prefix of a benchmark is computed once no
+matter how many attacks cross it.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Any, Callable, Mapping, Optional, Sequence, Union
 
 from repro.errors import PipelineError
 from repro.obs.logs import get_logger
-from repro.obs.trace import get_tracer, set_tracer
+from repro.obs.trace import get_tracer
 from repro.pipeline import stages as _stages  # populate the registry
 from repro.pipeline import registry
 from repro.pipeline.cache import (
@@ -43,6 +43,7 @@ from repro.pipeline.cache import (
 )
 from repro.pipeline.spec import AttackSpec, BenchmarkSpec, ExperimentSpec
 from repro.pipeline.stages import AttackContext, resolve_recipe
+from repro.utils.pool import WorkerPool
 
 _MISS = object()
 
@@ -661,8 +662,6 @@ class Runner:
         self,
         expanded: Sequence[tuple[str, ExperimentSpec]],
     ) -> tuple[list[CellResult], list, bool]:
-        import multiprocessing
-
         cache_root = str(self.cache.root) if self.cache is not None else None
         # Same (variant × benchmark × attack) order as the serial path, by
         # index — spec dataclasses carry dict params and are not hashable.
@@ -684,22 +683,17 @@ class Runner:
                     (spec_dict, bench_i, cache_root)
                     for bench_i in range(len(sub.benchmarks))
                 )
-        workers = min(self.jobs, len(payloads))
         warmup: list = []
+        outcomes: list = []
         interrupted = False
-        with multiprocessing.Pool(
-            processes=workers,
-            initializer=_worker_init,
-            initargs=(get_tracer().worker_handle(),),
-        ) as pool:
-            outcomes: list = []
+        with WorkerPool(min(self.jobs, len(payloads))) as pool:
             if self.use_cache and cache_root is not None and prefix_payloads:
                 # Warm each variant × benchmark's shared benchmark→lock→
                 # defense→synth prefix first (one pool task each) so the
                 # attack cells below all hit the cache instead of racing
                 # to recompute the same — possibly expensive — prefix.
-                prefix_outcomes, interrupted = _collect_async(
-                    pool, _prefix_worker, prefix_payloads
+                prefix_outcomes, interrupted = pool.run(
+                    _prefix_worker, prefix_payloads
                 )
                 self._absorb_worker_stats(prefix_outcomes)
                 warmup = [
@@ -708,12 +702,7 @@ class Runner:
                     for entry in outcome["log"]
                 ]
             if not interrupted:
-                outcomes, interrupted = _collect_async(
-                    pool, _cell_worker, payloads
-                )
-        # Workers are gone once the pool context exits; fold their queued
-        # spans into the parent's stream.
-        get_tracer().drain()
+                outcomes, interrupted = pool.run(_cell_worker, payloads)
         self._absorb_worker_stats(outcomes)
         return (
             [CellResult.from_dict(o["cell"]) for o in outcomes],
@@ -740,45 +729,6 @@ class Runner:
         if spec.report.out:
             Path(spec.report.out).write_text(text + "\n")
         return text
-
-
-def _collect_async(pool, fn, payloads) -> tuple[list, bool]:
-    """``pool.map``, but a Ctrl-C actually lands.
-
-    A plain ``map()`` parks the parent in a condition-variable wait
-    where ``KeyboardInterrupt`` delivery is unreliable; ``apply_async``
-    plus a ``ready()`` poll keeps the main thread interruptible.  On
-    interrupt the pool is terminated and whatever already finished is
-    returned with ``interrupted=True``.
-    """
-    handles = [pool.apply_async(fn, (payload,)) for payload in payloads]
-    try:
-        while not all(handle.ready() for handle in handles):
-            time.sleep(0.05)
-    except KeyboardInterrupt:
-        pool.terminate()
-        done = [
-            handle.get()
-            for handle in handles
-            if handle.ready() and handle.successful()
-        ]
-        return done, True
-    # Re-raise any worker exception with pool.map semantics.
-    return [handle.get() for handle in handles], False
-
-
-def _worker_init(tracer_handle) -> None:
-    """Pool initializer: point the worker's telemetry at the parent's queue.
-
-    It also restores SIGTERM's default action.  ``Pool.terminate()`` stops
-    workers with SIGTERM, but a forked worker inherits ``Runner.run``'s
-    SIGTERM-to-KeyboardInterrupt mapping; an idle worker blocked on the
-    task queue's lock then survived it, and the parent's join hung (about
-    one two-worker grid run in fifteen).
-    """
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    if tracer_handle is not None:
-        set_tracer(tracer_handle)
 
 
 def _cell_worker(payload) -> dict:

@@ -21,7 +21,7 @@ import numpy as np
 from repro.errors import NetlistError
 from repro.netlist.gates import GateType, gate_function
 from repro.netlist.netlist import Netlist
-from repro.netlist.simulate import random_patterns, simulate
+from repro.netlist.simulate import pack_patterns, random_patterns, simulate
 
 
 @dataclass(frozen=True)
@@ -101,15 +101,7 @@ def fault_simulate(
         patterns = random_patterns(len(netlist.inputs), num_patterns, seed)
     num = patterns.shape[0]
     nwords = (num + 63) // 64
-    packed: dict[str, np.ndarray] = {}
-    for col, net in enumerate(netlist.inputs):
-        bits = np.zeros(nwords, dtype=np.uint64)
-        ones = np.nonzero(patterns[:, col])[0]
-        np.bitwise_or.at(
-            bits, ones // 64, np.uint64(1) << (ones % 64).astype(np.uint64)
-        )
-        packed[net] = bits
-    golden = simulate(netlist, packed)
+    golden = simulate(netlist, pack_patterns(patterns, netlist.inputs))
 
     order = netlist.topological_gates()
     position = {gate.output: i for i, gate in enumerate(order)}

@@ -190,6 +190,15 @@ def test_rpr201_flags_nested_function_to_pool(tmp_path):
     assert "shift" in findings[0].message
 
 
+def test_rpr201_flags_lambda_to_worker_pool_run(tmp_path):
+    findings = lint_source(tmp_path, """\
+        def fan_out(pool, xs):
+            return pool.run(lambda v: v + 1, xs)
+    """)
+    assert codes_at(findings) == [("RPR201", 2)]
+    assert "pool.run()" in findings[0].message
+
+
 def test_rpr201_clean_with_module_level_worker(tmp_path):
     findings = lint_source(tmp_path, """\
         def double(v):

@@ -311,19 +311,31 @@ class TestDag:
         _arts, log = execute_stages(changed, cache)
         assert [e["cached"] for e in log] == [False, False]
 
-    def test_pool_workers_die_on_sigterm(self):
-        """``Pool.terminate()`` must kill workers, whatever the parent's
-        SIGTERM handler (``Runner.run`` maps it to KeyboardInterrupt)."""
+    def test_pool_workers_die_on_sigterm(self, tmp_path):
+        """``Pool.terminate()`` must kill grid-cell workers, whatever the
+        parent's SIGTERM handler (``Runner.run`` maps it to
+        KeyboardInterrupt): each cell reports its worker's handler."""
+        import os
         import signal
 
-        from repro.pipeline.runner import _worker_init
-
+        register("attack", "sigterm_probe")(_sigterm_probe_attack)
         previous = signal.signal(signal.SIGTERM, lambda *_: None)
         try:
-            _worker_init(None)
-            assert signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
+            spec = small_spec(
+                attacks=(
+                    AttackSpec("sigterm_probe", label="p1"),
+                    AttackSpec("sigterm_probe", label="p2"),
+                ),
+                synth=SynthSpec(recipe="none"),
+            )
+            run = Runner(workdir=tmp_path, jobs=2).run(spec)
         finally:
             signal.signal(signal.SIGTERM, previous)
+            unregister("attack", "sigterm_probe")
+        probes = [cell.details["attack"] for cell in run.cells]
+        assert len(probes) == 2
+        assert all(probe["pid"] != os.getpid() for probe in probes)
+        assert all(probe["sigterm_default"] for probe in probes)
 
     def test_source_edit_invalidates_cached_stages(self, tmp_path):
         """A synth edit misses the cache; a CLI edit does not."""
@@ -1025,6 +1037,25 @@ def _sleepy_attack(ctx, params):
     return AttackResult(
         predicted_bits=(0,) * len(ctx.lock.key_inputs),
         attack_name="sleepy",
+    )
+
+
+def _sigterm_probe_attack(ctx, params):
+    """A registered test attack reporting its process's SIGTERM handler."""
+    import os
+    import signal
+
+    from repro.attacks.base import AttackResult
+
+    return AttackResult(
+        predicted_bits=(0,) * len(ctx.lock.key_inputs),
+        attack_name="sigterm_probe",
+        details={
+            "pid": os.getpid(),
+            "sigterm_default": (
+                signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
+            ),
+        },
     )
 
 

@@ -2,6 +2,7 @@
 the vectorized proxy scorer."""
 
 import math
+import os
 
 import pytest
 
@@ -308,6 +309,9 @@ class TestDriverAccounting:
 
 # -- evaluators ------------------------------------------------------------
 
+_PARENT_PID = os.getpid()
+
+
 def _square(x: float) -> float:  # module-level: picklable for the pool
     return x * x
 
@@ -333,20 +337,38 @@ class TestEvaluators:
             ProcessPoolEvaluator(_square, jobs=0)
 
     def test_pool_workers_die_on_sigterm(self):
-        """``Pool.terminate()`` must kill workers, whatever the parent's
-        SIGTERM handler (``Runner.run`` maps it to KeyboardInterrupt)."""
+        """``Pool.terminate()`` must kill scoring workers, whatever the
+        parent's SIGTERM handler (``Runner.run`` maps it to
+        KeyboardInterrupt): each worker scores its own handler."""
         import signal
 
-        from repro.core.search import evaluator
-
         previous = signal.signal(signal.SIGTERM, lambda *_: None)
-        worker_fn = evaluator._WORKER_FN
         try:
-            evaluator._pool_initializer(_square)
-            assert signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
+            with ProcessPoolEvaluator(_sigterm_is_default, jobs=2) as pool:
+                assert pool.evaluate([0, 1, 2, 3]) == [1.0] * 4
         finally:
             signal.signal(signal.SIGTERM, previous)
-            evaluator._WORKER_FN = worker_fn
+
+    def test_pool_worker_error_reraises(self):
+        pool = ProcessPoolEvaluator(_reject_odd, jobs=2)
+        try:
+            with pytest.raises(ValueError, match="odd state 3"):
+                pool.evaluate([2, 3, 4])
+        finally:
+            pool.close()  # returns although a task failed
+
+
+def _sigterm_is_default(_state) -> float:
+    import signal
+
+    assert os.getpid() != _PARENT_PID
+    return float(signal.getsignal(signal.SIGTERM) is signal.SIG_DFL)
+
+
+def _reject_odd(state: int) -> float:
+    if state % 2:
+        raise ValueError(f"odd state {state}")
+    return float(state)
 
 
 # -- state-keyed cached synthesis ------------------------------------------

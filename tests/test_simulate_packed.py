@@ -1,12 +1,10 @@
-"""Property tests: the packed uint64-lane AIG backend is bit-identical
-to the integer-word reference (:func:`simulate_words`).
+"""Property tests: uint64-lane AIG simulation (:func:`simulate_lanes`,
+:func:`po_lanes`) is bit-identical to the integer-word reference
+(:func:`simulate_words`, :func:`po_words`).
 
-The packed backend masks tail bits only at extraction and flips whole
-lanes on complement, so the dangerous widths are the non-multiples of 64
+Lane simulation masks tail bits only at extraction and flips whole lanes
+on complement, so the dangerous widths are the non-multiples of 64
 (garbage tail bits in-flight) and width < 64 (a single partial lane).
-Every test here forces ``backend=`` explicitly — the ``auto`` threshold
-(:data:`PACKED_MIN_WIDTH`) would otherwise route these small widths to
-the integer path and the assertions would compare it to itself.
 """
 
 from __future__ import annotations
@@ -14,16 +12,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.aig import aig_from_netlist
+from repro.aig import Aig, aig_from_netlist, lit_not, lit_var
 from repro.aig.simulate import (
     cut_truth_table,
-    exhaustive_signatures,
-    functionally_equal,
-    lanes_to_word,
     output_truth_tables,
+    po_lanes,
     po_words,
-    random_signatures,
-    simulate_packed,
+    simulate_lanes,
     simulate_words,
     word_to_lanes,
 )
@@ -47,12 +42,28 @@ def random_stimulus(aig, width: int, seed: int) -> dict[int, int]:
     }
 
 
+def lanes_to_int(lanes: np.ndarray, width: int) -> int:
+    """Tail-masked integer word of a lane array."""
+    raw = np.ascontiguousarray(lanes, dtype="<u8").tobytes()
+    return int.from_bytes(raw, "little") & ((1 << width) - 1)
+
+
 def assert_backends_identical(aig, width: int, seed: int) -> None:
     stimulus = random_stimulus(aig, width, seed)
     reference = simulate_words(aig, stimulus, width)
-    packed = simulate_packed(aig, stimulus, width)
-    assert packed == reference
-    assert po_words(aig, packed, width) == po_words(aig, reference, width)
+    lanes = simulate_lanes(
+        aig,
+        {var: word_to_lanes(word, width) for var, word in stimulus.items()},
+        width,
+    )
+    assert {
+        var: lanes_to_int(arr, width) for var, arr in lanes.items()
+    } == reference
+    # po_lanes zeroes the tail itself: read its lanes back unmasked.
+    outputs = po_lanes(aig, lanes, width)
+    assert [lanes_to_int(arr, 64 * len(arr)) for arr in outputs] == (
+        po_words(aig, reference, width)
+    )
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -89,51 +100,33 @@ def test_lanes_round_trip(width):
         )
         lanes = word_to_lanes(word, width)
         assert lanes.dtype == np.uint64
-        assert lanes_to_word(lanes, width) == word
+        assert lanes_to_int(lanes, width) == word
 
 
-def test_lanes_to_word_masks_garbage_tail():
+def test_po_lanes_masks_garbage_tail():
     # In-flight lanes legitimately carry garbage above `width`; extraction
-    # must zero it without mutating the caller's array.
-    lanes = np.array([np.uint64(0xFFFF_FFFF_FFFF_FFFF)], dtype=np.uint64)
-    assert lanes_to_word(lanes, 4) == 0xF
-    assert lanes[0] == np.uint64(0xFFFF_FFFF_FFFF_FFFF)
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_random_signatures_backend_invariant(seed):
-    aig = aig_from_netlist(build_random_netlist(seed=seed))
-    for width in (63, 128, 200):
-        packed = random_signatures(aig, width=width, seed=seed, backend="packed")
-        ints = random_signatures(aig, width=width, seed=seed, backend="int")
-        assert packed == ints
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_exhaustive_signatures_backend_invariant(seed):
-    aig = aig_from_netlist(build_random_netlist(num_inputs=5, seed=seed))
-    assert exhaustive_signatures(aig, backend="packed") == exhaustive_signatures(
-        aig, backend="int"
-    )
+    # must zero it without mutating the simulation's arrays.
+    aig = Aig()
+    a = aig.add_pi("a")
+    b = aig.add_pi("b")
+    aig.add_po(a)  # plain PO: masked on a copy
+    aig.add_po(lit_not(aig.add_and(lit_not(a), b)))  # complemented
+    full = np.array([0xFFFF_FFFF_FFFF_FFFF], dtype=np.uint64)
+    zero = np.zeros(1, dtype=np.uint64)
+    lanes = simulate_lanes(aig, {lit_var(a): full, lit_var(b): zero}, 4)
+    outputs = po_lanes(aig, lanes, 4)
+    assert [int(arr[0]) for arr in outputs] == [0xF, 0xF]
+    assert int(lanes[lit_var(a)][0]) == 0xFFFF_FFFF_FFFF_FFFF
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_cut_truth_table_agrees_with_packed_exhaustive(seed):
     # The PI cut of each PO cone reduces cut_truth_table to the full PO
     # truth table, which output_truth_tables derives via exhaustive
-    # signatures — cross-checking the cut simulator against both backends.
+    # signatures — cross-checking the cut simulator against whole-AIG
+    # simulation.
     aig = aig_from_netlist(build_random_netlist(num_inputs=5, seed=seed))
     leaves = aig.pi_vars()
     tables = output_truth_tables(aig)
     for po, expected in zip(aig.po_lits(), tables):
         assert cut_truth_table(aig, po, leaves).bits == expected.bits
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_functionally_equal_backend_invariant(seed):
-    base = aig_from_netlist(build_random_netlist(num_inputs=5, seed=seed))
-    same = aig_from_netlist(build_random_netlist(num_inputs=5, seed=seed))
-    other = aig_from_netlist(build_random_netlist(num_inputs=5, seed=seed + 50))
-    for first, second in ((base, same), (base, other)):
-        int_verdict = functionally_equal(first, second, backend="int")
-        assert functionally_equal(first, second, backend="packed") == int_verdict
