@@ -3,9 +3,10 @@
 Everything shipped to a :class:`~repro.utils.pool.WorkerPool` (or any
 other process pool or executor) crosses a pickle boundary — under the
 ``spawn`` start method *nothing* is inherited.  These rules encode
-the unpicklable-Manager and fork-vs-spawn bridge lessons of PRs 5–6:
-no lambdas/closures into pools, no Manager proxies in classes without a
-``__getstate__``, and no lock-guarded state mutated off-lock.
+the unpicklable-Manager lesson of ``SharedSynthCache``, the one class
+that carries Manager state across that boundary: no lambdas/closures
+into pools, no Manager proxies in classes without a ``__getstate__``,
+and no lock-guarded state mutated off-lock.
 """
 
 from __future__ import annotations
@@ -119,7 +120,7 @@ def _manager_proxy_call(value: ast.AST) -> Optional[str]:
             continue
         name = call_name(node)
         if name == "Manager":
-            return "multiprocessing.Manager()"
+            return "a multiprocessing Manager"
         if isinstance(node.func, ast.Attribute) and name in (
             "dict", "list", "Queue", "JoinableQueue", "Lock", "RLock",
             "Namespace", "Value", "Array", "Event", "Semaphore", "Condition",
@@ -173,7 +174,7 @@ class ManagerProxyWithoutGetstate(Checker):
                     f"self.{targets[0].attr} but defines no __getstate__; "
                     "the manager (and a SyncManager is never picklable) "
                     "rides along into every pickle of the instance — drop "
-                    "or guard it like SharedSynthCache/Tracer do",
+                    "or guard it like SharedSynthCache does",
                 )
                 break  # one finding per class is enough
 

@@ -10,7 +10,7 @@ classic EDA flow it reproduces::
     python -m repro.cli sat-attack locked.bench --key 0110...
     python -m repro.cli equiv locked.bench opt.bench
     python -m repro.cli defend locked.bench --key 0110... --iterations 20
-    python -m repro.cli almost locked.bench --key 0110... --strategy pt \
+    python -m repro.cli defend locked.bench --key 0110... --strategy pt \
         --chains 4 --jobs 4
     python -m repro.cli ppa opt.bench
     python -m repro.cli gen c1908 --out c1908.bench
@@ -279,21 +279,16 @@ def cmd_equiv(args: argparse.Namespace) -> int:
     return 1
 
 
-def _almost_artifacts(args: argparse.Namespace, netlist):
-    """Validate + run the ALMOST recipe-search cell; returns its artifacts.
-
-    Shared by ``repro defend --scheme almost`` (paper-default serial SA)
-    and ``repro almost`` (full strategy/chains/jobs surface).  Returns
-    ``None`` after printing an error when preconditions fail.
-    """
+def _defend_almost(args: argparse.Namespace, netlist) -> int:
+    """The ALMOST recipe search: strategy/chains/jobs exposed."""
     if not netlist.key_inputs:
         print("error: design has no keyinput* pins; lock it first",
               file=sys.stderr)
-        return None
+        return 2
     if not args.key:
         print("error: --key is required (the defender owns the key)",
               file=sys.stderr)
-        return None
+        return 2
     _parse_key(args.key)
     spec = ExperimentSpec(
         name="defend",
@@ -305,37 +300,14 @@ def _almost_artifacts(args: argparse.Namespace, netlist):
             samples=args.samples,
             epochs=args.epochs,
             seed=args.seed,
-            strategy=getattr(args, "strategy", "sa"),
-            chains=getattr(args, "chains", 1),
-            jobs=getattr(args, "jobs", 1),
+            strategy=args.strategy,
+            chains=args.chains,
+            jobs=args.jobs,
         ),
     )
     runner = _runner(args)
     runner.validate(spec)
-    return runner.cell_artifacts(spec)
-
-
-def _defend_almost(args: argparse.Namespace, netlist) -> int:
-    """The ALMOST recipe search (scheme ``almost``, paper-default SA)."""
-    artifacts = _almost_artifacts(args, netlist)
-    if artifacts is None:
-        return 2
-    info = artifacts["defense"]
-    print(f"security-aware recipe: {info['recipe']}")
-    print(f"proxy-predicted attack accuracy: "
-          f"{100 * info['predicted_accuracy']:.2f}%")
-    if args.out:
-        save_bench(artifacts["synth"].netlist, args.out)
-        print(f"wrote defended netlist to {args.out}")
-    return 0
-
-
-def cmd_almost(args: argparse.Namespace) -> int:
-    """The recipe-search front door: strategy/chains/jobs exposed."""
-    netlist = load_bench(args.design)
-    artifacts = _almost_artifacts(args, netlist)
-    if artifacts is None:
-        return 2
+    artifacts = runner.cell_artifacts(spec)
     info = artifacts["defense"]
     print(f"strategy: {info['strategy']} (chains={info['chains']}, "
           f"jobs={info['jobs']})")
@@ -374,6 +346,11 @@ def _print_partitions(artifact) -> None:
 
 def _defend_structural(args: argparse.Namespace, netlist) -> int:
     """Point-function schemes: graft a SAT-resilient block (or lock anew)."""
+    if (args.strategy, args.chains, args.jobs) != ("sa", 1, 1):
+        print(f"error: --strategy/--chains/--jobs tune the recipe search; "
+              f"scheme {args.scheme!r} runs none (use --scheme almost)",
+              file=sys.stderr)
+        return 2
     if netlist.key_inputs:
         if "+" in args.scheme:
             print(f"error: scheme {args.scheme!r} locks from scratch; "
@@ -769,7 +746,7 @@ def build_parser() -> argparse.ArgumentParser:
     defend.add_argument("--scheme", default="almost",
                         choices=["almost", "antisat", "sarlock",
                                  "rll+antisat", "rll+sarlock"],
-                        help="almost = SA recipe search (needs a locked "
+                        help="almost = recipe search (needs a locked "
                              "design + --key); antisat/sarlock graft a "
                              "point-function block onto a locked design "
                              "(or lock an unlocked one); rll+* lock an "
@@ -780,41 +757,27 @@ def build_parser() -> argparse.ArgumentParser:
     defend.add_argument("--width", type=int, default=0,
                         help="point-function comparator width "
                              "(0 = every functional input)")
-    defend.add_argument("--iterations", type=int, default=20)
+    defend.add_argument("--strategy", default="sa",
+                        choices=available_strategies(),
+                        help="almost's search strategy (sa = the paper's "
+                             "serial annealer; pt = parallel tempering; "
+                             "beam = greedy beam; random = sampling "
+                             "baseline)")
+    defend.add_argument("--chains", type=int, default=1,
+                        help="candidate batch size: tempering chains / "
+                             "beam width / samples per round")
+    defend.add_argument("--jobs", type=int, default=1,
+                        help="process-pool width for candidate scoring")
+    defend.add_argument("--iterations", type=int, default=20,
+                        help="search rounds (each scores one batch)")
     defend.add_argument("--epochs", type=int, default=15)
     defend.add_argument("--samples", type=int, default=48)
     defend.add_argument("--seed", type=int, default=0)
-    defend.add_argument("--out", default="")
+    defend.add_argument("--out", default="",
+                        help="write the defended netlist here")
+    _add_trace_flag(defend)
     _add_cache_flags(defend)
     defend.set_defaults(func=cmd_defend)
-
-    almost = sub.add_parser(
-        "almost",
-        help="run the ALMOST recipe search with a selectable strategy "
-             "(batched search engine: sa | pt | beam | random)",
-    )
-    almost.add_argument("design", help="a locked .bench design")
-    almost.add_argument("--key", default="", help="the defender's key bits")
-    almost.add_argument("--strategy", default="sa",
-                        choices=available_strategies(),
-                        help="search strategy (sa = the paper's serial "
-                             "annealer; pt = parallel tempering; beam = "
-                             "greedy beam; random = sampling baseline)")
-    almost.add_argument("--chains", type=int, default=1,
-                        help="candidate batch size: tempering chains / "
-                             "beam width / samples per round")
-    almost.add_argument("--jobs", type=int, default=1,
-                        help="process-pool width for candidate scoring")
-    almost.add_argument("--iterations", type=int, default=20,
-                        help="search rounds (each scores one batch)")
-    almost.add_argument("--epochs", type=int, default=15)
-    almost.add_argument("--samples", type=int, default=48)
-    almost.add_argument("--seed", type=int, default=0)
-    almost.add_argument("--out", default="",
-                        help="write the defended netlist here")
-    _add_trace_flag(almost)
-    _add_cache_flags(almost)
-    almost.set_defaults(func=cmd_almost)
 
     run = sub.add_parser(
         "run", help="execute a declarative experiment spec (.toml/.json)"
@@ -989,8 +952,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if trace_path:
             # The tracer is active (and global) for the whole command; on
-            # exit it drains any worker queue, flushes the JSONL sink and
-            # shuts the bridge down.
+            # exit it flushes and closes the JSONL sink.
             with Tracer(trace_path) as tracer, use_tracer(tracer):
                 code = args.func(args)
             # tracer.path, not trace_path: on a name collision the sink

@@ -6,8 +6,9 @@ Three small, dependency-free layers (see ``docs/observability.md``):
   gauges / histograms that instrumentation points increment.
 * :mod:`repro.obs.trace` — hierarchical spans (run → cell → stage →
   search round → SAT solve) that snapshot the counters on entry and record
-  the deltas on close, a buffered JSONL sink, and a manager-queue bridge
-  that lets pool workers report into the parent's stream.
+  the deltas on close, a buffered JSONL sink, and :meth:`Tracer.adopt`,
+  which files the spans pool workers send back with their results into
+  the parent's stream.
 * :mod:`repro.obs.logs` — the ``repro.*`` logging hierarchy and the CLI's
   ``--verbose`` / ``--quiet`` configuration hook.
 """

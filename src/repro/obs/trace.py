@@ -1,4 +1,4 @@
-"""Hierarchical tracing: spans, a buffered JSONL sink, a worker bridge.
+"""Hierarchical tracing: spans, a buffered JSONL sink, worker adoption.
 
 A *span* is one timed region of a run — ``run`` → ``cell`` → ``stage`` →
 ``search.round`` → ``sat.solve`` — opened as a context manager on the
@@ -26,17 +26,12 @@ therefore never guard themselves::
     >>> tracer.records[0]["parent_id"] == tracer.records[1]["span_id"]
     True
 
-**Cross-process bridge.**  Pool workers (grid cells, ``ProcessPoolEvaluator``
-scoring — both on :class:`~repro.utils.pool.WorkerPool`) report into the
-parent's stream through a ``multiprocessing`` manager queue:
-:meth:`Tracer.worker_handle` lazily creates the queue and returns a
-picklable handle (``__getstate__`` drops the unpicklable manager,
-mirroring :class:`~repro.synth.cache.SharedSynthCache`); the pool's worker
-initializer installs it, handles emit straight into the queue, and the
-pool's teardown folds the queue back into the parent's buffer with
-:meth:`Tracer.drain`.  Worker spans
-parent to whatever span was open when the handle was created, so the tree
-stays connected across process boundaries.
+**Across processes.**  Pool workers (grid cells, ``ProcessPoolEvaluator``
+scoring — both on :class:`~repro.utils.pool.WorkerPool`) trace into a
+fresh in-memory tracer; each task's records travel back with its result
+(or on its exception), and the parent hands them to :meth:`Tracer.adopt`,
+which hangs the worker's root spans under the span open there, so the
+tree stays connected across process boundaries.
 """
 
 from __future__ import annotations
@@ -44,7 +39,6 @@ from __future__ import annotations
 import itertools
 import json
 import os
-import queue as _queue_mod
 import time
 from contextlib import contextmanager
 from typing import IO, Iterator, Optional, Union
@@ -54,8 +48,9 @@ from repro.obs.metrics import REGISTRY
 #: Bumped when the JSONL record shape changes (see docs/observability.md).
 TRACE_SCHEMA = 1
 
-#: Process-wide span-id counter.  Module-level so handles unpickled for
-#: different pool tasks in the same worker process never reuse an id.
+#: Process-wide span-id counter.  Module-level so successive tracers in
+#: one process (a pool worker's, say) never reuse an id; the pid prefix
+#: keeps ids from different processes apart.
 _ID_COUNTER = itertools.count(1)
 
 
@@ -149,12 +144,8 @@ class NullTracer:
     def event(self, name: str, **attrs) -> None:
         pass
 
-    def worker_handle(self) -> None:
-        """No bridge when tracing is off — workers get ``None``."""
-        return None
-
-    def drain(self) -> int:
-        return 0
+    def adopt(self, records) -> None:
+        pass
 
     def flush(self) -> None:
         pass
@@ -170,7 +161,7 @@ class Tracer:
     ``buffer_limit`` records and on :meth:`flush`/:meth:`close`.  Without a
     path everything stays in :attr:`records` (what the tests read).  The
     tracer is also a context manager — ``with Tracer(path) as t`` closes
-    (drains, flushes, shuts the bridge down) on exit.
+    (flushes) on exit.
     """
 
     enabled = True
@@ -185,10 +176,6 @@ class Tracer:
         self.records: list[dict] = []
         self._stack: list[Span] = []
         self._sink: Optional[IO[str]] = None
-        self._manager = None
-        self._qsend = None
-        self._worker = False
-        self._remote_parent: Optional[str] = None
         self._closed = False
 
     # -- span lifecycle ----------------------------------------------------
@@ -213,9 +200,7 @@ class Tracer:
         )
 
     def current_span_id(self) -> Optional[str]:
-        if self._stack:
-            return self._stack[-1].span_id
-        return self._remote_parent
+        return self._stack[-1].span_id if self._stack else None
 
     def _push(self, span: Span) -> Optional[str]:
         parent = self.current_span_id()
@@ -232,9 +217,6 @@ class Tracer:
     # -- record flow -------------------------------------------------------
 
     def _emit(self, record: dict) -> None:
-        if self._worker:
-            self._qsend.put(record)
-            return
         self.records.append(record)
         if self.path and len(self.records) >= self.buffer_limit:
             self.flush()
@@ -243,83 +225,13 @@ class Tracer:
     def span_count(self) -> int:
         return sum(1 for r in self.records if r.get("kind") == "span")
 
-    # -- the cross-process bridge -----------------------------------------
-
-    def worker_handle(self) -> "Tracer":
-        """A handle pool workers install (``set_tracer``) and emit through.
-
-        Creates the manager-backed queue on first use (tracing without
-        fan-out never pays the manager-process cost).  The handle is a
-        *separate* tracer already in worker mode: pool initargs are
-        inherited as-is under the ``fork`` start method (no pickling
-        happens), so the mode flip cannot be left to ``__setstate__``.
-        Under ``spawn`` the handle pickles fine too — ``__getstate__``
-        keeps the queue proxy and drops everything else.
-        """
-        if self._worker:
-            return self
-        if self._qsend is None:
-            import multiprocessing
-
-            self._manager = multiprocessing.Manager()
-            self._qsend = self._manager.Queue()
-        handle = Tracer.__new__(Tracer)
-        handle.__setstate__(
-            {
-                "path": None,
-                "buffer_limit": self.buffer_limit,
-                "_qsend": self._qsend,
-                "_remote_parent": self.current_span_id(),
-            }
-        )
-        return handle
-
-    def __getstate__(self) -> dict:
-        if self._qsend is None:
-            raise TypeError(
-                "Tracer is only picklable as a worker handle — call "
-                "worker_handle() first"
-            )
-        return {
-            "path": None,
-            "buffer_limit": self.buffer_limit,
-            "_qsend": self._qsend,
-            # Worker spans hang off whatever span is open right now, so
-            # the parent's tree stays connected across the pool boundary.
-            "_remote_parent": self.current_span_id(),
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self.path = state["path"]
-        self.buffer_limit = state["buffer_limit"]
-        self.records = []
-        self._stack = []
-        self._sink = None
-        self._manager = None
-        self._qsend = state["_qsend"]
-        self._worker = True
-        self._remote_parent = state["_remote_parent"]
-        self._closed = False
-
-    def drain(self) -> int:
-        """Fold queued worker records into the buffer; returns the count.
-
-        Call after a pool's workers exit (``WorkerPool`` teardown does).
-        Safe when no bridge was ever created.
-        """
-        if self._qsend is None or self._worker:
-            return 0
-        drained = 0
-        while True:
-            try:
-                record = self._qsend.get_nowait()
-            except (_queue_mod.Empty, OSError, EOFError):
-                break
-            self.records.append(record)
-            drained += 1
-        if self.path and len(self.records) >= self.buffer_limit:
-            self.flush()
-        return drained
+    def adopt(self, records) -> None:
+        """Emit records another process buffered, under the open span."""
+        parent = self.current_span_id()
+        for record in records:
+            if record["parent_id"] is None:
+                record["parent_id"] = parent
+            self._emit(record)
 
     # -- sink --------------------------------------------------------------
 
@@ -377,20 +289,14 @@ class Tracer:
         self.records = []
 
     def close(self) -> None:
-        """Drain the bridge, flush the sink, shut the bridge down."""
+        """Flush and close the sink; idempotent."""
         if self._closed:
             return
         self._closed = True
-        if not self._worker:
-            self.drain()
-            self.flush()
-            if self._sink is not None:
-                self._sink.close()
-                self._sink = None
-            if self._manager is not None:
-                self._manager.shutdown()
-                self._manager = None
-                self._qsend = None
+        self.flush()
+        if self._sink is not None:
+            self._sink.close()
+            self._sink = None
 
     def __enter__(self) -> "Tracer":
         return self

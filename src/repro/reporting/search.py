@@ -3,8 +3,8 @@
 One row per search run: strategy, batch shape, outcome quality (best
 energy / predicted accuracy) and throughput accounting (iterations vs.
 energy evaluations, wall-clock, evals/sec, synth-cache hit rate).  Used
-by ``benchmarks/test_bench_search.py``, the ``repro almost`` CLI, and —
-via :func:`records_from_run` and the ``search`` reporter — by strategy
+by ``benchmarks/test_bench_search.py``, ``repro defend --scheme almost``,
+and — via :func:`records_from_run` and the ``search`` reporter — by strategy
 sweeps: one spec with ``strategy = ["sa", "pt", "beam"]`` yields a
 populated comparison table from a single ``repro grid``/``repro run``
 invocation.

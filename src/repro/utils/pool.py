@@ -2,11 +2,13 @@
 
 :class:`WorkerPool` wraps ``multiprocessing.Pool`` for both callers
 (``Runner`` grid cells, ``ProcessPoolEvaluator`` scoring).  Its workers
-restore SIGTERM's default action, install the parent's telemetry handle
-and receive an optional ``state`` (e.g. a trained proxy scorer) once,
-read back with :func:`worker_state`.  :meth:`WorkerPool.run` keeps
-Ctrl-C deliverable; teardown joins the workers and folds their queued
-spans into the parent's trace.  Task functions must be module-level
+restore SIGTERM's default action, trace into a fresh in-memory tracer
+when the parent traces, and receive an optional ``state`` (e.g. a
+trained proxy scorer) once, read back with :func:`worker_state`.  Each
+task's spans travel back with its result (or on its exception) and
+:meth:`WorkerPool.run` adopts them under the parent's open span.  ``run``
+keeps Ctrl-C deliverable; an interrupted task's spans are dropped with
+its result.  Task functions must be module-level
 (picklable); RPR201 checks this.
 """
 
@@ -15,22 +17,44 @@ from __future__ import annotations
 import signal
 from typing import Any, Callable, Iterable
 
-from repro.obs.trace import get_tracer, set_tracer
+from repro.obs.trace import Tracer, get_tracer, set_tracer
 
 # The per-worker state shipped by the pool initializer.
 _STATE: Any = None
 
 
-def _init(tracer_handle, state) -> None:
+def _init(traced: bool, state) -> None:
     # Pool.terminate() stops workers with SIGTERM, but a forked worker
     # inherits Runner.run's SIGTERM-to-KeyboardInterrupt mapping; an idle
     # worker blocked on the task queue's lock then survived it and the
     # parent's join hung.
     global _STATE
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    if tracer_handle is not None:
-        set_tracer(tracer_handle)
+    # A fresh tracer: a forked worker would otherwise inherit the
+    # parent's, sink and buffered records included.
+    set_tracer(Tracer() if traced else None)
     _STATE = state
+
+
+def _take_records() -> list:
+    tracer = get_tracer()
+    if not tracer.enabled:
+        return []
+    records, tracer.records = tracer.records, []
+    return records
+
+
+def _call(task) -> tuple:
+    """Run one task in a worker; return ``(value, its trace records)``."""
+    fn, payload = task
+    try:
+        value = fn(payload)
+    except Exception as exc:
+        # An exception's __dict__ survives pickling, so the failing
+        # task's spans (the one marked ``error`` too) reach the parent.
+        exc.trace_records = _take_records()
+        raise
+    return value, _take_records()
 
 
 def worker_state() -> Any:
@@ -48,7 +72,7 @@ class WorkerPool:
         self._pool = multiprocessing.Pool(
             processes=jobs,
             initializer=_init,
-            initargs=(get_tracer().worker_handle(), state),
+            initargs=(get_tracer().enabled, state),
         )
 
     def run(self, fn: Callable, payloads: Iterable) -> tuple[list, bool]:
@@ -58,7 +82,11 @@ class WorkerPool:
         here, as with ``pool.map``.  On Ctrl-C the workers are terminated
         and only the results that already finished come back.
         """
-        handles = [self._pool.apply_async(fn, (p,)) for p in payloads]
+        handles = [
+            self._pool.apply_async(_call, ((fn, payload),))
+            for payload in payloads
+        ]
+        interrupted = False
         try:
             for handle in handles:
                 # A timed wait keeps KeyboardInterrupt deliverable and
@@ -67,9 +95,19 @@ class WorkerPool:
                     handle.wait(0.05)
         except KeyboardInterrupt:
             self.terminate()
-            done = [h for h in handles if h.ready() and h.successful()]
-            return [handle.get() for handle in done], True
-        return [handle.get() for handle in handles], False
+            handles = [h for h in handles if h.ready() and h.successful()]
+            interrupted = True
+        results = []
+        tracer = get_tracer()
+        for handle in handles:
+            try:
+                value, records = handle.get()
+            except Exception as exc:
+                tracer.adopt(getattr(exc, "trace_records", ()))
+                raise
+            tracer.adopt(records)
+            results.append(value)
+        return results, interrupted
 
     def close(self) -> None:
         """Let queued tasks finish, then stop the workers; idempotent."""
@@ -88,7 +126,6 @@ class WorkerPool:
         else:
             pool.close()
         pool.join()
-        get_tracer().drain()
 
     def __enter__(self) -> "WorkerPool":
         return self

@@ -1,4 +1,4 @@
-"""Telemetry subsystem: metrics registry, spans, the worker bridge, CLI.
+"""Telemetry subsystem: metrics registry, spans, worker spans, CLI.
 
 The acceptance property PRs rely on: with tracing enabled, the counter
 deltas carried by the ``stage`` spans of a parallel grid run — including
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import logging
-import multiprocessing
 import os
 
 import pytest
@@ -19,6 +18,12 @@ import repro.sat.solver as solver_mod
 from repro.attacks.sat_attack import SatAttack, oracle_from_key
 from repro.circuits import load_iscas85
 from repro.cli import main
+from repro.core.search import (
+    ProcessPoolEvaluator,
+    SearchConfig,
+    SearchProblem,
+    run_search,
+)
 from repro.locking import lock_rll
 from repro.obs.logs import configure_cli_logging, get_logger
 from repro.obs.metrics import MetricsRegistry, REGISTRY, inc
@@ -44,6 +49,7 @@ from repro.reporting.trace import (
     render_span_tree,
     render_trace_hotspots,
 )
+from repro.utils.pool import WorkerPool
 
 
 @pytest.fixture(autouse=True)
@@ -148,8 +154,8 @@ class TestTracer:
         null = NullTracer()
         with null.span("anything", attr=1) as span:
             span.set(more=2)
-        assert null.drain() == 0
-        assert null.worker_handle() is None
+        null.adopt([{"parent_id": None}])
+        assert null.records == ()
         null.flush()
         null.close()
 
@@ -174,23 +180,22 @@ class TestTracer:
             pass
         assert json.loads(path.read_text().splitlines()[0])["schema"] >= 1
 
-    def test_unbridged_tracer_is_not_picklable(self):
-        import pickle
 
-        with pytest.raises(TypeError):
-            pickle.dumps(Tracer())
+# -- worker spans return with task results --------------------------------
 
-
-# -- the cross-process bridge ---------------------------------------------
-
-def _bridge_task(_index):
+def _worker_task(_index):
     with get_tracer().span("worker.task"):
-        inc("bridge.widgets", 2)
+        inc("worker.widgets", 2)
     return os.getpid()
 
 
-def _bridge_init(handle):
-    set_tracer(handle)
+def _failing_task(_index):
+    with get_tracer().span("worker.fails"):
+        raise ValueError("boom")
+
+
+def _quadratic(x: float) -> float:
+    return (x - 3.0) ** 2
 
 
 class TestWorkerBridge:
@@ -198,23 +203,63 @@ class TestWorkerBridge:
         tracer = Tracer()
         with use_tracer(tracer):
             with tracer.span("run") as run_span:
-                handle = tracer.worker_handle()
-                with multiprocessing.Pool(
-                    2, initializer=_bridge_init, initargs=(handle,)
-                ) as pool:
-                    pids = pool.map(_bridge_task, range(4))
-                assert tracer.drain() == 4
-        tracer.close()
+                with WorkerPool(2) as pool:
+                    pids, interrupted = pool.run(_worker_task, range(4))
+        assert not interrupted
         worker_records = [
             r for r in tracer.records if r["name"] == "worker.task"
         ]
         assert len(worker_records) == 4
-        assert any(pid != os.getpid() for pid in pids)
+        assert all(pid != os.getpid() for pid in pids)
         for record in worker_records:
             assert record["pid"] != os.getpid()
-            assert record["metrics"] == {"bridge.widgets": 2}
-            # Worker spans hang off the span open at handle creation.
+            assert record["metrics"] == {"worker.widgets": 2}
+            # Worker roots hang off the span open when results arrive.
             assert record["parent_id"] == run_span.span_id
+
+    def test_failing_task_span_reaches_parent(self):
+        tracer = Tracer()
+        with use_tracer(tracer), WorkerPool(2) as pool:
+            with pytest.raises(ValueError, match="boom"):
+                pool.run(_failing_task, [0])
+        [record] = [r for r in tracer.records if r["name"] == "worker.fails"]
+        assert record["pid"] != os.getpid()
+        assert record["attrs"]["error"] == "ValueError"
+
+    def test_pool_search_evals_nest_under_rounds(self):
+        tracer = Tracer()
+        problem = SearchProblem(
+            initial=10.0, neighbour=lambda x, rng: x + rng.normal(0, 1.0)
+        )
+        config = SearchConfig(iterations=3, chains=4, seed=1)
+        with use_tracer(tracer):
+            with ProcessPoolEvaluator(_quadratic, jobs=2) as evaluator:
+                run_search(problem, evaluator, strategy="pt", config=config)
+        nodes = {r["span_id"]: r for r in tracer.records}
+        evals = [r for r in tracer.records if r["name"] == "search.eval"]
+        assert len(evals) == 4 * (1 + 3)
+        assert all(r["pid"] != os.getpid() for r in evals)
+        # Only the bootstrap batch, scored before any round opens, is
+        # left without a parent.
+        parents = [r["parent_id"] for r in evals]
+        assert parents.count(None) == 4
+        for parent in filter(None, parents):
+            assert nodes[parent]["name"] == "search.round"
+
+    def test_buffered_records_written_once(self, tmp_path):
+        path = tmp_path / "pool.jsonl"
+        with Tracer(path) as tracer, use_tracer(tracer):
+            with tracer.span("before"):
+                pass
+            tracer.event("buffered")
+            # Both records sit in the buffer while the workers fork.
+            assert len(tracer.records) == 2
+            with WorkerPool(2) as pool:
+                pool.run(_worker_task, range(4))
+        names = [r["name"] for r in load_trace(path)]
+        assert names.count("before") == 1
+        assert names.count("buffered") == 1
+        assert names.count("worker.task") == 4
 
 
 # -- solver restarts surfaced end to end ----------------------------------

@@ -709,7 +709,7 @@ class TestCliAlmost:
         save_bench(locked.netlist, design)
         out = tmp_path / "defended.bench"
         code = main([
-            "almost", str(design),
+            "defend", str(design),
             "--key", str(locked.key),
             "--strategy", "random", "--chains", "2",
             "--iterations", "2", "--samples", "12", "--epochs", "2",
@@ -727,8 +727,28 @@ class TestCliAlmost:
 
         with pytest.raises(SystemExit):
             build_parser().parse_args(
-                ["almost", "x.bench", "--strategy", "nope"]
+                ["defend", "x.bench", "--strategy", "nope"]
             )
+
+    @pytest.mark.parametrize(
+        "flags", [["--strategy", "pt"], ["--chains", "2"], ["--jobs", "2"]]
+    )
+    def test_structural_scheme_rejects_search_flags(
+        self, tmp_path, capsys, flags
+    ):
+        from repro.cli import main
+        from repro.netlist.bench_io import save_bench
+
+        design = tmp_path / "c432.bench"
+        save_bench(load_iscas85("c432", scale="quick"), design)
+        out = tmp_path / "locked.bench"
+        code = main([
+            "defend", str(design), "--scheme", "rll+antisat",
+            "--out", str(out), *flags,
+        ])
+        assert code == 2
+        assert "--scheme almost" in capsys.readouterr().err
+        assert not out.exists()
 
 
 # -- cross-worker shared state-keyed cache ---------------------------------
