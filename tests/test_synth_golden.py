@@ -3,7 +3,10 @@
 Every synthesis optimisation must leave these results unchanged.  Each case
 locks a quick-scale ISCAS-85 circuit with RLL (8 key bits, seed 0), applies a
 recipe, and records the ``Aig.fingerprint()`` of the result together with
-the total cell area of its technology mapping.
+the total cell area of its technology mapping.  A digest of every
+structure-cache entry the corpus creates from an empty cache pins the
+candidate programs ``rewrite`` and ``refactor`` choose from, so a change to
+ISOP, factoring or compilation shows even where it leaves the AIGs alone.
 
 The data lives in ``tests/golden/synth_golden.json``.  Regenerate it only
 when a change is *meant* to alter synthesis results::
@@ -13,6 +16,7 @@ when a change is *meant* to alter synthesis results::
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -22,7 +26,9 @@ from repro.aig import aig_from_netlist
 from repro.circuits import load_iscas85
 from repro.locking import lock_rll
 from repro.mapping.mapper import map_aig
+from repro.obs.metrics import REGISTRY
 from repro.synth import RESYN2, SynthCache, apply_recipe, random_recipe
+from repro.synth import library
 from repro.synth.engine import apply_transform
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "synth_golden.json"
@@ -54,6 +60,30 @@ def synthesize_case(circuit: str, recipe_name: str) -> dict:
     }
 
 
+def structure_cache_digest() -> dict:
+    """Entry count and SHA-256 of the structure cache the corpus fills.
+
+    Starts from an empty cache, synthesizes every case, and hashes each
+    entry in sorted key order: ``(kind, bits, nvars)`` and every
+    candidate's program, output phase and literal cost.
+    """
+    library.clear_structure_cache()
+    misses_before = REGISTRY.counters().get("synth.struct_cache.misses", 0)
+    for circuit in CIRCUITS:
+        for recipe in RECIPES.values():
+            apply_recipe(_locked_aig(circuit), recipe)
+    misses = REGISTRY.counters()["synth.struct_cache.misses"] - misses_before
+    assert misses <= library.STRUCT_CACHE_SIZE, "the corpus evicted entries"
+    digest = hashlib.sha256()
+    for key in sorted(library._CACHE):
+        entry = [
+            (c.program.ops, c.program.out, c.output_negated, c.literal_cost)
+            for c in library._CACHE[key]
+        ]
+        digest.update(repr((key, entry)).encode())
+    return {"entries": len(library._CACHE), "sha256": digest.hexdigest()}
+
+
 def regenerate(path: Path = GOLDEN_PATH) -> dict:
     """Recompute every case and write the corpus file."""
     corpus = {
@@ -68,6 +98,7 @@ def regenerate(path: Path = GOLDEN_PATH) -> dict:
             for circuit in CIRCUITS
             for name in RECIPES
         },
+        "structure_cache": structure_cache_digest(),
     }
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(corpus, indent=2, sort_keys=True) + "\n")
@@ -96,6 +127,12 @@ def test_synthesis_matches_golden(circuit):
         assert synthesize_case(circuit, name) == cases[f"{circuit}/{name}"], (
             f"{circuit} under {name} drifted from the golden corpus"
         )
+
+
+def test_structure_cache_matches_golden():
+    assert structure_cache_digest() == _golden()["structure_cache"], (
+        "the structure-cache candidates drifted from the golden corpus"
+    )
 
 
 @pytest.mark.parametrize("circuit", CIRCUITS)
