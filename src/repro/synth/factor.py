@@ -15,7 +15,7 @@ Factored forms are trees of :class:`FNode`:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.synth.isop import Cube
 
@@ -95,39 +95,65 @@ def _cube_to_fnode(cube: Cube) -> FNode:
     return FNode.and_(literals)
 
 
-def _most_frequent_literal(cubes: list[Cube]) -> Optional[tuple[int, bool]]:
-    """The literal occurring in the most cubes, if any occurs at least twice."""
-    counts: dict[tuple[int, bool], int] = {}
+def _most_frequent_literal(cubes: Sequence[Cube]) -> Optional[tuple[int, bool]]:
+    """The literal occurring in the most cubes, if any occurs at least twice.
+
+    Ties go to the lowest variable, then to the polarity met first scanning
+    the cubes in order (positive first within one cube).
+    """
+    any_pos = any_neg = 0
     for pos, neg in cubes:
-        rest = pos
-        var = 0
-        while rest:
-            if rest & 1:
-                counts[(var, False)] = counts.get((var, False), 0) + 1
-            rest >>= 1
-            var += 1
-        rest = neg
-        var = 0
-        while rest:
-            if rest & 1:
-                counts[(var, True)] = counts.get((var, True), 0) + 1
-            rest >>= 1
-            var += 1
-    if not counts:
-        return None
-    literal, count = max(counts.items(), key=lambda item: (item[1], -item[0][0]))
-    return literal if count >= 2 else None
+        any_pos |= pos
+        any_neg |= neg
+    best = None
+    best_count = 1
+    for var in range((any_pos | any_neg).bit_length()):
+        bit = 1 << var
+        count_pos = count_neg = 0
+        if any_pos & bit:
+            count_pos = len([1 for pos, _ in cubes if pos & bit])
+        if any_neg & bit:
+            count_neg = len([1 for _, neg in cubes if neg & bit])
+        if count_pos == count_neg:
+            if count_pos <= best_count:
+                continue
+            first_pos = next(i for i, (pos, _) in enumerate(cubes) if pos & bit)
+            first_neg = next(i for i, (_, neg) in enumerate(cubes) if neg & bit)
+            negated = first_neg < first_pos
+        else:
+            negated = count_neg > count_pos
+        count = count_neg if negated else count_pos
+        if count > best_count:
+            best, best_count = (var, negated), count
+    return best
 
 
-def factor_sop(cubes: list[Cube]) -> FNode:
+def factor_sop(cubes: Sequence[Cube]) -> FNode:
     """Factor a cube cover into a multi-level form (quick-factor flavour).
 
     Repeatedly divides by the most frequent literal:
-    ``F = l * factor(F / l) + factor(remainder)``.
+    ``F = l * factor(F / l) + factor(remainder)``.  Within one call each
+    distinct sub-cover is factored once and its tree shared (trees are
+    immutable), because quotients and remainders of a wide cover repeat.
     """
+    memo: dict[tuple[Cube, ...], FNode] = {}
+
+    def factor(cubes: tuple[Cube, ...]) -> FNode:
+        tree = memo.get(cubes)
+        if tree is None:
+            tree = memo[cubes] = _divide(cubes, factor)
+        return tree
+
+    return factor(tuple(cubes))
+
+
+def _divide(
+    cubes: tuple[Cube, ...], factor: Callable[[tuple[Cube, ...]], FNode]
+) -> FNode:
+    """One quick-factor step on ``cubes``, factoring the parts by ``factor``."""
     if not cubes:
         return FNode.const(False)
-    if any(cube == (0, 0) for cube in cubes):
+    if (0, 0) in cubes:
         return FNode.const(True)
     if len(cubes) == 1:
         return _cube_to_fnode(cubes[0])
@@ -145,7 +171,7 @@ def factor_sop(cubes: list[Cube]) -> FNode:
             quotient.append((pos, neg & ~bit))
         else:
             remainder.append((pos, neg))
-    divided = FNode.and_([FNode.lit(var, negated), factor_sop(quotient)])
+    divided = FNode.and_([FNode.lit(var, negated), factor(tuple(quotient))])
     if not remainder:
         return divided
-    return FNode.or_([divided, factor_sop(remainder)])
+    return FNode.or_([divided, factor(tuple(remainder))])

@@ -7,8 +7,13 @@ constant-1 cube.
 
 The recursion operates on raw truth-table integers (not
 :class:`~repro.utils.truth.TruthTable` objects) because it sits on the
-hottest path of ``refactor`` and the rewriting library; covers are memoized
-per ``(bits, nvars)``.
+miss path of the structure cache (:mod:`repro.synth.library`), which runs
+for every cut function ``refactor`` and ``rewrite`` meet first.  Within
+one :func:`isop` call it memoizes each ``(lower, upper)`` subproblem, as
+the computed table of BDD-based ISOP does (Minato, SASIMI 1992): the
+cofactor intervals of wide tables repeat often, and a subproblem's cover
+is a pure function of its interval.  Nothing is kept between calls; the
+structure cache keeps the results that are worth keeping.
 """
 
 from __future__ import annotations
@@ -47,58 +52,62 @@ def isop(table: TruthTable) -> list[Cube]:
     ``L = U = table``; the result is an irredundant cover whose function
     equals ``table`` exactly.
     """
-    return list(_isop_cached(table.bits, table.nvars))
+    nvars = table.nvars
+    mask = _full_mask(nvars)
+    splits = _splits(nvars)
+    memo: dict[tuple[int, int], tuple[list[Cube], int]] = {}
+
+    def cover(lower: int, upper: int) -> tuple[list[Cube], int]:
+        """Cover any function in ``[lower, upper]``; (cubes, cover bits)."""
+        if lower == 0:
+            return [], 0
+        if upper == mask:
+            return [(0, 0)], mask
+        key = (lower, upper)
+        result = memo.get(key)
+        if result is not None:
+            return result
+        # Split on the highest variable on which either bound depends.
+        for bit, vpos, vneg in splits:
+            if ((lower >> bit ^ lower) | (upper >> bit ^ upper)) & vneg:
+                break
+        else:  # constant interval handled above; defensive
+            return [(0, 0)], mask
+        lo = lower & vneg
+        l0 = lo | lo << bit
+        hi = lower & vpos
+        l1 = hi | hi >> bit
+        lo = upper & vneg
+        u0 = lo | lo << bit
+        hi = upper & vpos
+        u1 = hi | hi >> bit
+
+        cubes0, cover0 = cover(l0 & ~u1, u0)
+        cubes1, cover1 = cover(l1 & ~u0, u1)
+        cubes2, cover2 = cover((l0 & ~cover0) | (l1 & ~cover1), u0 & u1)
+        result = memo[key] = (
+            [(pos, neg | bit) for pos, neg in cubes0]
+            + [(pos | bit, neg) for pos, neg in cubes1]
+            + cubes2,
+            (cover0 & vneg) | (cover1 & vpos) | cover2,
+        )
+        return result
+
+    return list(cover(table.bits, table.bits)[0])
 
 
-@lru_cache(maxsize=1 << 18)
-def _isop_cached(bits: int, nvars: int) -> tuple[Cube, ...]:
-    cubes, _cover = _isop(bits, bits, nvars, _full_mask(nvars))
-    return tuple(cubes)
+@lru_cache(maxsize=None)
+def _splits(nvars: int) -> tuple[tuple[int, int, int], ...]:
+    """``(1 << var, var mask, its complement)`` per variable, highest first.
 
-
-def _cofactors(bits: int, var: int, nvars: int, mask: int) -> tuple[int, int]:
-    """Raw-integer negative and positive Shannon cofactors."""
-    vmask = _var_mask(var, nvars)
-    shift = 1 << var
-    hi = bits & vmask
-    lo = bits & vmask ^ bits  # bits & ~vmask without building ~vmask
-    c1 = hi | (hi >> shift)
-    c0 = lo | ((lo << shift) & mask)
-    return c0, c1
-
-
-def _isop(lower: int, upper: int, nvars: int, mask: int) -> tuple[list[Cube], int]:
-    """Cover any function in ``[lower, upper]``; returns (cubes, cover bits)."""
-    if lower == 0:
-        return [], 0
-    if upper == mask:
-        return [(0, 0)], mask
-    # Pick the highest variable on which either bound depends.
-    var = nvars - 1
-    while var >= 0:
-        l0, l1 = _cofactors(lower, var, nvars, mask)
-        u0, u1 = _cofactors(upper, var, nvars, mask)
-        if l0 != l1 or u0 != u1:
-            break
-        var -= 1
-    if var < 0:  # constant interval handled above; defensive
-        return [(0, 0)], mask
-
-    cubes0, cover0 = _isop(l0 & ~u1 & mask, u0, nvars, mask)
-    cubes1, cover1 = _isop(l1 & ~u0 & mask, u1, nvars, mask)
-    new_lower = (l0 & ~cover0 & mask) | (l1 & ~cover1 & mask)
-    cubes2, cover2 = _isop(new_lower, u0 & u1, nvars, mask)
-
-    vpos = _var_mask(var, nvars)
-    vneg = vpos ^ mask
-    bit = 1 << var
-    out_cubes = (
-        [(pos, neg | bit) for pos, neg in cubes0]
-        + [(pos | bit, neg) for pos, neg in cubes1]
-        + cubes2
+    ``1 << var`` is both the table shift between the two cofactors of
+    ``var`` and the cube bit of its literal.
+    """
+    mask = _full_mask(nvars)
+    return tuple(
+        (1 << var, _var_mask(var, nvars), _var_mask(var, nvars) ^ mask)
+        for var in reversed(range(nvars))
     )
-    out_cover = (cover0 & vneg) | (cover1 & vpos) | cover2
-    return out_cubes, out_cover
 
 
 def cube_literal_count(cubes: list[Cube]) -> int:
