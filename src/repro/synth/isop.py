@@ -93,7 +93,7 @@ def isop(table: TruthTable) -> list[Cube]:
         )
         return result
 
-    return list(cover(table.bits, table.bits)[0])
+    return cover(table.bits, table.bits)[0]
 
 
 @lru_cache(maxsize=None)
