@@ -13,10 +13,10 @@ Factored forms are trees of :class:`FNode`:
 
 Factoring runs only on a structure-cache miss (:mod:`repro.synth.library`),
 the first time a process meets a cut function.  :func:`factor_sop` factors
-each distinct sub-cover once per call and shares the resulting subtree;
-over the 385 covers the proxy training of ``repro defend`` misses on, it
-averages about 0.4 ms a cover (CPython 3.11, one core of a 2-core x86
-host), and ISOP about 0.2 ms a table.
+each distinct sub-cover once per call and shares the resulting subtree.
+On the 385 tables the proxy training of ``repro defend`` misses on, a
+miss costs about 0.2 ms of ISOP and 0.4 ms of factoring per table
+(CPython 3.11, one core of a 2-core x86 host).
 """
 
 from __future__ import annotations

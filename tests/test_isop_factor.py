@@ -47,9 +47,9 @@ def fnode_table(node: FNode, nvars: int) -> TruthTable:
     if node.kind == "lit":
         table = TruthTable.var(node.var, nvars)
         return ~table if node.negated else table
-    tables_ = [fnode_table(child, nvars) for child in node.children]
-    acc = tables_[0]
-    for table in tables_[1:]:
+    child_tables = [fnode_table(child, nvars) for child in node.children]
+    acc = child_tables[0]
+    for table in child_tables[1:]:
         if node.kind == "and":
             acc = acc & table
         elif node.kind == "or":
