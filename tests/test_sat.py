@@ -290,6 +290,53 @@ class TestMiterEquivalence:
         assert miter.po_names() == ["diff"]
 
 
+class TestMiterPrefilter:
+    """The random-simulation prefilter's counterexample, pinned.
+
+    It is the lowest-indexed random pattern on which the pair differs, so
+    it depends only on the seed and the width.  The SARLock pair differs
+    on 2 of c432-quick's 512 inputs, so its first hit lies past the first
+    64 patterns (at pattern 67 of 100, 447 of 1000 and 471 of 1024).
+    """
+
+    @staticmethod
+    def _wrong_key(locked) -> Key:
+        return Key((1 - locked.key.bits[0],) + tuple(locked.key.bits[1:]))
+
+    def _pinned(self, reference, other, width):
+        verdict = check_equivalence(reference, other, prefilter_width=width)
+        assert not verdict.equivalent
+        assert verdict.stats == {
+            "prefiltered": True, "prefilter_patterns": width,
+        }
+        return "".join(
+            str(verdict.counterexample[net]) for net in reference.inputs
+        )
+
+    def test_rll_wrong_key_counterexample(self, c432_quick):
+        locked = lock_rll(c432_quick, key_size=8, seed=1)
+        wrong = apply_key(locked.netlist, self._wrong_key(locked))
+        assert self._pinned(c432_quick, wrong, 1024) == "000011100"
+
+    @pytest.mark.parametrize(
+        "width, expected",
+        [(1024, "000001000"), (1000, "000001000"), (100, "000001100")],
+    )
+    def test_rare_difference_counterexample(self, c432_quick, width, expected):
+        from repro.defenses import lock_sarlock
+
+        locked = lock_sarlock(c432_quick, width=8, seed=2)
+        wrong = apply_key(locked.netlist, self._wrong_key(locked))
+        assert self._pinned(c432_quick, wrong, width) == expected
+
+    def test_disabled_prefilter_asks_the_solver(self, c432_quick):
+        locked = lock_rll(c432_quick, key_size=8, seed=1)
+        wrong = apply_key(locked.netlist, self._wrong_key(locked))
+        verdict = check_equivalence(c432_quick, wrong, prefilter_width=0)
+        assert not verdict.equivalent
+        assert "prefiltered" not in verdict.stats
+
+
 class TestSatAttack:
     def test_registered(self):
         assert ATTACK_REGISTRY["sat"] is SatAttack
