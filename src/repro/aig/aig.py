@@ -105,9 +105,6 @@ class Aig:
     def is_pi(self, var: int) -> bool:
         return self._is_pi[var]
 
-    def is_const(self, var: int) -> bool:
-        return var == CONST_VAR
-
     def is_and(self, var: int) -> bool:
         return not self._is_pi[var] and var != CONST_VAR and self._fanin0[var] >= 0
 

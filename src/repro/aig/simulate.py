@@ -3,41 +3,21 @@
 Words are Python integers: bit ``p`` of a node's word is its value under
 pattern ``p``.  Arbitrary precision makes complementation exact (XOR with
 a width mask) and supports exhaustive simulation of cones up to ~16
-inputs, which is how cut functions are computed during rewriting.
-
-:func:`simulate_lanes`/:func:`po_lanes` run the same AND/complement
-algebra over numpy ``uint64`` lane arrays (64 patterns per lane,
-little-endian: lane ``i`` holds pattern bits ``64*i .. 64*i+63``) for
-callers that stay in the lane domain — the SAT miter prefilter consumes
-popcounts and first-set bits without materialising a bigint per node.
+inputs, which is how cut functions are computed during rewriting.  The
+same words serve random simulation at any width
+(:func:`random_signatures`, :func:`functionally_equal`) and the SAT
+miter's prefilter, which reads its first counterexample off the lowest
+set bit of the ``diff`` word.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Sequence
-
-import numpy as np
+from typing import Mapping, Sequence
 
 from repro.aig.aig import CONST_VAR, Aig, lit_var
 from repro.errors import AigError
 from repro.utils.rng import make_rng
 from repro.utils.truth import TruthTable
-
-_LANE_BITS = 64
-_ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
-
-
-def _num_lanes(width: int) -> int:
-    return max(1, (width + _LANE_BITS - 1) // _LANE_BITS)
-
-
-def word_to_lanes(word: int, width: int) -> np.ndarray:
-    """Split an integer word into little-endian uint64 lanes."""
-    nlanes = _num_lanes(width)
-    if word.bit_length() > width:
-        word &= (1 << width) - 1
-    raw = word.to_bytes(nlanes * 8, "little")
-    return np.frombuffer(raw, dtype="<u8").astype(np.uint64)
 
 
 def simulate_words(
@@ -69,62 +49,6 @@ def po_words(aig: Aig, words: Mapping[int, int], width: int) -> list[int]:
     for po in aig.po_lits():
         word = words[lit_var(po)]
         out.append((word ^ mask) & mask if po & 1 else word & mask)
-    return out
-
-
-def simulate_lanes(
-    aig: Aig, pi_lanes: Mapping[int, np.ndarray], width: int
-) -> dict[int, np.ndarray]:
-    """Simulate all live nodes over uint64 lanes.
-
-    ``pi_lanes`` maps PI variable ids to uint64 arrays of
-    ``ceil(width / 64)`` lanes.  Complementation flips whole lanes, so
-    lane bits beyond ``width`` are garbage in-flight — they are masked at
-    extraction (:func:`po_lanes`), never before, which keeps the inner
-    loop to two vector ops per AND node.
-    """
-    nlanes = _num_lanes(width)
-    lanes: dict[int, np.ndarray] = {CONST_VAR: np.zeros(nlanes, dtype=np.uint64)}
-    for var in aig.pi_vars():
-        if var not in pi_lanes:
-            raise AigError(f"missing stimulus for PI var {var}")
-        arr = np.asarray(pi_lanes[var], dtype=np.uint64)
-        if arr.shape != (nlanes,):
-            raise AigError(
-                f"PI var {var} stimulus has shape {arr.shape}, want ({nlanes},)"
-            )
-        lanes[var] = arr
-    for var in aig.topological_ands():
-        f0, f1 = aig.fanins(var)
-        w0 = lanes[lit_var(f0)]
-        if f0 & 1:
-            w0 = w0 ^ _ALL_ONES
-        w1 = lanes[lit_var(f1)]
-        if f1 & 1:
-            w1 = w1 ^ _ALL_ONES
-        lanes[var] = w0 & w1
-    return lanes
-
-
-def po_lanes(
-    aig: Aig, lanes: Mapping[int, np.ndarray], width: int
-) -> list[np.ndarray]:
-    """Extract output lanes from a :func:`simulate_lanes` result.
-
-    Tail bits beyond ``width`` in the final lane are zeroed.
-    """
-    nlanes = _num_lanes(width)
-    tail = width % _LANE_BITS
-    out = []
-    for po in aig.po_lits():
-        arr = lanes[lit_var(po)]
-        if po & 1:
-            arr = arr ^ _ALL_ONES
-        elif tail:
-            arr = arr.copy()
-        if tail:
-            arr[nlanes - 1] &= np.uint64((1 << tail) - 1)
-        out.append(arr)
     return out
 
 

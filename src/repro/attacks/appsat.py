@@ -51,10 +51,6 @@ class AppSatConfig:
     error_threshold: float = 0.0  # acceptable estimated error rate
     settle_rounds: int = 2      # consecutive passing estimates before exit
     seed: int = 0
-    #: Solver discipline for the shared DipLoop core; see
-    #: :class:`~repro.attacks.sat_attack.DipLoop`.
-    backend: str = "incremental"
-    canonical_dips: bool = False
 
     def __post_init__(self) -> None:
         if self.query_period < 1:
@@ -93,12 +89,7 @@ class AppSatAttack:
         """
         config = self.config
         netlist, oracle, true_key = resolve_oracle(locked, oracle, true_key)
-        loop = DipLoop(
-            netlist,
-            oracle,
-            backend=config.backend,
-            canonical_dips=config.canonical_dips,
-        )
+        loop = DipLoop(netlist, oracle)
         rng = make_rng(config.seed)
         settled = 0
         estimates = 0

@@ -50,11 +50,6 @@ Oracle = Callable[[np.ndarray], np.ndarray]
 #: Solver counters sampled into each per-iteration trace entry.
 _TRACE_COUNTERS = ("conflicts", "decisions", "propagations", "restarts")
 
-#: Solver stats that are gauges (current level), not monotone counters —
-#: these are read from the live solver instead of summed across the
-#: retired solvers a cold-start loop burns through.
-_GAUGE_STATS = ("learned_kept",)
-
 
 def oracle_from_key(locked: Netlist, key: Key) -> Oracle:
     """Black-box oracle simulating the locked netlist under the true key.
@@ -97,48 +92,23 @@ class DipLoop:
     """Reusable miter/DIP core both SAT-family attacks drive.
 
     Owns the double encoding, the activation-gated miter constraint, the
-    solver and the oracle bookkeeping.  Per-iteration solver effort
+    solver and the oracle bookkeeping.  One incremental
+    :class:`CdclSolver` lives for the whole loop: learned clauses,
+    activities and saved phases carry over every
+    ``find_dip``/``extract_key``/``key_is_unique`` call, and each oracle
+    observation only appends clauses to it.  Per-iteration solver effort
     (conflict/decision/propagation deltas and wall-clock time) is
     recorded in :attr:`trace` so callers can surface query-complexity
     curves without re-running anything.
-
-    ``backend`` selects the solver discipline:
-
-    * ``"incremental"`` (default) — one :class:`CdclSolver` lives for the
-      whole loop; learned clauses, activities and saved phases carry over
-      every ``find_dip``/``extract_key``/``key_is_unique`` call.
-    * ``"cold"`` — every public solve entry point rebuilds a fresh solver
-      from the accumulated clauses, the from-scratch re-solve discipline
-      the original attack implementations used.  This is the reference
-      arm the ``BENCH_sat`` comparison measures the incremental backend
-      against; solver counters are aggregated across the retired solvers
-      so traces stay comparable.
-
-    ``canonical_dips=True`` makes every extracted model lex-minimal over
-    its variables of interest (functional inputs for DIPs, key inputs for
-    keys) via assumption probing.  The lex-min model of a constraint set
-    is unique — learned clauses are implied, so they never change it —
-    which pins both backends to bit-identical DIP sequences and keys, the
-    property the cross-backend equivalence regression asserts.
     """
 
-    def __init__(
-        self,
-        netlist: Netlist,
-        oracle: Oracle,
-        backend: str = "incremental",
-        canonical_dips: bool = False,
-    ):
+    def __init__(self, netlist: Netlist, oracle: Oracle):
         if not netlist.key_inputs:
             raise AttackError(
                 "design has no keyinput* pins; nothing to recover"
             )
-        if backend not in ("incremental", "cold"):
-            raise AttackError(f"unknown DipLoop backend {backend!r}")
         self.netlist = netlist
         self.oracle = oracle
-        self.backend = backend
-        self.canonical_dips = canonical_dips
         self.key_nets = netlist.key_inputs
         self.functional = netlist.functional_inputs
         self.iterations = 0
@@ -165,69 +135,7 @@ class DipLoop:
             )
             diffs.append(diff)
         cnf.add_clause((-self.activate, *diffs))
-        # The clause/variable log the cold backend rebuilds from; the
-        # incremental backend only ever appends to its one solver.
-        self._all_clauses: list[tuple[int, ...]] = [
-            tuple(clause) for clause in cnf.clauses
-        ]
-        self._num_vars = cnf.num_vars
-        self._stats_base: dict[str, int] = {}
         self.solver = CdclSolver(cnf)
-
-    # -- solver discipline -------------------------------------------------
-
-    def _begin_call(self) -> None:
-        """Cold backend: retire the current solver, rebuild from scratch."""
-        if self.backend != "cold":
-            return
-        for name, value in self.solver.stats.items():
-            if name not in _GAUGE_STATS:
-                self._stats_base[name] = self._stats_base.get(name, 0) + value
-        solver = CdclSolver()
-        solver.ensure_vars(self._num_vars)
-        for clause in self._all_clauses:
-            solver.add_clause(clause)
-        self.solver = solver
-
-    def _add_clause(self, clause: tuple[int, ...]) -> None:
-        """Append a permanent clause: to the log and the live solver."""
-        self._all_clauses.append(tuple(clause))
-        self.solver.add_clause(clause)
-
-    def solver_stats(self) -> dict[str, int]:
-        """Aggregate solver counters (including any retired cold solvers)."""
-        stats = dict(self.solver.stats)
-        for name, value in self._stats_base.items():
-            if name not in _GAUGE_STATS:
-                stats[name] = stats.get(name, 0) + value
-        return stats
-
-    def _lex_min_model(
-        self,
-        model: dict[int, bool],
-        assumptions: list[int],
-        variables: list[int],
-    ) -> dict[int, bool]:
-        """Greedy lex-min over ``variables`` by assumption probing.
-
-        A variable already 0 in the current model stays 0 for free; a 1
-        is probed with a forced 0 and kept at 1 only if that is UNSAT.
-        """
-        fixed = list(assumptions)
-        for var in variables:
-            if not model[var]:
-                fixed.append(-var)
-                continue
-            probe = self.solver.solve(fixed + [-var])
-            if probe.satisfiable:
-                assert probe.model is not None
-                model = probe.model
-                fixed.append(-var)
-            else:
-                fixed.append(var)
-        return model
-
-    # -- the loop proper ---------------------------------------------------
 
     def find_dip(self) -> Optional[np.ndarray]:
         """Next distinguishing input pattern, or None once none remains.
@@ -236,28 +144,20 @@ class DipLoop:
         on every input.  A globally unsatisfiable miter before any
         observation indicates a broken encoding and raises.
         """
-        # Snapshot the counters *before* the miter solve (and, on the cold
-        # backend, before the rebuild) so the matching observe() call can
-        # attribute this DIP's search effort to its trace entry.
+        # Snapshot the counters *before* the miter solve so the matching
+        # observe() call can attribute this DIP's search effort to its
+        # trace entry.
         self._iter_started = time.perf_counter()
-        stats = self.solver_stats()
+        stats = self.solver.stats
         self._iter_counters = {name: stats[name] for name in _TRACE_COUNTERS}
-        self._begin_call()
         result = self.solver.solve([self.activate])
         if not result.satisfiable:
             if not result.assumption_failed and self.iterations == 0:
                 raise AttackError("miter unsatisfiable before any DIP")
             return None
         assert result.model is not None
-        model = result.model
-        if self.canonical_dips:
-            model = self._lex_min_model(
-                model,
-                [self.activate],
-                [self._shared[net] for net in self.functional],
-            )
         return np.array(
-            [int(model[self._shared[net]]) for net in self.functional],
+            [int(result.model[self._shared[net]]) for net in self.functional],
             dtype=np.uint8,
         )
 
@@ -276,7 +176,7 @@ class DipLoop:
             "iteration": self.iterations,
             "elapsed_s": round(time.perf_counter() - self._iter_started, 6),
         }
-        stats = self.solver_stats()
+        stats = self.solver.stats
         for name in _TRACE_COUNTERS:
             entry[name] = stats[name] - self._iter_counters[name]
         self.trace.append(entry)
@@ -336,20 +236,13 @@ class DipLoop:
         key AppSAT error-estimates; after convergence it is provably
         equivalent to the oracle.
         """
-        self._begin_call()
         result = self.solver.solve([-self.activate])
         if not result.satisfiable:
             return None
         assert result.model is not None
-        model = result.model
-        if self.canonical_dips:
-            model = self._lex_min_model(
-                model,
-                [-self.activate],
-                [self._copy_a.inputs[net] for net in self.key_nets],
-            )
         return tuple(
-            int(model[self._copy_a.inputs[net]]) for net in self.key_nets
+            int(result.model[self._copy_a.inputs[net]])
+            for net in self.key_nets
         )
 
     def key_is_unique(self, key_bits: tuple[int, ...]) -> bool:
@@ -362,12 +255,11 @@ class DipLoop:
         The blocking clause is permanent, so call this after the loop is
         otherwise done with the solver.
         """
-        self._begin_call()
         blocking = tuple(
             -self._copy_a.inputs[net] if bit else self._copy_a.inputs[net]
             for net, bit in zip(self.key_nets, key_bits)
         )
-        self._add_clause(blocking)
+        self.solver.add_clause(blocking)
         return not self.solver.solve([-self.activate]).satisfiable
 
     @property
@@ -381,8 +273,7 @@ class DipLoop:
             "oracle_queries": self.oracle_queries,
             "trace": list(self.trace),
             "elapsed_s": self.elapsed_s,
-            "backend": self.backend,
-            "solver": self.solver_stats(),
+            "solver": dict(self.solver.stats),
         }
 
     def _pin_observation(
@@ -395,30 +286,24 @@ class DipLoop:
         so every future model's key must reproduce this I/O pair.
         """
         shared = {net: key_copy.inputs[net] for net in self.key_nets}
-        extra = Cnf(self._num_vars)
+        extra = Cnf(self.solver.num_vars)
         observed = tseitin_netlist(self.netlist, extra, input_vars=shared)
-        self._num_vars = max(self._num_vars, extra.num_vars)
         self.solver.ensure_vars(extra.num_vars)
         for clause in extra.clauses:
-            self._add_clause(tuple(clause))
+            self.solver.add_clause(clause)
         for net, bit in zip(self.functional, pattern):
             var = observed.inputs[net]
-            self._add_clause((var if bit else -var,))
+            self.solver.add_clause((var if bit else -var,))
         for net, bit in zip(self.netlist.outputs, response):
             lit = observed.outputs[net]
-            self._add_clause((lit if bit else -lit,))
+            self.solver.add_clause((lit if bit else -lit,))
 
 
 @dataclass
 class SatAttackConfig:
-    """Budget and solver-discipline knobs for the DIP loop."""
+    """DIP budget of the exact attack (one oracle query per DIP)."""
 
     max_iterations: int = 512
-    #: "incremental" (persistent solver) or "cold" (fresh solver per call);
-    #: see :class:`DipLoop`.
-    backend: str = "incremental"
-    #: Lex-minimal DIPs/keys — the cross-backend determinism contract.
-    canonical_dips: bool = False
 
 
 class SatAttack:
@@ -447,12 +332,7 @@ class SatAttack:
         with get_tracer().span(
             "attack.sat", circuit=netlist.name, keys=len(netlist.key_inputs)
         ) as span:
-            loop = DipLoop(
-                netlist,
-                oracle,
-                backend=self.config.backend,
-                canonical_dips=self.config.canonical_dips,
-            )
+            loop = DipLoop(netlist, oracle)
             budget_exhausted = False
             dips: list[dict[str, int]] = []
             while True:

@@ -44,7 +44,6 @@ from repro.core.search.strategy import (
 )
 from repro.core.search.driver import SaResult, run_search
 from repro.core.search.evaluator import (
-    BatchCallableEvaluator,
     CallableEvaluator,
     EnergyEvaluator,
     ProcessPoolEvaluator,
@@ -68,7 +67,6 @@ __all__ = [
     "available_strategies",
     "EnergyEvaluator",
     "CallableEvaluator",
-    "BatchCallableEvaluator",
     "ProcessPoolEvaluator",
     "as_evaluator",
 ]

@@ -1,16 +1,13 @@
-"""Energy evaluators: serial, vectorized-batch, and process-pool.
+"""Energy evaluators: serial and process-pool.
 
 The driver hands a whole candidate batch to one of these; how the batch is
-scored — a Python loop, one vectorized model pass, or fan-out over a
-worker pool — is invisible to the strategies, which keeps multi-chain
+scored — a Python loop or fan-out over a worker pool — is invisible to the strategies, which keeps multi-chain
 searches deterministic per seed regardless of the execution backend.
 
-The serial evaluators wrap plain callables::
+The serial evaluator wraps a plain callable::
 
     >>> CallableEvaluator(lambda state: state * 2.0).evaluate([1, 2])
     [2.0, 4.0]
-    >>> BatchCallableEvaluator(lambda batch: [s + 1 for s in batch]).evaluate([1])
-    [2.0]
 
 :class:`ProcessPoolEvaluator` fans batches out over a persistent
 :class:`~repro.utils.pool.WorkerPool`.  The scorer ships once per worker;
@@ -57,28 +54,6 @@ class CallableEvaluator(EnergyEvaluator):
 
     def evaluate(self, states: Sequence) -> list[float]:
         return [float(self.fn(state)) for state in states]
-
-
-class BatchCallableEvaluator(EnergyEvaluator):
-    """Scores the whole batch through one ``list[state] -> list[float]`` call.
-
-    The hook for vectorized scorers such as
-    :meth:`repro.core.proxy.ProxyModel.predicted_accuracy_batch`, which
-    packs every candidate's GNN localities into a single forward pass.
-    """
-
-    def __init__(self, batch_fn: Callable):
-        self.batch_fn = batch_fn
-
-    def evaluate(self, states: Sequence) -> list[float]:
-        states = list(states)
-        values = list(self.batch_fn(states))
-        if len(values) != len(states):
-            raise SearchError(
-                f"batch evaluator returned {len(values)} energies for "
-                f"{len(states)} states"
-            )
-        return [float(value) for value in values]
 
 
 def _pool_call(state) -> float:

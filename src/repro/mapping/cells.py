@@ -83,9 +83,6 @@ class CellLibrary:
     def __contains__(self, name: str) -> bool:
         return name in self._cells
 
-    def cell_names(self) -> list[str]:
-        return sorted(self._cells)
-
     def variant(self, name: str, strength: str) -> Cell:
         """The drive-strength sibling of a cell, e.g. ``X1`` -> ``X2``."""
         base = name.rsplit("_", 1)[0]

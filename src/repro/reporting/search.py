@@ -49,31 +49,6 @@ class SearchStrategyRecord:
         )
 
     @staticmethod
-    def from_almost(
-        result,
-        elapsed_s: float,
-        chains: int = 1,
-        jobs: int = 1,
-        cache_hit_rate: Optional[float] = None,
-        label: str = "",
-    ) -> "SearchStrategyRecord":
-        """Build a record from an :class:`repro.core.almost.AlmostResult`."""
-        if cache_hit_rate is None:
-            cache_hit_rate = hit_rate_if_traffic(result.synth_cache)
-        return SearchStrategyRecord(
-            strategy=result.strategy,
-            chains=chains,
-            jobs=jobs,
-            best_energy=abs(result.predicted_accuracy - 0.5),
-            predicted_accuracy=result.predicted_accuracy,
-            iterations=result.iterations,
-            energy_evaluations=result.energy_evaluations,
-            elapsed_s=elapsed_s,
-            cache_hit_rate=cache_hit_rate,
-            label=label,
-        )
-
-    @staticmethod
     def from_cell(
         cell, warmup_elapsed: Optional[dict] = None
     ) -> Optional["SearchStrategyRecord"]:

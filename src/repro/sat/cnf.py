@@ -38,9 +38,6 @@ class Cnf:
         self.num_vars += 1
         return self.num_vars
 
-    def new_vars(self, count: int) -> list[int]:
-        return [self.new_var() for _ in range(count)]
-
     def add_clause(self, lits: Iterable[int]) -> None:
         """Append a clause; literals must reference allocated variables."""
         clause = tuple(lits)
@@ -53,10 +50,6 @@ class Cnf:
                     f"(have {self.num_vars})"
                 )
         self.clauses.append(clause)
-
-    def add_clauses(self, clauses: Iterable[Iterable[int]]) -> None:
-        for clause in clauses:
-            self.add_clause(clause)
 
     @property
     def num_clauses(self) -> int:

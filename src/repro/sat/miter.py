@@ -8,10 +8,11 @@ of equivalence (UNSAT) or a concrete counterexample — which is re-simulated
 through :mod:`repro.aig.simulate` before being reported, so a returned
 counterexample is always a *verified* functional difference.
 
-Before encoding anything, a packed random-simulation prefilter pushes
-``prefilter_width`` patterns through the miter in uint64 lanes; any set bit
-of the ``diff`` output is already a counterexample, so grossly inequivalent
-pairs never pay for CNF construction or a solver run.  Only the UNSAT-ish
+Before encoding anything, a random-simulation prefilter pushes
+``prefilter_width`` patterns through the miter as one bit-parallel integer
+word per node; any set bit of the ``diff`` output is already a
+counterexample, so grossly inequivalent pairs never pay for CNF
+construction or a solver run.  Only the UNSAT-ish
 hard cases — equivalent circuits, or differences on a vanishing input
 fraction — reach the solver.
 
@@ -25,17 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-import numpy as np
-
 from repro.aig.aig import Aig, lit_var
 from repro.aig.build import aig_from_netlist
-from repro.aig.simulate import (
-    po_lanes,
-    po_words,
-    simulate_lanes,
-    simulate_words,
-    word_to_lanes,
-)
+from repro.aig.simulate import po_words, simulate_words
 from repro.errors import SatError
 from repro.netlist.netlist import Netlist
 from repro.sat.cnf import tseitin_aig
@@ -123,28 +116,22 @@ def build_miter(first: Circuit, second: Circuit) -> Aig:
 def _prefilter_counterexample(
     miter: Aig, width: int, seed: int
 ) -> Optional[dict[str, int]]:
-    """Packed random simulation of the miter; first differing pattern or None.
+    """Random simulation of the miter; first differing pattern or None.
 
     The returned pattern is the lowest-indexed random pattern whose
     ``diff`` bit is set — deterministic for a fixed seed.
     """
     rng = make_rng(seed)
-    pi_lanes = {
-        var: word_to_lanes(
-            int.from_bytes(rng.bytes((width + 7) // 8), "big"), width
-        )
+    pi_words = {
+        var: int.from_bytes(rng.bytes((width + 7) // 8), "big")
         for var in miter.pi_vars()
     }
-    lanes = simulate_lanes(miter, pi_lanes, width)
-    diff = po_lanes(miter, lanes, width)[0]
-    hits = np.nonzero(diff)[0]
-    if hits.size == 0:
+    diff = po_words(miter, simulate_words(miter, pi_words, width), width)[0]
+    if not diff:
         return None
-    lane = int(hits[0])
-    word = int(diff[lane])
-    offset = (word & -word).bit_length() - 1
+    offset = (diff & -diff).bit_length() - 1
     return {
-        name: (int(pi_lanes[var][lane]) >> offset) & 1
+        name: (pi_words[var] >> offset) & 1
         for var, name in zip(miter.pi_vars(), miter.pi_names())
     }
 
@@ -186,7 +173,7 @@ def check_equivalence(
 ) -> EquivalenceResult:
     """Prove two circuits combinationally equivalent or produce a witness.
 
-    Accepts any mix of :class:`Aig` and :class:`Netlist`.  A packed
+    Accepts any mix of :class:`Aig` and :class:`Netlist`.  A
     random-simulation prefilter (``prefilter_width`` patterns; 0 disables
     it) catches easy differences without touching the solver.  UNSAT on
     the miter is a proof of equivalence; on SAT the distinguishing

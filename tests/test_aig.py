@@ -12,6 +12,7 @@ from repro.aig import (
     make_lit,
 )
 from repro.aig.simulate import (
+    cut_truth_table,
     exhaustive_signatures,
     functionally_equal,
     output_truth_tables,
@@ -229,3 +230,16 @@ class TestCompact:
         aig = aig_from_netlist(netlist)
         aig.check()
         assert functionally_equal(aig, aig.compact())
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cut_truth_table_agrees_with_packed_exhaustive(seed):
+    # The PI cut of each PO cone reduces cut_truth_table to the full PO
+    # truth table, which output_truth_tables derives via exhaustive
+    # signatures — cross-checking the cut simulator against whole-AIG
+    # simulation.
+    aig = aig_from_netlist(build_random_netlist(num_inputs=5, seed=seed))
+    leaves = aig.pi_vars()
+    tables = output_truth_tables(aig)
+    for po, expected in zip(aig.po_lits(), tables):
+        assert cut_truth_table(aig, po, leaves).bits == expected.bits

@@ -214,60 +214,6 @@ class TestDipLoopOnDefenses:
             DipLoop(c432_quick, lambda p: p)
 
 
-class TestBackendEquivalence:
-    """The incremental solver backend is a pure optimization: with
-    canonical (lex-min) DIP extraction it must replay the cold-start
-    backend bit for bit — same DIP sequence, same iteration count, same
-    recovered key — on the point-function defenses that stress the loop
-    hardest."""
-
-    @staticmethod
-    def run_loop(locked, backend):
-        oracle = oracle_from_key(locked.netlist, locked.key)
-        loop = DipLoop(
-            locked.netlist, oracle, backend=backend, canonical_dips=True
-        )
-        dips = []
-        while True:
-            pattern = loop.find_dip()
-            if pattern is None:
-                break
-            dips.append(tuple(int(b) for b in pattern))
-            loop.observe(pattern)
-        return dips, loop.extract_key(), loop.iterations, loop.solver_stats()
-
-    @pytest.mark.parametrize("defense", ["antisat", "sarlock"])
-    def test_cold_and_incremental_replay_identically(self, defense):
-        netlist = small_circuit(4, seed=21)
-        if defense == "antisat":
-            locked = lock_antisat(netlist, width=3, seed=22)
-        else:
-            locked = lock_sarlock(netlist, seed=22)
-        cold = self.run_loop(locked, "cold")
-        incremental = self.run_loop(locked, "incremental")
-        assert incremental[0] == cold[0], "DIP sequences diverged"
-        assert incremental[1] == cold[1], "recovered keys diverged"
-        assert incremental[2] == cold[2], "iteration counts diverged"
-        # The point of the incremental backend: the cold arm re-derives
-        # what the persistent solver remembered.
-        assert incremental[3]["propagations"] <= cold[3]["propagations"]
-
-    def test_attack_config_selects_backend(self):
-        netlist = small_circuit(4, seed=23)
-        locked = lock_antisat(netlist, width=2, seed=24)
-        results = [
-            SatAttack(
-                SatAttackConfig(backend=backend, canonical_dips=True)
-            ).attack(locked)
-            for backend in ("incremental", "cold")
-        ]
-        assert [r.details["backend"] for r in results] == ["incremental", "cold"]
-        assert results[0].predicted_bits == results[1].predicted_bits
-        assert (
-            results[0].details["iterations"] == results[1].details["iterations"]
-        )
-
-
 class TestAppSat:
     def test_registered(self):
         assert ATTACK_REGISTRY["appsat"] is AppSatAttack

@@ -12,7 +12,6 @@ from repro.circuits import load_iscas85
 from repro.core.almost import AlmostConfig, AlmostDefense
 from repro.core.proxy import ProxyConfig, build_resyn2_proxy
 from repro.core.search import (
-    BatchCallableEvaluator,
     CallableEvaluator,
     ProcessPoolEvaluator,
     SearchConfig,
@@ -319,13 +318,6 @@ def _square(x: float) -> float:  # module-level: picklable for the pool
 class TestEvaluators:
     def test_callable_evaluator(self):
         assert CallableEvaluator(_square).evaluate([1, 2, 3]) == [1.0, 4.0, 9.0]
-
-    def test_batch_evaluator_checks_shape(self):
-        good = BatchCallableEvaluator(lambda xs: [x * x for x in xs])
-        assert good.evaluate([2, 3]) == [4.0, 9.0]
-        bad = BatchCallableEvaluator(lambda xs: [1.0])
-        with pytest.raises(SearchError, match="batch evaluator"):
-            bad.evaluate([2, 3])
 
     def test_process_pool_matches_serial(self):
         with ProcessPoolEvaluator(_square, jobs=2) as pool:
