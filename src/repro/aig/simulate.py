@@ -4,10 +4,9 @@ Words are Python integers: bit ``p`` of a node's word is its value under
 pattern ``p``.  Arbitrary precision makes complementation exact (XOR with
 a width mask) and supports exhaustive simulation of cones up to ~16
 inputs, which is how cut functions are computed during rewriting.  The
-same words serve random simulation at any width
-(:func:`random_signatures`, :func:`functionally_equal`) and the SAT
-miter's prefilter, which reads its first counterexample off the lowest
-set bit of the ``diff`` word.
+same words carry random simulation at any width: for
+:func:`functionally_equal` and for the SAT miter's prefilter, which reads
+its first counterexample off the lowest set bit of the ``diff`` word.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """Energy evaluators: serial and process-pool.
 
 The driver hands a whole candidate batch to one of these; how the batch is
-scored — a Python loop or fan-out over a worker pool — is invisible to the strategies, which keeps multi-chain
-searches deterministic per seed regardless of the execution backend.
+scored — a Python loop or fan-out over a worker pool — is invisible to
+the strategies, which keeps multi-chain searches deterministic per seed
+regardless of the execution backend.
 
 The serial evaluator wraps a plain callable::
 

@@ -12,9 +12,9 @@ Before encoding anything, a random-simulation prefilter pushes
 ``prefilter_width`` patterns through the miter as one bit-parallel integer
 word per node; any set bit of the ``diff`` output is already a
 counterexample, so grossly inequivalent pairs never pay for CNF
-construction or a solver run.  Only the UNSAT-ish
-hard cases — equivalent circuits, or differences on a vanishing input
-fraction — reach the solver.
+construction or a solver run.  Only the UNSAT-ish hard cases — equivalent
+circuits, or differences on a vanishing input fraction — reach the
+solver.
 
 This is the exact complement of the randomized
 :func:`repro.aig.simulate.functionally_equal`: same question, proof instead
