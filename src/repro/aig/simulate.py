@@ -5,13 +5,21 @@ pattern ``p``.  Arbitrary precision makes complementation exact (XOR with
 a width mask) and supports exhaustive simulation of cones up to ~16
 inputs, which is how cut functions are computed during rewriting.  The
 same words carry random simulation at any width: for
-:func:`functionally_equal` and for the SAT miter's prefilter, which reads
-its first counterexample off the lowest set bit of the ``diff`` word.
+:func:`functionally_equal` and, through :func:`random_signatures`, for
+the SAT miter's prefilter, which reads its first counterexample off the
+lowest set bit of the ``diff`` word.
+
+:func:`simulate_lanes` runs the same AND/complement algebra over numpy
+``uint64`` lanes.  Nothing in the package calls it; it stays only because
+the ``perfbench`` layer table patches it by name, and goes with that
+entry.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from repro.aig.aig import CONST_VAR, Aig, lit_var
 from repro.errors import AigError
@@ -51,11 +59,51 @@ def po_words(aig: Aig, words: Mapping[int, int], width: int) -> list[int]:
     return out
 
 
+_ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
+
+
+def simulate_lanes(
+    aig: Aig, pi_lanes: Mapping[int, np.ndarray], width: int
+) -> dict[int, np.ndarray]:
+    """Simulate all live nodes over little-endian uint64 lanes.
+
+    ``pi_lanes`` maps PI variable ids to arrays of ``ceil(width / 64)``
+    lanes (lane ``i`` holds patterns ``64*i .. 64*i+63``).  Complement
+    flips whole lanes, so bits beyond ``width`` are garbage; mask them
+    when reading a result.
+    """
+    nlanes = max(1, (width + 63) // 64)
+    lanes: dict[int, np.ndarray] = {CONST_VAR: np.zeros(nlanes, dtype=np.uint64)}
+    for var in aig.pi_vars():
+        if var not in pi_lanes:
+            raise AigError(f"missing stimulus for PI var {var}")
+        arr = np.asarray(pi_lanes[var], dtype=np.uint64)
+        if arr.shape != (nlanes,):
+            raise AigError(
+                f"PI var {var} stimulus has shape {arr.shape}, want ({nlanes},)"
+            )
+        lanes[var] = arr
+    for var in aig.topological_ands():
+        f0, f1 = aig.fanins(var)
+        w0 = lanes[lit_var(f0)]
+        if f0 & 1:
+            w0 = w0 ^ _ALL_ONES
+        w1 = lanes[lit_var(f1)]
+        if f1 & 1:
+            w1 = w1 ^ _ALL_ONES
+        lanes[var] = w0 & w1
+    return lanes
+
+
 def random_signatures(
     aig: Aig, width: int = 256, seed: int = 0
 ) -> dict[int, int]:
-    """Random simulation signatures for every live node (for equivalence
-    filtering in resubstitution and for quick functional checks)."""
+    """Random simulation words for every live node.
+
+    PI words are ``width`` bits drawn from ``make_rng(seed)``, so a PI's
+    own entry is its stimulus.  The SAT miter's prefilter reads its
+    counterexample from them.
+    """
     rng = make_rng(seed)
     pi_words = {
         var: int.from_bytes(rng.bytes((width + 7) // 8), "big") & ((1 << width) - 1)

@@ -28,12 +28,11 @@ from typing import Optional, Union
 
 from repro.aig.aig import Aig, lit_var
 from repro.aig.build import aig_from_netlist
-from repro.aig.simulate import po_words, simulate_words
+from repro.aig.simulate import po_words, random_signatures, simulate_words
 from repro.errors import SatError
 from repro.netlist.netlist import Netlist
 from repro.sat.cnf import tseitin_aig
 from repro.sat.solver import CdclSolver
-from repro.utils.rng import make_rng
 
 Circuit = Union[Aig, Netlist]
 
@@ -121,17 +120,13 @@ def _prefilter_counterexample(
     The returned pattern is the lowest-indexed random pattern whose
     ``diff`` bit is set — deterministic for a fixed seed.
     """
-    rng = make_rng(seed)
-    pi_words = {
-        var: int.from_bytes(rng.bytes((width + 7) // 8), "big")
-        for var in miter.pi_vars()
-    }
-    diff = po_words(miter, simulate_words(miter, pi_words, width), width)[0]
+    words = random_signatures(miter, width, seed)
+    diff = po_words(miter, words, width)[0]
     if not diff:
         return None
     offset = (diff & -diff).bit_length() - 1
     return {
-        name: (pi_words[var] >> offset) & 1
+        name: (words[var] >> offset) & 1
         for var, name in zip(miter.pi_vars(), miter.pi_names())
     }
 
