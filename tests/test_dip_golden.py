@@ -18,6 +18,11 @@ The oracle is a recording :class:`~repro.locking.key.KeyOracle` subclass,
 so AppSAT's error estimates still take the batched ``compare_key`` path
 and only the DIP queries reach the recorder.
 
+Independently of the file, ``test_recovered_key_unlocks`` checks each
+slot's recovered key against the true one: a ``sat`` key must be
+provably equivalent, and an ``appsat`` key may disagree only on the
+``2**-w`` share of inputs a width-``w`` point-function block can corrupt.
+
 The data lives in ``tests/golden/dip_golden.json``.  Regenerate it only
 when a change is *meant* to alter the DIP sequences::
 
@@ -26,6 +31,7 @@ when a change is *meant* to alter the DIP sequences::
 
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
 
@@ -36,13 +42,16 @@ from repro.attacks import AppSatAttack, AppSatConfig, SatAttack, SatAttackConfig
 from repro.circuits import load_iscas85
 from repro.defenses import lock_antisat, lock_sarlock
 from repro.locking import lock_rll
-from repro.locking.key import Key, KeyOracle
+from repro.locking.key import Key, KeyOracle, apply_key, oracle_outputs
+from repro.sat import check_equivalence
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "dip_golden.json"
 
 SCALE = "quick"
 RLL_KEY_BITS = 5
 MAX_ITERATIONS = 256
+#: Random patterns an AppSAT key is checked on.
+UNLOCK_PATTERNS = 4096
 #: ``(circuit, block, width, attack)`` per slot, as in ``query_grid``.
 SLOTS = (
     ("c432", None, 0, "sat"), ("c499", None, 0, "appsat"),
@@ -78,8 +87,9 @@ class RecordingOracle(KeyOracle):
         return responses
 
 
-def dip_case(slot: int) -> dict:
-    """DIPs, key and solver effort of one pinned attack."""
+@functools.lru_cache(maxsize=None)
+def _attack_slot(slot: int):
+    """Run one pinned attack: ``(netlist, true key, oracle, result)``."""
     circuit, block, width, attack = SLOTS[slot]
     locked = lock_rll(
         load_iscas85(circuit, scale=SCALE), key_size=RLL_KEY_BITS, seed=slot
@@ -96,6 +106,12 @@ def dip_case(slot: int) -> dict:
             AppSatConfig(max_iterations=MAX_ITERATIONS, seed=slot)
         )
     result = runner.attack(netlist, oracle=oracle, true_key=key)
+    return netlist, key, oracle, result
+
+
+def dip_case(slot: int) -> dict:
+    """DIPs, key and solver effort of one pinned attack."""
+    _netlist, _key, oracle, result = _attack_slot(slot)
     details = result.details
     case = {
         "dips": oracle.queries,
@@ -110,7 +126,7 @@ def dip_case(slot: int) -> dict:
         "budget_exhausted": details["budget_exhausted"],
         "key_unique": details["key_unique"],
     }
-    if attack == "appsat":
+    if SLOTS[slot][3] == "appsat":
         case.update({name: details[name] for name in _APPSAT_FIELDS})
     return case
 
@@ -154,6 +170,35 @@ def test_dips_match_golden(slot):
     )
     assert actual == expected, (
         f"slot {slot} {SLOTS[slot]} drifted from its golden DIP record"
+    )
+
+
+@pytest.mark.parametrize("slot", range(len(SLOTS)))
+def test_recovered_key_unlocks(slot):
+    _circuit, _block, width, attack = SLOTS[slot]
+    netlist, key, _oracle, result = _attack_slot(slot)
+    recovered = Key(result.predicted_bits)
+    if attack == "sat" or not width:
+        verdict = check_equivalence(
+            apply_key(netlist, recovered), apply_key(netlist, key)
+        )
+        assert verdict.equivalent, (
+            f"slot {slot} {SLOTS[slot]} recovered a wrong key: differs on "
+            f"{verdict.counterexample}"
+        )
+        return
+    patterns = np.random.default_rng(slot).integers(
+        0, 2, size=(UNLOCK_PATTERNS, len(netlist.functional_inputs)),
+        dtype=np.uint8,
+    )
+    wrong = np.any(
+        oracle_outputs(netlist, recovered, patterns)
+        != oracle_outputs(netlist, key, patterns),
+        axis=1,
+    )
+    assert wrong.mean() <= 2.0 ** -width, (
+        f"slot {slot} {SLOTS[slot]} AppSAT key errs on {wrong.mean():.4f} "
+        f"of patterns (allowed {2.0 ** -width})"
     )
 
 
