@@ -11,6 +11,9 @@ functional inputs), and decode solver models back to net values.
 
 Encodings are full Tseitin (both implication directions), so any literal —
 input, internal or output — may be constrained to either polarity.
+:func:`tseitin_netlist` can also hold some primary inputs constant and fold
+them forward, encoding only the gates they leave undecided: the SAT attack
+pins each oracle observation that way.
 """
 
 from __future__ import annotations
@@ -121,7 +124,8 @@ def cnf_from_dimacs(text: str) -> Cnf:
 class CircuitCnf:
     """A circuit's Tseitin encoding with its variable maps.
 
-    ``inputs`` maps primary-input names to (positive) CNF variables;
+    ``inputs`` maps the free primary-input names to (positive) CNF
+    variables (:func:`tseitin_netlist` leaves out inputs it held constant);
     ``outputs`` maps primary-output names to signed literals; ``lits`` maps
     every encoded signal — net names for netlists, live variable ids for
     AIGs — to its signed literal.
@@ -186,6 +190,15 @@ class _ConstPool:
     def true_lit(self) -> int:
         return -self.false_lit()
 
+    def lit(self, value: bool) -> int:
+        return self.true_lit() if value else self.false_lit()
+
+    def value(self, lit: int) -> Optional[bool]:
+        """The constant ``lit`` stands for, or None for a non-constant."""
+        if self._false is None or abs(lit) != self._false:
+            return None
+        return lit < 0
+
 
 def tseitin_aig(
     aig: Aig,
@@ -230,20 +243,74 @@ def tseitin_aig(
     return CircuitCnf(cnf=cnf, inputs=inputs, outputs=outputs, lits=dict(lits))
 
 
-def _fold_xor(cnf: Cnf, operands: Sequence[int]) -> int:
-    """Chain ``operands`` into one signed literal computing their XOR."""
-    acc = operands[0]
-    for lit in operands[1:]:
+def _fold_and_or(
+    cnf: Cnf, consts: _ConstPool, operands: Sequence[int], is_or: bool
+) -> int:
+    """One literal for the AND (or OR) of ``operands``, constants folded.
+
+    A controlling constant (FALSE for AND, TRUE for OR) decides the gate;
+    the other constant drops out.  Only two or more unknown operands need
+    a fresh variable.
+    """
+    unknown = []
+    for lit in operands:
+        value = consts.value(lit)
+        if value is None:
+            unknown.append(lit)
+        elif value is is_or:
+            return lit
+    if not unknown:
+        return consts.lit(not is_or)
+    if len(unknown) == 1:
+        return unknown[0]
+    y = cnf.new_var()
+    (add_or_clauses if is_or else add_and_clauses)(cnf, y, unknown)
+    return y
+
+
+def _fold_xor(cnf: Cnf, consts: _ConstPool, operands: Sequence[int]) -> int:
+    """One literal for the XOR of ``operands``, constants folded.
+
+    Constant operands flip the result's phase; the unknown ones chain
+    through one fresh variable per extra operand.
+    """
+    parity = False
+    unknown = []
+    for lit in operands:
+        value = consts.value(lit)
+        if value is None:
+            unknown.append(lit)
+        else:
+            parity ^= value
+    if not unknown:
+        return consts.lit(parity)
+    acc = unknown[0]
+    for lit in unknown[1:]:
         y = cnf.new_var()
         add_xor_clauses(cnf, y, acc, lit)
         acc = y
-    return acc
+    return -acc if parity else acc
+
+
+def _fold_mux(cnf: Cnf, consts: _ConstPool, sel: int, a: int, b: int) -> int:
+    """One literal for ``b if sel else a``, constants folded."""
+    choice = consts.value(sel)
+    if choice is not None:
+        return b if choice else a
+    if a == b:
+        return a
+    if consts.value(a) is not None and consts.value(b) is not None:
+        return sel if consts.value(b) else -sel
+    y = cnf.new_var()
+    add_mux_clauses(cnf, y, sel, a, b)
+    return y
 
 
 def tseitin_netlist(
     netlist: Netlist,
     cnf: Optional[Cnf] = None,
     input_vars: Optional[Mapping[str, int]] = None,
+    constants: Optional[Mapping[str, bool]] = None,
 ) -> CircuitCnf:
     """Tseitin-encode a gate-level netlist directly (no AIG round trip).
 
@@ -251,13 +318,33 @@ def tseitin_netlist(
     (``keyinput*``) stay addressable — which is what the SAT attack needs to
     tie or split key variables between circuit copies.  ``input_vars``
     shares primary-input variables exactly as in :func:`tseitin_aig`.
+
+    ``constants`` fixes primary inputs to 0/1, and the encoder folds them
+    forward: a gate whose value the constants decide becomes the call's one
+    constant literal, a gate left with a single unknown operand becomes
+    that operand's literal, and neither gets a variable or a clause.  Only
+    gates with two or more unknown operands are Tseitin-encoded.  Fixed
+    inputs are absent from ``inputs``; ``lits`` and ``outputs`` may hold the
+    constant literal, which a unit clause forces FALSE, so pinning a
+    constant output to the wrong value makes the formula unsatisfiable.
+    CONST0/CONST1 gates fold the same way with or without ``constants``.
     """
     cnf = cnf if cnf is not None else Cnf()
     shared = dict(input_vars) if input_vars else {}
+    fixed = dict(constants) if constants else {}
+    stray = sorted(set(fixed) - set(netlist.inputs))
+    if stray:
+        raise SatError(f"constants name non-inputs: {stray}")
+    clash = sorted(set(fixed) & set(shared))
+    if clash:
+        raise SatError(f"inputs both shared and constant: {clash}")
     consts = _ConstPool(cnf)
     lits: dict[str, int] = {}
     inputs: dict[str, int] = {}
     for net in netlist.inputs:
+        if net in fixed:
+            lits[net] = consts.lit(bool(fixed[net]))
+            continue
         var = shared.get(net)
         if var is None:
             var = cnf.new_var()
@@ -268,29 +355,26 @@ def tseitin_netlist(
         ins = [lits[n] for n in gate.inputs]
         kind = gate.gate_type
         if kind is GateType.CONST0:
-            lits[gate.output] = consts.false_lit()
+            lit = consts.false_lit()
         elif kind is GateType.CONST1:
-            lits[gate.output] = consts.true_lit()
+            lit = consts.true_lit()
         elif kind is GateType.BUF:
-            lits[gate.output] = ins[0]
+            lit = ins[0]
         elif kind is GateType.NOT:
-            lits[gate.output] = -ins[0]
+            lit = -ins[0]
         elif kind in (GateType.AND, GateType.NAND):
-            y = cnf.new_var()
-            add_and_clauses(cnf, y, ins)
-            lits[gate.output] = -y if kind is GateType.NAND else y
+            lit = _fold_and_or(cnf, consts, ins, is_or=False)
+            lit = -lit if kind is GateType.NAND else lit
         elif kind in (GateType.OR, GateType.NOR):
-            y = cnf.new_var()
-            add_or_clauses(cnf, y, ins)
-            lits[gate.output] = -y if kind is GateType.NOR else y
+            lit = _fold_and_or(cnf, consts, ins, is_or=True)
+            lit = -lit if kind is GateType.NOR else lit
         elif kind in (GateType.XOR, GateType.XNOR):
-            y = _fold_xor(cnf, ins)
-            lits[gate.output] = -y if kind is GateType.XNOR else y
+            lit = _fold_xor(cnf, consts, ins)
+            lit = -lit if kind is GateType.XNOR else lit
         elif kind is GateType.MUX:
-            y = cnf.new_var()
-            add_mux_clauses(cnf, y, ins[0], ins[1], ins[2])
-            lits[gate.output] = y
+            lit = _fold_mux(cnf, consts, ins[0], ins[1], ins[2])
         else:  # pragma: no cover - GateType is closed
             raise SatError(f"cannot encode gate type {kind}")
+        lits[gate.output] = lit
     outputs = {net: lits[net] for net in netlist.outputs}
     return CircuitCnf(cnf=cnf, inputs=inputs, outputs=outputs, lits=dict(lits))

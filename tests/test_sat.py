@@ -17,7 +17,9 @@ from repro.attacks import (
 from repro.circuits import CircuitBuilder
 from repro.errors import AttackError, SatError
 from repro.locking import Key, apply_key, lock_rll
-from repro.netlist.gates import GateType
+from repro.netlist.gates import GATE_ARITY, GateType
+from repro.netlist.netlist import Netlist
+from repro.netlist.simulate import exhaustive_patterns, simulate_patterns
 from repro.sat import (
     CdclSolver,
     Cnf,
@@ -232,6 +234,147 @@ class TestTseitin:
             add_xor_clauses(cnf, diff, first.outputs[net], second.outputs[net])
             solver = CdclSolver(cnf)
             assert not solver.solve([diff]).satisfiable
+
+
+def _every_gate_netlist(seed: int, num_inputs: int = 4) -> Netlist:
+    """A random DAG holding every :class:`GateType` at least twice.
+
+    Associative gates take two to four operands, and an operand may repeat,
+    so n-ary XOR/XNOR chains and ``x XOR x`` both occur.  Every gate net is
+    a primary output.
+    """
+    rng = np.random.default_rng(seed)
+    netlist = Netlist(name=f"every_gate{seed}")
+    nets = [netlist.add_input(f"x{index}") for index in range(num_inputs)]
+    kinds = [*GateType, *GateType]
+    for index in rng.permutation(len(kinds)):
+        kind = kinds[index]
+        arity = GATE_ARITY[kind]
+        if arity is None:
+            arity = int(rng.integers(2, 5))
+        operands = [nets[int(rng.integers(len(nets)))] for _ in range(arity)]
+        net = netlist.add_gate(f"g{len(nets)}", kind, operands)
+        nets.append(net)
+        netlist.add_output(net)
+    netlist.validate()
+    return netlist
+
+
+def _ternary(netlist: Netlist, fixed: dict) -> dict:
+    """Each net's value under ``fixed`` inputs: True/False, or None if free."""
+    values = {net: fixed.get(net) for net in netlist.inputs}
+    for gate in netlist.topological_gates():
+        ins = [values[net] for net in gate.inputs]
+        kind = gate.gate_type
+        known = None not in ins
+        if kind is GateType.CONST0:
+            value = False
+        elif kind is GateType.CONST1:
+            value = True
+        elif kind in (GateType.BUF, GateType.NOT):
+            value = None if ins[0] is None else ins[0] ^ (kind is GateType.NOT)
+        elif kind in (GateType.AND, GateType.NAND):
+            value = False if False in ins else (True if known else None)
+            if value is not None and kind is GateType.NAND:
+                value = not value
+        elif kind in (GateType.OR, GateType.NOR):
+            value = True if True in ins else (False if known else None)
+            if value is not None and kind is GateType.NOR:
+                value = not value
+        elif kind in (GateType.XOR, GateType.XNOR):
+            value = None
+            if known:
+                value = (sum(ins) % 2 == 1) ^ (kind is GateType.XNOR)
+        else:  # MUX(sel, a, b)
+            sel, a, b = ins
+            if sel is not None:
+                value = b if sel else a
+            else:
+                value = a if a is not None and a == b else None
+        values[gate.output] = value
+    return values
+
+
+def _encoded_vars_bound(netlist: Netlist, values: dict) -> int:
+    """Variables a folded encoding may use: free inputs, one constant and
+    one per Tseitin gate (``n - 1`` for an ``n``-operand XOR chain)."""
+    bound = sum(values[net] is None for net in netlist.inputs) + 1
+    for gate in netlist.topological_gates():
+        if values[gate.output] is not None:
+            continue
+        if gate.gate_type in (GateType.XOR, GateType.XNOR):
+            bound += len(gate.inputs) - 1
+        elif gate.gate_type not in (GateType.BUF, GateType.NOT):
+            bound += 1
+    return bound
+
+
+class TestConstantFolding:
+    """``tseitin_netlist(constants=...)`` against exhaustive simulation."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_folded_encoding_matches_simulation(self, seed):
+        netlist = _every_gate_netlist(seed)
+        inputs = netlist.inputs
+        patterns = exhaustive_patterns(len(inputs))
+        expected = simulate_patterns(netlist, patterns)
+        for choice in itertools.product((None, False, True), repeat=len(inputs)):
+            fixed = {
+                net: value for net, value in zip(inputs, choice)
+                if value is not None
+            }
+            encoded = tseitin_netlist(netlist, constants=fixed)
+            assert set(encoded.inputs) == set(inputs) - set(fixed)
+            values = _ternary(netlist, fixed)
+            # A gate the constants decide is the constant literal, which a
+            # unit clause forces FALSE; it allocates no variable.
+            decided = {
+                net: value for net, value in values.items()
+                if value is not None and net not in fixed
+            }
+            constant_vars = {abs(encoded.lits[net]) for net in decided}
+            assert len(constant_vars) <= 1
+            for var in constant_vars:
+                assert (-var,) in encoded.cnf.clauses
+            for net, value in decided.items():
+                assert (encoded.lits[net] < 0) == value, net
+            assert encoded.cnf.num_vars <= _encoded_vars_bound(netlist, values)
+            solver = CdclSolver(encoded.cnf)
+            for row, pattern in enumerate(patterns):
+                if any(
+                    bool(bit) != fixed.get(net, bool(bit))
+                    for net, bit in zip(inputs, pattern)
+                ):
+                    continue
+                assumptions = [
+                    var if pattern[inputs.index(net)] else -var
+                    for net, var in encoded.inputs.items()
+                ]
+                result = solver.solve(assumptions)
+                assert result.satisfiable
+                for col, net in enumerate(netlist.outputs):
+                    lit = encoded.outputs[net]
+                    value = result.model[abs(lit)] == (lit > 0)
+                    assert value == bool(expected[row, col]), (fixed, row, net)
+
+    def test_contradicted_constant_output_is_unsat(self, tiny_netlist):
+        # y = (a AND b) XOR c with a = 0 is the free input c; z = NOT a is 1.
+        encoded = tseitin_netlist(tiny_netlist, constants={"a": False})
+        assert encoded.outputs["y"] == encoded.inputs["c"]
+        agree = CdclSolver(encoded.cnf)
+        agree.add_clause((encoded.outputs["z"],))
+        assert agree.solve().satisfiable
+        clash = CdclSolver(encoded.cnf)
+        clash.add_clause((-encoded.outputs["z"],))
+        assert not clash.solve().satisfiable
+
+    def test_rejects_bad_constants(self, tiny_netlist):
+        with pytest.raises(SatError):
+            tseitin_netlist(tiny_netlist, constants={"y": True})
+        with pytest.raises(SatError):
+            tseitin_netlist(
+                tiny_netlist, input_vars={"a": 1}, constants={"a": True}
+            )
 
 
 class TestMiterEquivalence:
