@@ -8,8 +8,13 @@ a black-box functional chip (the oracle) and runs the classic DIP loop:
    independent key vectors, and assert (under an activation assumption)
    that some output differs — a satisfying assignment is a *distinguishing
    input pattern* (DIP): an input on which the two candidate keys disagree;
-2. query the oracle on the DIP and pin both circuit copies to the observed
-   outputs, eliminating every key inconsistent with that I/O observation;
+2. query the oracle on the DIP and add, for each key vector, one more
+   circuit copy whose functional inputs are the DIP's constants and whose
+   outputs are pinned to the oracle's reply, eliminating every key
+   inconsistent with that I/O observation.  The constants fold through the
+   copy (:func:`repro.sat.cnf.tseitin_netlist`), so only the gates that
+   still depend on the key are encoded — KC2's key-condition idea (Shamsi
+   et al., DATE 2019) applied to one combinational observation;
 3. repeat until UNSAT — no DIP remains, so all surviving keys are
    functionally equivalent — then drop the activation assumption and read
    any surviving key from the solver model.
@@ -37,7 +42,7 @@ import numpy as np
 
 from repro.attacks.base import AttackResult
 from repro.errors import AttackError
-from repro.locking.key import Key, KeyOracle, oracle_outputs, oracle_outputs_batch
+from repro.locking.key import Key, KeyOracle, oracle_outputs
 from repro.locking.rll import LockedCircuit
 from repro.netlist.netlist import Netlist
 from repro.obs import metrics as _metrics
@@ -209,9 +214,7 @@ class DipLoop:
             isinstance(self.oracle, KeyOracle)
             and self.oracle.netlist is self.netlist
         ):
-            stacked = oracle_outputs_batch(
-                self.netlist, [self.oracle.key, Key(candidate)], patterns
-            )
+            stacked = self.oracle.with_candidates([Key(candidate)], patterns)
             return stacked[0], stacked[1]
         expected = self.oracle(patterns)
         predicted = oracle_outputs(self.netlist, Key(candidate), patterns)
@@ -281,19 +284,26 @@ class DipLoop:
     ) -> None:
         """Add a circuit copy constrained to one oracle observation.
 
-        The fresh copy shares ``key_copy``'s key variables, its functional
-        inputs are pinned to the DIP and its outputs to the oracle response,
-        so every future model's key must reproduce this I/O pair.
+        The fresh copy shares ``key_copy``'s key variables and holds its
+        functional inputs at the DIP's constants, which fold away every
+        gate the key cannot reach; its outputs are pinned to the oracle
+        response, so every future model's key must reproduce this I/O
+        pair.  An output the constants alone decide, against the oracle,
+        leaves no key standing.
         """
         shared = {net: key_copy.inputs[net] for net in self.key_nets}
         extra = Cnf(self.solver.num_vars)
-        observed = tseitin_netlist(self.netlist, extra, input_vars=shared)
+        observed = tseitin_netlist(
+            self.netlist,
+            extra,
+            input_vars=shared,
+            constants={
+                net: bool(bit) for net, bit in zip(self.functional, pattern)
+            },
+        )
         self.solver.ensure_vars(extra.num_vars)
         for clause in extra.clauses:
             self.solver.add_clause(clause)
-        for net, bit in zip(self.functional, pattern):
-            var = observed.inputs[net]
-            self.solver.add_clause((var if bit else -var,))
         for net, bit in zip(self.netlist.outputs, response):
             lit = observed.outputs[net]
             self.solver.add_clause((lit if bit else -lit,))
