@@ -142,15 +142,6 @@ class Aig:
         self._po_refs[lit_var(lit)] += 1
         return len(self._pos) - 1
 
-    def set_po(self, index: int, lit: int) -> None:
-        """Redirect an existing primary output to a new literal."""
-        self._check_lit(lit)
-        old = self._pos[index]
-        self._pos[index] = lit
-        self._po_refs[lit_var(old)] -= 1
-        self._po_refs[lit_var(lit)] += 1
-        self._delete_if_dead(lit_var(old))
-
     def _new_var(self, is_pi: bool) -> int:
         var = len(self._fanin0)
         self._fanin0.append(_FANIN_PI)

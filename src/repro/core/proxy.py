@@ -212,12 +212,3 @@ def build_random_proxy(
     )
     attack.train(data)
     return ProxyModel(name="M_random", attack=attack, locked=locked)
-
-
-def evaluate_on_recipe_set(
-    proxy: ProxyModel, recipes: Sequence[Recipe]
-) -> list[float]:
-    """Predicted accuracy over a recipe set (Table I's "random set")."""
-    if not recipes:
-        raise AttackError("empty recipe set")
-    return proxy.predicted_accuracy_batch(list(recipes))

@@ -35,11 +35,6 @@ class Key:
     def __getitem__(self, index: int) -> int:
         return self.bits[index]
 
-    def hamming(self, other: "Key") -> int:
-        if len(self) != len(other):
-            raise LockingError("keys have different sizes")
-        return sum(a != b for a, b in zip(self.bits, other.bits))
-
     def __str__(self) -> str:
         return "".join(str(b) for b in self.bits)
 

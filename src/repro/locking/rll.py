@@ -57,17 +57,6 @@ class LockedCircuit:
     def key_size(self) -> int:
         return len(self.key)
 
-    def partition_bits(self, scheme: str) -> tuple[int, ...]:
-        """The key bits belonging to ``scheme``'s partition."""
-        by_name = dict(zip(self.key_input_names, self.key.bits))
-        for partition in self.partitions:
-            if partition.scheme == scheme:
-                return tuple(by_name[net] for net in partition.key_inputs)
-        raise LockingError(
-            f"no partition {scheme!r}; have "
-            f"{[p.scheme for p in self.partitions]}"
-        )
-
 
 def _output_cone(netlist: Netlist) -> set[str]:
     """Nets in the transitive fanin of the primary outputs."""

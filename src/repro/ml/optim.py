@@ -1,4 +1,4 @@
-"""Optimizers (Adam, SGD) over autograd tensors."""
+"""The Adam optimizer over autograd tensors."""
 
 from __future__ import annotations
 
@@ -49,27 +49,3 @@ class Adam:
         for param in self.parameters:
             param.zero_grad()
 
-
-class Sgd:
-    """Plain SGD with optional momentum (used in ablation tests)."""
-
-    def __init__(
-        self, parameters: list[Tensor], lr: float = 1e-2, momentum: float = 0.0
-    ):
-        self.parameters = list(parameters)
-        self.lr = lr
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        for index, param in enumerate(self.parameters):
-            if param.grad is None:
-                continue
-            self._velocity[index] = (
-                self.momentum * self._velocity[index] - self.lr * param.grad
-            )
-            param.data = param.data + self._velocity[index]
-
-    def zero_grad(self) -> None:
-        for param in self.parameters:
-            param.zero_grad()

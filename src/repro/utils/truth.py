@@ -153,19 +153,6 @@ class TruthTable:
         """Indices of variables the function depends on."""
         return tuple(v for v in range(self.nvars) if self.depends_on(v))
 
-    def shrink_to_support(self) -> tuple["TruthTable", tuple[int, ...]]:
-        """Project onto the true support; returns (table, original indices)."""
-        sup = self.support()
-        values = []
-        for mint in range(1 << len(sup)):
-            assignment = [0] * self.nvars
-            for j, var in enumerate(sup):
-                assignment[var] = (mint >> j) & 1
-            values.append(self.evaluate(assignment))
-        return TruthTable.from_values(values) if sup else TruthTable(
-            self.bits & 1, 0
-        ), sup
-
     # -- transforms ----------------------------------------------------------
 
     def permute(self, perm: Sequence[int]) -> "TruthTable":

@@ -78,7 +78,7 @@ class TestConstruction:
         b = aig.add_pi("b")
         n = aig.add_and(a, b)
         aig.add_po(n, "y")
-        aig.set_po(0, a)  # kills the AND node
+        aig.replace(lit_var(n), a)  # kills the AND node
         with pytest.raises(AigError):
             aig.add_and(n, a)
 
@@ -219,7 +219,6 @@ class TestCompact:
         b = aig.add_pi("b")
         used = aig.add_and(a, b)
         aig.add_po(used, "y")
-        # set_po to a kills the node; rebuild to verify compaction.
         compacted = aig.compact()
         assert compacted.num_ands() == 1
 

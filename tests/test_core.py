@@ -17,7 +17,6 @@ from repro.core.adversarial import AdversarialConfig
 from repro.core.proxy import (
     build_random_proxy,
     build_resyn2_proxy,
-    evaluate_on_recipe_set,
 )
 from repro.locking import lock_rll
 from repro.synth import RESYN2, Recipe, random_recipe
@@ -119,7 +118,7 @@ class TestProxyModels:
         proxy = build_random_proxy(tiny_locked, _TINY)
         assert proxy.name == "M_random"
         recipes = [random_recipe(10, seed=i) for i in range(2)]
-        accuracies = evaluate_on_recipe_set(proxy, recipes)
+        accuracies = proxy.predicted_accuracy_batch(recipes)
         assert len(accuracies) == 2
 
     def test_adversarial_proxy(self, tiny_locked):

@@ -34,6 +34,13 @@ from repro.sat import check_equivalence
 from tests.conftest import build_random_netlist
 
 
+def partition_bits(locked, scheme: str) -> tuple[int, ...]:
+    """The key bits of ``locked``'s ``scheme`` partition."""
+    by_name = dict(zip(locked.key_input_names, locked.key.bits))
+    (partition,) = [p for p in locked.partitions if p.scheme == scheme]
+    return tuple(by_name[net] for net in partition.key_inputs)
+
+
 def small_circuit(num_inputs: int = 4, seed: int = 0):
     return build_random_netlist(
         num_inputs=num_inputs, num_gates=12, num_outputs=2, seed=seed
@@ -75,7 +82,7 @@ class TestAntiSat:
         locked = lock_antisat(c432_quick, width=4, seed=5)
         assert [p.scheme for p in locked.partitions] == ["antisat"]
         assert locked.partitions[0].key_inputs == locked.key_input_names
-        assert locked.partition_bits("antisat") == locked.key.bits
+        assert partition_bits(locked, "antisat") == locked.key.bits
 
     def test_width_validation(self):
         netlist = small_circuit(3)
@@ -145,11 +152,10 @@ class TestCompound:
 
     def test_partition_bits_roundtrip(self, c432_quick):
         locked = lock_scheme(c432_quick, "rll+sarlock", key_size=4, seed=11)
-        rll_bits = locked.partition_bits("rll")
-        sar_bits = locked.partition_bits("sarlock")
+        assert [p.scheme for p in locked.partitions] == ["rll", "sarlock"]
+        rll_bits = partition_bits(locked, "rll")
+        sar_bits = partition_bits(locked, "sarlock")
         assert rll_bits + sar_bits == locked.key.bits
-        with pytest.raises(LockingError):
-            locked.partition_bits("antisat")
 
     def test_compound_requires_lockers(self, c432_quick):
         with pytest.raises(LockingError):

@@ -85,13 +85,6 @@ class TestProxyContract:
         via_circuit = proxy.predicted_accuracy_on_circuit(mapped)
         assert via_recipe == via_circuit
 
-    def test_empty_recipe_set_rejected(self):
-        from repro.core.proxy import evaluate_on_recipe_set
-        from repro.errors import AttackError
-
-        with pytest.raises(AttackError):
-            evaluate_on_recipe_set(None, [])
-
 
 class TestSaInvariants:
     def test_best_energy_monotone_in_trace(self):

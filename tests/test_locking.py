@@ -20,11 +20,6 @@ class TestKey:
         with pytest.raises(LockingError):
             Key((0, 2, 1))
 
-    def test_hamming(self):
-        assert Key((0, 1, 1)).hamming(Key((1, 1, 0))) == 2
-        with pytest.raises(LockingError):
-            Key((0,)).hamming(Key((0, 1)))
-
 
 class TestLockRll:
     def test_correct_key_preserves_function(self, c432_quick):

@@ -20,7 +20,6 @@ from repro.ml import (
     TrainConfig,
 )
 from repro.ml.autograd import log_softmax, segment_sum, spmm
-from repro.ml.optim import Sgd
 from repro.ml.train import evaluate_accuracy
 from repro.utils.rng import make_rng
 
@@ -242,10 +241,3 @@ class TestTraining:
             train_classifier(model, [])
         with pytest.raises(MLError):
             evaluate_accuracy(model, [])
-
-    def test_sgd_momentum_steps(self):
-        param = Tensor(np.array([1.0]), requires_grad=True)
-        opt = Sgd([param], lr=0.1, momentum=0.5)
-        param.grad = np.array([1.0])
-        opt.step()
-        assert np.isclose(param.data[0], 0.9)

@@ -69,13 +69,6 @@ class TestCofactors:
         c = TruthTable.var(2, 3)
         assert (a & c).support() == (0, 2)
 
-    def test_shrink_to_support(self):
-        f = TruthTable.var(2, 4)
-        small, sup = f.shrink_to_support()
-        assert sup == (2,)
-        assert small.nvars == 1
-        assert small.bits == 0b10
-
     @given(tables())
     @settings(max_examples=60, deadline=None)
     def test_shannon_expansion(self, t):
