@@ -12,6 +12,12 @@ Each cold arm runs ``repro run`` in its own fresh interpreter: forked pool
 workers would otherwise inherit in-process synthesis caches warmed by the
 arm before them and overstate the pool speedup.  The timings land in
 ``BENCH_pipeline.json`` (uploaded as a CI artifact).
+
+The pool's speedup is capped by the grid itself: two workers can finish no
+sooner than the longest-processing-time-first (LPT) schedule of the cold
+serial run's cell times.  The file records each cell's serial seconds,
+that ideal two-worker makespan and ``pool_s / makespan``, so a slow pool
+shows up as a ratio well above 1 whatever the grid's balance.
 """
 
 from __future__ import annotations
@@ -82,6 +88,21 @@ def _cold_run(spec: ExperimentSpec, workdir: Path, jobs: int) -> RunResult:
     return RunResult.load(out_path)
 
 
+def lpt_makespan(times, workers: int) -> float:
+    """Finish time of the LPT schedule: longest job to the least-loaded worker."""
+    loads = [0.0] * workers
+    for seconds in sorted(times, reverse=True):
+        loads[loads.index(min(loads))] += seconds
+    return max(loads)
+
+
+def test_lpt_makespan():
+    assert lpt_makespan([], 2) == 0.0
+    assert lpt_makespan([10.8, 4.0, 0.2, 0.1], 2) == 10.8
+    assert lpt_makespan([3.0, 3.0, 2.0, 2.0, 2.0], 2) == 7.0
+    assert lpt_makespan([1.0, 2.0], 1) == 3.0
+
+
 def test_bench_pipeline_cache_and_pool(scale, benchmark, tmp_path_factory):
     spec = _grid_spec(scale)
 
@@ -106,6 +127,11 @@ def test_bench_pipeline_cache_and_pool(scale, benchmark, tmp_path_factory):
 
     cpus = os.cpu_count() or 1
     pool_speedup = cold_s / pool_s
+    cell_serial_s = {
+        f"{cell.benchmark}/{cell.attack}": round(cell.elapsed_s, 3)
+        for cell in cold.cells
+    }
+    makespan_s = lpt_makespan(cell_serial_s.values(), POOL_JOBS)
     payload = {
         "bench": "pipeline",
         "benchmarks": [b.name for b in spec.benchmarks],
@@ -114,6 +140,9 @@ def test_bench_pipeline_cache_and_pool(scale, benchmark, tmp_path_factory):
         "pool_s": round(pool_s, 3),
         "warm_s": round(warm_s, 3),
         "pool_speedup": round(pool_speedup, 3),
+        "cell_serial_s": cell_serial_s,
+        "ideal_makespan_s": round(makespan_s, 3),
+        "pool_over_makespan": round(pool_s / makespan_s, 3),
         "jobs": POOL_JOBS,
         "cpus": cpus,
     }
