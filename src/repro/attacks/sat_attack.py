@@ -297,9 +297,7 @@ class DipLoop:
             self.netlist,
             extra,
             input_vars=shared,
-            constants={
-                net: bool(bit) for net, bit in zip(self.functional, pattern)
-            },
+            constants=dict(zip(self.functional, pattern)),
         )
         self.solver.ensure_vars(extra.num_vars)
         for clause in extra.clauses:
