@@ -10,7 +10,7 @@ from repro.aig.build import aig_from_netlist
 from repro.aig.export import netlist_from_aig
 from repro.circuits import load_iscas85
 from repro.core.almost import AlmostConfig, AlmostDefense
-from repro.core.proxy import ProxyConfig, build_resyn2_proxy
+from repro.core.proxy import ProxyConfig, ProxyModel, build_resyn2_proxy
 from repro.core.search import (
     CallableEvaluator,
     ProcessPoolEvaluator,
@@ -936,3 +936,107 @@ class TestSharedCacheAlmost:
         assert stats["steps_saved"] + stats["steps_executed"] > 0
         assert stats["prefix_hits"] + stats["prefix_misses"] > 0
         assert serial.synth_cache["steps_executed"] > 0
+
+
+# -- AlmostDefense(jobs > 1) pool lifecycle --------------------------------
+
+_LIFECYCLE_CONFIG = dict(
+    sa_iterations=2, seed=4, strategy="pt", chains=3, stop_margin=-1.0,
+)
+
+
+def _fresh_proxy(proxy, cls=ProxyModel):
+    """A copy of ``proxy`` with empty score and synthesis caches."""
+    import collections
+
+    return cls(
+        name=proxy.name,
+        attack=proxy.attack,
+        locked=proxy.locked,
+        synth_cache=SynthCache(),
+        _cache=collections.OrderedDict(),
+    )
+
+
+def _generate_in_worker(proxy):
+    """Module-level pool task: a ``jobs=2`` search inside a daemonic worker."""
+    result = AlmostDefense(
+        proxy, AlmostConfig(jobs=2, **_LIFECYCLE_CONFIG)
+    ).generate_recipe()
+    return result.recipe, result.trace
+
+
+class _SleepyProxy(ProxyModel):
+    """Scores one recipe (the pool path) slower than any test waits."""
+
+    def predicted_accuracy(self, recipe):
+        import time
+
+        time.sleep(30)
+        return 0.5
+
+
+def _raise_oserror(self, *args, **kwargs):
+    raise OSError("cannot fork")
+
+
+class TestAlmostPoolLifecycle:
+    def test_pool_start_failure_shuts_the_shared_store_down(
+        self, tiny_proxy, monkeypatch
+    ):
+        import multiprocessing
+
+        monkeypatch.setattr(
+            "repro.utils.pool.WorkerPool.__init__", _raise_oserror
+        )
+        defense = AlmostDefense(
+            _fresh_proxy(tiny_proxy),
+            AlmostConfig(jobs=2, **_LIFECYCLE_CONFIG),
+        )
+        # Holding the traceback keeps the search's frames, and with them
+        # the shared store, alive: only an explicit close stops its
+        # manager, the only child process, before the assert below.
+        with pytest.raises(OSError, match="cannot fork") as raised:
+            defense.generate_recipe()
+        assert multiprocessing.active_children() == []
+        del raised
+
+    def test_jobs_inside_a_daemonic_worker_score_serially(self, tiny_proxy):
+        from repro.utils.pool import WorkerPool
+
+        serial = AlmostDefense(
+            _fresh_proxy(tiny_proxy),
+            AlmostConfig(jobs=1, **_LIFECYCLE_CONFIG),
+        ).generate_recipe()
+        with WorkerPool(1) as pool:
+            [(recipe, trace)], interrupted = pool.run(
+                _generate_in_worker, [_fresh_proxy(tiny_proxy)]
+            )
+        assert not interrupted
+        assert recipe == serial.recipe
+        assert trace == serial.trace
+
+    def test_interrupt_during_pooled_scoring_leaves_no_child(
+        self, tiny_proxy
+    ):
+        import multiprocessing
+        import signal
+
+        defense = AlmostDefense(
+            _fresh_proxy(tiny_proxy, cls=_SleepyProxy),
+            AlmostConfig(jobs=2, **_LIFECYCLE_CONFIG),
+        )
+
+        def _interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        previous = signal.signal(signal.SIGALRM, _interrupt)
+        signal.setitimer(signal.ITIMER_REAL, 2.0)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                defense.generate_recipe()
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+        # Pool workers and the shared store's manager are all gone.
+        assert multiprocessing.active_children() == []
