@@ -43,7 +43,7 @@ from repro.reporting import (
     render_search_comparison_table,
 )
 from repro.synth.cache import SynthCache
-from repro.synth.recipe import TRANSFORM_NAMES, random_recipe
+from repro.synth.recipe import mutate_step, random_recipe
 from repro.utils.rng import derive_seed, make_rng
 
 pytestmark = pytest.mark.slow  # minute-scale search bench; tier-1 skips it (CI runs -m "")
@@ -54,12 +54,6 @@ KEY_SIZE = 16
 CHAINS = 8
 ROUNDS = 3                      # pt budget: CHAINS * (ROUNDS + 1) evals
 BUDGET = CHAINS * (ROUNDS + 1)  # == seed SA iterations + 1
-
-
-def _neighbour(recipe, rng):
-    position = int(rng.integers(len(recipe)))
-    step = TRANSFORM_NAMES[int(rng.integers(len(TRANSFORM_NAMES)))]
-    return recipe.with_step(position, step)
 
 
 def _seed_annealer(initial_state, energy_fn, neighbour_fn, *, iterations,
@@ -154,13 +148,14 @@ def test_bench_sa_strategy_reproduces_seed_trace(
     start = random_recipe(10, seed=derive_seed(BENCH_SEED, "fidelity"))
     config = SearchConfig()  # paper defaults: 100 iterations, T0=120, a=1.8
     best, best_energy, legacy = _seed_annealer(
-        start, synthetic_energy, _neighbour,
+        start, synthetic_energy, mutate_step,
         iterations=config.iterations, seed=config.seed,
     )
     result = benchmark.pedantic(
         lambda: run_search(
-            SearchProblem(initial=start, neighbour=_neighbour),
-            synthetic_energy, strategy="sa", config=config,
+            SearchProblem(initial=start, neighbour=mutate_step),
+            lambda recipes: [synthetic_energy(r) for r in recipes],
+            strategy="sa", config=config,
         ),
         rounds=1, iterations=1,
     )
@@ -182,7 +177,7 @@ def test_bench_sa_strategy_reproduces_seed_trace(
     ref_best, _ref_energy, ref_trace = _seed_annealer(
         random_recipe(10, seed=derive_seed(almost_seed, "start")),
         reference_energy,
-        _neighbour,
+        mutate_step,
         iterations=6,
         seed=derive_seed(almost_seed, "sa"),
         stop_energy=0.005,
@@ -224,7 +219,7 @@ def test_bench_prefix_cached_parallel_search_speedup(locked, trained_attack):
     _best, seed_best_energy, seed_trace = _seed_annealer(
         random_recipe(10, seed=derive_seed(search_seed, "start")),
         seed_energy,
-        _neighbour,
+        mutate_step,
         iterations=BUDGET - 1,
         seed=derive_seed(search_seed, "sa"),
     )

@@ -24,7 +24,7 @@ from repro.ml.train import TrainConfig, train_classifier
 from repro.attacks.subgraph import extract_localities
 from repro.synth.cache import SynthCache
 from repro.synth.engine import synthesize_and_map
-from repro.synth.recipe import TRANSFORM_NAMES, Recipe, random_recipe
+from repro.synth.recipe import Recipe, mutate_step, random_recipe
 from repro.utils.rng import derive_seed, make_rng
 
 
@@ -145,17 +145,12 @@ def train_adversarial_attack(
             collected[recipe.steps] = graphs
             return accuracy
 
-        def neighbour(recipe: Recipe, sa_rng) -> Recipe:
-            position = int(sa_rng.integers(len(recipe)))
-            step = TRANSFORM_NAMES[int(sa_rng.integers(len(TRANSFORM_NAMES)))]
-            return recipe.with_step(position, step)
-
         start = random_recipe(
             config.recipe_length, seed=derive_seed(round_seed, "start")
         )
         result = run_search(
-            SearchProblem(initial=start, neighbour=neighbour),
-            energy,
+            SearchProblem(initial=start, neighbour=mutate_step),
+            lambda recipes: [energy(recipe) for recipe in recipes],
             strategy="sa",
             config=SearchConfig(
                 iterations=adv_config.sa_iterations,

@@ -5,30 +5,28 @@ recipes, using a proxy model (ideally the adversarially trained ``M*``) as
 the accuracy evaluator.  The search runs through the pluggable engine in
 :mod:`repro.core.search` — the paper's serial SA by default (seed-trace
 exact), or parallel tempering / beam / random sampling via
-``AlmostConfig.strategy`` — with candidate batches scored in one vectorized
-proxy pass and optionally fanned out over a process pool
-(``AlmostConfig.jobs``).  The search trace is retained so the Fig. 4
-benches can re-plot accuracy vs. iteration.
+``AlmostConfig.strategy`` — with each candidate batch scored in one
+vectorized proxy pass, or fanned out over a
+:class:`~repro.utils.pool.WorkerPool` when ``AlmostConfig.jobs`` > 1.
+The search trace is retained so the Fig. 4 benches can re-plot accuracy
+vs. iteration.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.core.proxy import ProxyModel
-from repro.core.search import (
-    EnergyEvaluator,
-    ProcessPoolEvaluator,
-    SearchConfig,
-    SearchProblem,
-    run_search,
-)
+from repro.core.search import SearchConfig, SearchProblem, run_search
 from repro.locking.rll import LockedCircuit
+from repro.obs.trace import get_tracer
 from repro.synth.cache import SharedSynthCache
 from repro.synth.engine import synthesize_and_map
-from repro.synth.recipe import TRANSFORM_NAMES, Recipe, random_recipe
+from repro.synth.recipe import Recipe, mutate_step, random_recipe
+from repro.utils.pool import WorkerPool, worker_state
 from repro.utils.rng import derive_seed
 
 
@@ -78,59 +76,13 @@ class AlmostResult:
         return [entry["accuracy"] for entry in self.trace]
 
 
-def _mutate_step(recipe: Recipe, rng) -> Recipe:
-    """The SA neighbourhood move: substitute one recipe step."""
-    position = int(rng.integers(len(recipe)))
-    step = TRANSFORM_NAMES[int(rng.integers(len(TRANSFORM_NAMES)))]
-    return recipe.with_step(position, step)
-
-
-class _AccuracyEnergyEvaluator(EnergyEvaluator):
-    """Adapts an accuracy scorer to Eq. 1 energies, recording accuracies.
-
-    ``accuracy_batch`` maps a recipe batch to predicted accuracies; the
-    observed values land in ``accuracy_of`` (keyed on the full step tuple)
-    for the trace and the final result.  ``synth_cache`` is whichever
-    synthesis cache the scorer synthesizes through (the proxy's own,
-    or the cross-worker shared store under ``jobs`` > 1) so the run's
-    cache accounting can be read back — **before** :meth:`close`, which
-    tears the worker pool and the shared store down.
-    """
-
-    def __init__(
-        self,
-        accuracy_batch: Callable,
-        target: float,
-        accuracy_of: dict,
-        inner: Optional[EnergyEvaluator] = None,
-        synth_cache=None,
-    ):
-        self.accuracy_batch = accuracy_batch
-        self.target = target
-        self.accuracy_of = accuracy_of
-        self._inner = inner
-        self.synth_cache = synth_cache
-
-    def evaluate(self, recipes) -> list[float]:
-        recipes = list(recipes)
-        accuracies = [float(a) for a in self.accuracy_batch(recipes)]
-        for recipe, accuracy in zip(recipes, accuracies):
-            self.accuracy_of[recipe.steps] = accuracy
-        return [abs(accuracy - self.target) for accuracy in accuracies]
-
-    def cache_stats(self) -> dict:
-        """Synthesis-cache accounting for this run (cross-worker aggregated)."""
-        if self.synth_cache is None:
-            return {}
-        return self.synth_cache.stats()
-
-    def close(self) -> None:
-        if self._inner is not None:
-            self._inner.close()
-        elif self.synth_cache is not None and hasattr(
-            self.synth_cache, "close"
-        ):
-            self.synth_cache.close()
+def _score_in_worker(recipe: Recipe) -> float:
+    """Pool task: score one recipe with this worker's shipped scorer."""
+    # The span both times the scoring call and carries the worker-local
+    # metric deltas (synth-cache traffic) back to the parent; without it a
+    # worker's counters would die with the pool.
+    with get_tracer().span("search.eval"):
+        return float(worker_state()(recipe))
 
 
 class AlmostDefense:
@@ -165,60 +117,55 @@ class AlmostDefense:
             self._evaluate = evaluator
             self.evaluator_name = getattr(evaluator, "__name__", "custom")
 
-    def _make_evaluator(self, accuracy_of: dict) -> _AccuracyEnergyEvaluator:
-        config = self.config
-        if config.jobs > 1 and self._can_fork_workers():
-            scorer = self._evaluate
-            shared = None
+    @contextlib.contextmanager
+    def _accuracy_scorer(self):
+        """Yield ``(recipes -> accuracies, synthesis cache or None)``.
+
+        With ``config.jobs`` > 1 recipes fan out over a
+        :class:`WorkerPool`.  A proxy scorer then synthesizes through one
+        :class:`SharedSynthCache`: a private cache would be pickled into
+        each worker and start cold there.  The store closes after the
+        pool has exited, so its cross-worker totals freeze and its
+        manager stops even when the pool never started.  Otherwise a
+        proxy scores each batch in one ``predicted_accuracy_batch`` call,
+        and a plain callable one recipe at a time.
+        """
+        jobs = self.config.jobs
+        if jobs > 1:
+            import multiprocessing
+
+            # A daemonic pool worker (a grid cell under Runner(jobs > 1))
+            # may not start a nested pool, so it scores serially.
+            if multiprocessing.current_process().daemon:
+                jobs = 1
+        if jobs > 1:
+            scorer, shared = self._evaluate, None
             if self._proxy is not None and self._proxy.synth_cache is not None:
-                # One snapshot store for every worker: a pickled-per-worker
-                # private SynthCache would start cold in each process and
-                # forfeit exactly the prefix hits that make fan-out pay.
                 shared = SharedSynthCache(
                     max_entries=self._proxy.synth_cache.max_entries
                 )
-                worker_proxy = dataclasses.replace(
+                scorer = dataclasses.replace(
                     self._proxy, synth_cache=shared
-                )
-                scorer = worker_proxy.predicted_accuracy
+                ).predicted_accuracy
             try:
-                pool = ProcessPoolEvaluator(
-                    scorer, jobs=config.jobs, shared_cache=shared
-                )
-            except BaseException:
-                # Pool construction failed (fork/fd limits): shut the
-                # store's manager server down or its process leaks.
+                with WorkerPool(jobs, state=scorer) as pool:
+
+                    def score(recipes):
+                        values, interrupted = pool.run(
+                            _score_in_worker, recipes
+                        )
+                        if interrupted:
+                            raise KeyboardInterrupt
+                        return values
+
+                    yield score, shared
+            finally:
                 if shared is not None:
                     shared.close()
-                raise
-            return _AccuracyEnergyEvaluator(
-                pool.evaluate,
-                config.target_accuracy,
-                accuracy_of,
-                inner=pool,
-                synth_cache=shared,
-            )
-        if self._proxy is not None:
-            return _AccuracyEnergyEvaluator(
-                self._proxy.predicted_accuracy_batch,
-                config.target_accuracy,
-                accuracy_of,
-                synth_cache=self._proxy.synth_cache,
-            )
-        return _AccuracyEnergyEvaluator(
-            lambda recipes: [self._evaluate(r) for r in recipes],
-            config.target_accuracy,
-            accuracy_of,
-        )
-
-    @staticmethod
-    def _can_fork_workers() -> bool:
-        """False inside a daemonic pool worker (e.g. a grid cell running
-        under ``Runner(jobs > 1)``), where nested pools are forbidden —
-        scoring then falls back to the serial batch path."""
-        import multiprocessing
-
-        return not multiprocessing.current_process().daemon
+        elif self._proxy is not None:
+            yield self._proxy.predicted_accuracy_batch, self._proxy.synth_cache
+        else:
+            yield (lambda recipes: [self._evaluate(r) for r in recipes]), None
 
     def generate_recipe(self, initial: Optional[Recipe] = None) -> AlmostResult:
         """Run the recipe search; returns the best recipe found and the trace."""
@@ -240,14 +187,20 @@ class AlmostDefense:
 
         problem = SearchProblem(
             initial=start,
-            neighbour=_mutate_step,
+            neighbour=mutate_step,
             sample=lambda rng: random_recipe(config.recipe_length, rng=rng),
         )
-        evaluator = self._make_evaluator(accuracy_of)
-        try:
+        with self._accuracy_scorer() as (accuracy_batch, synth_cache):
+
+            def energies(recipes) -> list[float]:
+                accuracies = [float(a) for a in accuracy_batch(recipes)]
+                for recipe, accuracy in zip(recipes, accuracies):
+                    accuracy_of[recipe.steps] = accuracy
+                return [abs(a - config.target_accuracy) for a in accuracies]
+
             result = run_search(
                 problem,
-                evaluator,
+                energies,
                 strategy=config.strategy,
                 config=SearchConfig(
                     iterations=config.sa_iterations,
@@ -259,11 +212,6 @@ class AlmostDefense:
                 trace_fn=trace_fn,
                 stop_energy=config.stop_margin,
             )
-        finally:
-            # close() tears the pool down and freezes the shared store's
-            # final cross-worker totals, so cache_stats() below still sees
-            # them (pre-fix, they died with the workers).
-            evaluator.close()
         best_recipe = result.best_state
         return AlmostResult(
             recipe=best_recipe,
@@ -272,7 +220,7 @@ class AlmostDefense:
             strategy=config.strategy,
             iterations=result.iterations,
             energy_evaluations=result.energy_evaluations,
-            synth_cache=evaluator.cache_stats(),
+            synth_cache=synth_cache.stats() if synth_cache is not None else {},
         )
 
 

@@ -2,9 +2,10 @@
 
 The paper's Eq. 1 search — and every other black-box minimization in the
 repo — runs through one driver (:func:`run_search`) that pairs a
-:class:`Strategy` (proposes candidate batches, observes energies) with an
-:class:`EnergyEvaluator` (scores batches serially, vectorized, or over a
-process pool).  Built-in strategies:
+:class:`Strategy` (proposes candidate batches, observes energies) with a
+batch scoring function ``score(states) -> energies``; whether that
+function loops, vectorizes or fans out over a process pool is the
+caller's business.  Built-in strategies:
 
 * ``sa``     — the paper's serial simulated annealing (seed-trace exact);
 * ``pt``     — multi-chain parallel tempering with replica swaps;
@@ -22,7 +23,9 @@ The search itself is one call — strategies are deterministic per seed, so
 the same config always reproduces the same trace::
 
     >>> problem = SearchProblem(initial=4.0, neighbour=lambda x, rng: x - 1.0)
-    >>> result = run_search(problem, abs, strategy="sa",
+    >>> def score(states):
+    ...     return [abs(x) for x in states]
+    >>> result = run_search(problem, score, strategy="sa",
     ...                     config=SearchConfig(iterations=4))
     >>> (result.best_energy, result.energy_evaluations)
     (0.0, 5)
@@ -43,12 +46,6 @@ from repro.core.search.strategy import (
     register_strategy,
 )
 from repro.core.search.driver import SaResult, run_search
-from repro.core.search.evaluator import (
-    CallableEvaluator,
-    EnergyEvaluator,
-    ProcessPoolEvaluator,
-    as_evaluator,
-)
 
 # Importing the strategy modules populates the registry.
 from repro.core.search import annealing as _annealing  # noqa: F401
@@ -65,8 +62,4 @@ __all__ = [
     "get_strategy",
     "make_strategy",
     "available_strategies",
-    "EnergyEvaluator",
-    "CallableEvaluator",
-    "ProcessPoolEvaluator",
-    "as_evaluator",
 ]

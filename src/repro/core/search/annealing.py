@@ -8,9 +8,10 @@ trace bit-for-bit on a fixed seed (pinned by
 ``benchmarks/test_bench_search.py``).
 
 :class:`ParallelTemperingStrategy` runs ``chains`` replicas on a geometric
-temperature ladder, proposing one candidate per chain per round (a natural
-evaluation batch) and periodically attempting replica swaps between
-adjacent temperatures.  Each chain owns a derived RNG stream, so results
+temperature ladder from ``t_initial`` up to ``T_HOT_FACTOR`` times it,
+proposing one candidate per chain per round (a natural evaluation batch)
+and attempting replica swaps between adjacent temperatures every
+``SWAP_PERIOD`` rounds.  Each chain owns a derived RNG stream, so results
 are deterministic per seed regardless of how the batch is evaluated.
 """
 
@@ -26,6 +27,9 @@ from repro.core.search.strategy import (
     register_strategy,
 )
 from repro.utils.rng import derive_seed, make_rng
+
+T_HOT_FACTOR = 8.0   # tempering ladder top, in units of t_initial
+SWAP_PERIOD = 5      # rounds between replica-swap attempts
 
 
 @register_strategy("sa")
@@ -97,11 +101,10 @@ class ParallelTemperingStrategy(Strategy):
             for index in range(chains)
         ]
         self.swap_rng = make_rng(derive_seed(config.seed, "pt-swap"))
-        t_hot = config.t_hot if config.t_hot > 0 else config.t_initial * 8.0
         if chains == 1:
             self.temperatures = [config.t_initial]
         else:
-            ratio = (t_hot / config.t_initial) ** (1.0 / (chains - 1))
+            ratio = T_HOT_FACTOR ** (1.0 / (chains - 1))
             self.temperatures = [
                 config.t_initial * ratio**index for index in range(chains)
             ]
@@ -164,7 +167,7 @@ class ParallelTemperingStrategy(Strategy):
                 self._improve(candidate, candidate_energy)
             accepted_flags.append(accepted)
         swapped_flags = [False] * self.config.chains
-        if self.round % self.config.swap_period == 0:
+        if self.round % SWAP_PERIOD == 0:
             self._attempt_swaps(swapped_flags)
         rows = [
             (
@@ -191,7 +194,7 @@ class ParallelTemperingStrategy(Strategy):
         rung is always taken; the reverse is Metropolis-weighted by the
         inverse-temperature gap.
         """
-        phase = (self.round // self.config.swap_period) % 2
+        phase = (self.round // SWAP_PERIOD) % 2
         for cold in range(phase, self.config.chains - 1, 2):
             hot = cold + 1
             beta_cold = 1.0 / max(self.temperatures[cold], 1e-9)

@@ -1,37 +1,40 @@
 """The generic batched search loop shared by every strategy.
 
 ``run_search`` owns what the seed annealer interleaved with its Metropolis
-logic: evaluating candidates, recording the trace, and stopping.  With the
-``sa`` strategy and a serial evaluator it reproduces the seed loop
-bit-for-bit; with ``pt``/``beam``/``random`` and a batch or pool evaluator
-the same loop becomes a parallel search engine.
+logic: scoring candidates, recording the trace, and stopping.  It scores
+each batch with one call to a ``score(states) -> energies`` function.
+With the ``sa`` strategy it reproduces the seed loop bit-for-bit; with
+``pt``/``beam``/``random`` each batch holds ``chains`` candidates, which
+the scorer may fan out over a worker pool.
 
-The loop is strategy- and evaluator-agnostic: a deterministic toy problem
+The loop is strategy- and scorer-agnostic: a deterministic toy problem
 shows the accounting contract (``iterations`` counts observe rounds,
 ``energy_evaluations`` counts scored states, and both land in every trace
 entry)::
 
     >>> from repro.core.search import SearchConfig, SearchProblem
     >>> problem = SearchProblem(initial=3.0, neighbour=lambda x, rng: x - 1.0)
-    >>> result = run_search(problem, abs, strategy="sa",
+    >>> def score(states):
+    ...     return [abs(x) for x in states]
+    >>> result = run_search(problem, score, strategy="sa",
     ...                     config=SearchConfig(iterations=3))
     >>> (result.best_energy, result.iterations, result.energy_evaluations)
     (0.0, 3, 4)
     >>> [entry["energy_evaluations"] for entry in result.trace]
     [1, 2, 3, 4]
 
-Because evaluators are interchangeable, the exact same trace comes back
-whether ``abs`` is called inline, batched, or shipped to a process pool —
-that invariance (plus the synthesis cache's exact-resume contract) is what
-lets ``--jobs`` fan out without perturbing paper-fidelity traces.
+The trace depends only on the energies, not on where they were
+computed: the same trace comes back whether ``score`` loops inline or
+ships the batch to a process pool.  That invariance (plus the synthesis
+cache's exact-resume contract) is what lets ``--jobs`` fan out without
+perturbing paper-fidelity traces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Generic, Optional, TypeVar, Union
+from typing import Callable, Generic, Optional, Sequence, TypeVar, Union
 
-from repro.core.search.evaluator import EnergyEvaluator, as_evaluator
 from repro.obs import metrics as _metrics
 from repro.obs.trace import get_tracer
 from repro.core.search.strategy import (
@@ -71,7 +74,7 @@ class SaResult(Generic[State]):
 
 def run_search(
     problem: SearchProblem,
-    evaluator: Union[EnergyEvaluator, Callable],
+    score: Callable[[Sequence[State]], Sequence[float]],
     strategy: Union[str, Strategy] = "sa",
     config: Optional[SearchConfig] = None,
     trace_fn: Optional[Callable[[State, float], dict]] = None,
@@ -79,14 +82,12 @@ def run_search(
 ) -> SaResult:
     """Minimize over ``problem`` with the named (or given) strategy.
 
-    ``evaluator`` is an :class:`EnergyEvaluator` or a plain ``state ->
-    float`` callable.  ``trace_fn(state, energy)`` may add extra fields to
-    every trace entry (the Fig. 4 benches log predicted accuracy);
-    ``stop_energy`` short-circuits once the best energy reaches it, and
-    ``config.max_evaluations`` caps the total scoring budget.
+    ``score`` maps a batch of states to their energies, in order.
+    ``trace_fn(state, energy)`` may add extra fields to every trace entry
+    (the Fig. 4 benches log predicted accuracy); ``stop_energy``
+    short-circuits once the best energy reaches it.
     """
     config = config if config is not None else SearchConfig()
-    evaluator = as_evaluator(evaluator)
     if isinstance(strategy, Strategy):
         engine = strategy
     else:
@@ -105,18 +106,16 @@ def run_search(
 
     tracer = get_tracer()
     states = engine.bootstrap()
-    energies = evaluator.evaluate(states)
+    energies = [float(energy) for energy in score(states)]
     evaluations += len(states)
     _metrics.inc("search.energy_evaluations", len(states))
     absorb(engine.start(states, energies))
     while True:
-        if config.max_evaluations and evaluations >= config.max_evaluations:
-            break
         batch = engine.propose()
         if not batch:
             break
         with tracer.span("search.round", round=rounds + 1) as span:
-            energies = evaluator.evaluate(batch)
+            energies = [float(energy) for energy in score(batch)]
             evaluations += len(batch)
             rounds += 1
             _metrics.inc("search.rounds")

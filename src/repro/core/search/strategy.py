@@ -2,14 +2,14 @@
 
 A :class:`Strategy` drives a black-box minimization by *proposing a batch*
 of candidate states and *observing* their energies; the driver
-(:func:`repro.core.search.driver.run_search`) owns the evaluate loop, so
-one strategy implementation works with serial, vectorized-batch, and
-process-pool evaluators alike.  Strategies are registered by name
+(:func:`repro.core.search.driver.run_search`) owns the scoring loop, so
+one strategy implementation works whether a batch is scored in a loop,
+vectorized, or over a process pool.  Strategies are registered by name
 (``sa``, ``pt``, ``beam``, ``random``) so CLI flags and pipeline specs can
 select them declaratively.  Every built-in derives its randomness from
 ``SearchConfig.seed`` alone, so a strategy's proposal stream — and hence
-the whole search trace — is deterministic per seed under any evaluator
-backend.  Plugins add themselves with :func:`register_strategy` and
+the whole search trace — is deterministic per seed however the batches
+are scored.  Plugins add themselves with :func:`register_strategy` and
 duplicates are rejected outright::
 
     >>> get_strategy("sa").__name__
@@ -65,10 +65,7 @@ class SearchConfig:
     The first five fields are the paper's annealing schedule (Sec. IV-C
     defaults: 100 iterations, ``t_initial`` 120, ``acceptance`` 1.8);
     ``chains`` sizes the proposal batch (parallel-tempering chains, beam
-    width, random-sampling batch), ``t_hot``/``swap_period`` parameterize
-    the tempering ladder, and ``max_evaluations`` optionally caps the total
-    energy-evaluation budget across strategies so different strategies can
-    be compared fairly.
+    width, random-sampling batch).
     """
 
     iterations: int = 100
@@ -77,9 +74,6 @@ class SearchConfig:
     cooling: float = 0.95
     seed: int = 0
     chains: int = 1
-    t_hot: float = 0.0          # parallel tempering ladder top (0 = 8x t_initial)
-    swap_period: int = 5
-    max_evaluations: int = 0    # 0 = unlimited
 
     def __post_init__(self) -> None:
         if self.iterations < 0:
@@ -88,14 +82,6 @@ class SearchConfig:
             )
         if self.chains < 1:
             raise SearchError(f"chains must be >= 1, got {self.chains}")
-        if self.swap_period < 1:
-            raise SearchError(
-                f"swap_period must be >= 1, got {self.swap_period}"
-            )
-        if self.max_evaluations < 0:
-            raise SearchError(
-                f"max_evaluations must be >= 0, got {self.max_evaluations}"
-            )
 
 
 class Strategy(ABC):

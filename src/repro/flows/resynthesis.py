@@ -22,7 +22,7 @@ from repro.mapping.ppa import analyze_ppa
 from repro.netlist.netlist import Netlist
 from repro.synth.cache import SynthCache
 from repro.synth.engine import apply_recipe
-from repro.synth.recipe import RESYN2, TRANSFORM_NAMES, Recipe, random_recipe
+from repro.synth.recipe import RESYN2, Recipe, mutate_step, random_recipe
 from repro.utils.rng import derive_seed
 
 
@@ -87,19 +87,10 @@ def attacker_resynthesis_sweep(
         evaluations[recipe.short()] = (ratio, accuracy)
         return ratio, accuracy
 
-    def energy(recipe: Recipe) -> float:
-        ratio, _accuracy = measure(recipe)
-        return ratio
-
-    def neighbour(recipe: Recipe, rng) -> Recipe:
-        position = int(rng.integers(len(recipe)))
-        step = TRANSFORM_NAMES[int(rng.integers(len(TRANSFORM_NAMES)))]
-        return recipe.with_step(position, step)
-
     start = random_recipe(recipe_length, seed=derive_seed(seed, "start"))
     result = run_search(
-        SearchProblem(initial=start, neighbour=neighbour),
-        energy,
+        SearchProblem(initial=start, neighbour=mutate_step),
+        lambda recipes: [measure(recipe)[0] for recipe in recipes],
         strategy="sa",
         config=SearchConfig(iterations=iterations, seed=derive_seed(seed, "sa")),
         trace_fn=lambda recipe, e: {"recipe": recipe.short()},

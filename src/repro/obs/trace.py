@@ -26,8 +26,8 @@ therefore never guard themselves::
     >>> tracer.records[0]["parent_id"] == tracer.records[1]["span_id"]
     True
 
-**Across processes.**  Pool workers (grid cells, ``ProcessPoolEvaluator``
-scoring — both on :class:`~repro.utils.pool.WorkerPool`) trace into a
+**Across processes.**  Pool workers (grid cells and ALMOST recipe
+scoring, both on :class:`~repro.utils.pool.WorkerPool`) trace into a
 fresh in-memory tracer; each task's records travel back with its result
 (or on its exception), and the parent hands them to :meth:`Tracer.adopt`,
 which hangs the worker's root spans under the span open there, so the

@@ -129,3 +129,14 @@ def random_recipe(
     generator = rng if rng is not None else make_rng(seed)
     indices = generator.integers(0, len(alphabet), size=length)
     return Recipe(tuple(alphabet[int(i)] for i in indices))
+
+
+def mutate_step(recipe: Recipe, rng: np.random.Generator) -> Recipe:
+    """The recipe searches' neighbour move: substitute one step.
+
+    Draws the position, then the new step, from ``rng``; every search
+    trace depends on that order.
+    """
+    position = int(rng.integers(len(recipe)))
+    step = TRANSFORM_NAMES[int(rng.integers(len(TRANSFORM_NAMES)))]
+    return recipe.with_step(position, step)

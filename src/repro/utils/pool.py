@@ -1,7 +1,7 @@
 """One process pool for every fan-out: grid cells and recipe scoring.
 
 :class:`WorkerPool` wraps ``multiprocessing.Pool`` for both callers
-(``Runner`` grid cells, ``ProcessPoolEvaluator`` scoring).  Its workers
+(``Runner`` grid cells, ``AlmostDefense`` recipe scoring).  Its workers
 restore SIGTERM's default action, trace into a fresh in-memory tracer
 when the parent traces, and receive an optional ``state`` (e.g. a
 trained proxy scorer) once, read back with :func:`worker_state`.  Each

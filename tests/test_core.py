@@ -28,7 +28,7 @@ class TestSimulatedAnnealing:
             SearchProblem(
                 initial=10.0, neighbour=lambda x, rng: x + rng.normal(0, 1.0)
             ),
-            lambda x: (x - 3.0) ** 2,
+            lambda xs: [(x - 3.0) ** 2 for x in xs],
             strategy="sa",
             config=SearchConfig(iterations=300, t_initial=5.0, seed=1),
         )
@@ -39,7 +39,7 @@ class TestSimulatedAnnealing:
             SearchProblem(
                 initial=0.0, neighbour=lambda x, rng: x + rng.normal()
             ),
-            abs,
+            lambda xs: [abs(x) for x in xs],
             strategy="sa",
             config=SearchConfig(iterations=10, seed=2),
             trace_fn=lambda state, energy: {"state": state},
@@ -52,7 +52,7 @@ class TestSimulatedAnnealing:
     def test_stop_energy_short_circuits(self):
         result = run_search(
             SearchProblem(initial=100.0, neighbour=lambda x, rng: x / 2),
-            abs,
+            lambda xs: [abs(x) for x in xs],
             strategy="sa",
             config=SearchConfig(iterations=100, seed=3),
             stop_energy=1.0,
@@ -66,7 +66,7 @@ class TestSimulatedAnnealing:
                 SearchProblem(
                     initial=5.0, neighbour=lambda x, rng: x + rng.normal()
                 ),
-                lambda x: x * x,
+                lambda xs: [x * x for x in xs],
                 strategy="sa",
                 config=SearchConfig(iterations=50, seed=9),
             ).best_state
@@ -78,7 +78,7 @@ class TestSimulatedAnnealing:
         states = []
         run_search(
             SearchProblem(initial=0.0, neighbour=lambda x, rng: x + 1.0),
-            abs,
+            lambda xs: [abs(x) for x in xs],
             strategy="sa",
             config=SearchConfig(iterations=20, t_initial=1e9, seed=4),
             trace_fn=lambda s, e: states.append(s) or {},

@@ -23,7 +23,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 DOCUMENTED_MODULES = [
     "repro.core.search",
     "repro.core.search.strategy",
-    "repro.core.search.evaluator",
     "repro.core.search.driver",
     "repro.synth.cache",
 ]

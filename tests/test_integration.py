@@ -94,7 +94,7 @@ class TestSaInvariants:
             SearchProblem(
                 initial=10.0, neighbour=lambda x, rng: x + rng.normal()
             ),
-            lambda x: abs(x - 2.0),
+            lambda xs: [abs(x - 2.0) for x in xs],
             strategy="sa",
             config=SearchConfig(iterations=40, seed=5),
         )

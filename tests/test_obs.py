@@ -18,12 +18,7 @@ import repro.sat.solver as solver_mod
 from repro.attacks.sat_attack import SatAttack, oracle_from_key
 from repro.circuits import load_iscas85
 from repro.cli import main
-from repro.core.search import (
-    ProcessPoolEvaluator,
-    SearchConfig,
-    SearchProblem,
-    run_search,
-)
+from repro.core.almost import AlmostConfig, AlmostDefense
 from repro.locking import lock_rll
 from repro.obs.logs import configure_cli_logging, get_logger
 from repro.obs.metrics import MetricsRegistry, REGISTRY, inc
@@ -194,8 +189,9 @@ def _failing_task(_index):
         raise ValueError("boom")
 
 
-def _quadratic(x: float) -> float:
-    return (x - 3.0) ** 2
+def _recipe_accuracy(recipe) -> float:
+    """Module-level (picklable) pseudo-accuracy, distinct per recipe."""
+    return len(set(recipe.steps)) / 10.0
 
 
 class TestWorkerBridge:
@@ -228,13 +224,12 @@ class TestWorkerBridge:
 
     def test_pool_search_evals_nest_under_rounds(self):
         tracer = Tracer()
-        problem = SearchProblem(
-            initial=10.0, neighbour=lambda x, rng: x + rng.normal(0, 1.0)
+        config = AlmostConfig(
+            sa_iterations=3, seed=1, strategy="pt", chains=4, jobs=2,
+            stop_margin=-1.0,
         )
-        config = SearchConfig(iterations=3, chains=4, seed=1)
         with use_tracer(tracer):
-            with ProcessPoolEvaluator(_quadratic, jobs=2) as evaluator:
-                run_search(problem, evaluator, strategy="pt", config=config)
+            AlmostDefense(_recipe_accuracy, config).generate_recipe()
         nodes = {r["span_id"]: r for r in tracer.records}
         evals = [r for r in tracer.records if r["name"] == "search.eval"]
         assert len(evals) == 4 * (1 + 3)

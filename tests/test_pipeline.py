@@ -1197,11 +1197,14 @@ class TestInterruption:
 
 class TestEvaluatorInterrupt:
     def test_evaluate_interrupt_terminates_pool(self):
+        """Ctrl-C while a pool scores returns the finished results and
+        stops the workers; closing afterwards stays idempotent."""
+        import multiprocessing
         import signal as _signal
 
-        from repro.core.search.evaluator import ProcessPoolEvaluator
+        from repro.utils.pool import WorkerPool
 
-        evaluator = ProcessPoolEvaluator(_sleep_energy, jobs=2)
+        pool = WorkerPool(2)
 
         def _interrupt(signum, frame):
             raise KeyboardInterrupt
@@ -1209,14 +1212,13 @@ class TestEvaluatorInterrupt:
         previous = _signal.signal(_signal.SIGALRM, _interrupt)
         _signal.setitimer(_signal.ITIMER_REAL, 1.0)
         try:
-            with pytest.raises(KeyboardInterrupt):
-                evaluator.evaluate([30.0, 30.0])
+            assert pool.run(_sleep_energy, [30.0, 30.0]) == ([], True)
         finally:
             _signal.setitimer(_signal.ITIMER_REAL, 0.0)
             _signal.signal(_signal.SIGALRM, previous)
-        # terminate() already ran; close() stays idempotent.
-        assert evaluator._pool is None
-        evaluator.close()
+        assert pool._pool is None
+        assert multiprocessing.active_children() == []
+        pool.close()
 
 
 def _sleep_energy(seconds: float) -> float:

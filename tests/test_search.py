@@ -12,8 +12,6 @@ from repro.circuits import load_iscas85
 from repro.core.almost import AlmostConfig, AlmostDefense
 from repro.core.proxy import ProxyConfig, ProxyModel, build_resyn2_proxy
 from repro.core.search import (
-    CallableEvaluator,
-    ProcessPoolEvaluator,
     SearchConfig,
     SearchProblem,
     available_strategies,
@@ -26,7 +24,7 @@ from repro.locking import lock_rll
 from repro.pipeline.spec import DefenseSpec
 from repro.synth import RESYN2, Recipe, SynthCache, random_recipe
 from repro.synth.engine import apply_recipe, apply_transform, synthesize_netlist
-from repro.synth.recipe import TRANSFORM_NAMES
+from repro.synth.recipe import TRANSFORM_NAMES, mutate_step
 from repro.utils.rng import derive_seed, make_rng
 
 
@@ -44,17 +42,18 @@ def quadratic_energy(x: float) -> float:
     return (x - 3.0) ** 2
 
 
+def quadratic_scores(states) -> list[float]:
+    return [quadratic_energy(x) for x in states]
+
+
+def abs_scores(states) -> list[float]:
+    return [abs(x) for x in states]
+
+
 def recipe_problem(length: int = 10) -> SearchProblem:
-    from repro.synth.recipe import TRANSFORM_NAMES
-
-    def neighbour(recipe, rng):
-        position = int(rng.integers(len(recipe)))
-        step = TRANSFORM_NAMES[int(rng.integers(len(TRANSFORM_NAMES)))]
-        return recipe.with_step(position, step)
-
     return SearchProblem(
         initial=random_recipe(length, seed=7),
-        neighbour=neighbour,
+        neighbour=mutate_step,
         sample=lambda rng: random_recipe(length, rng=rng),
     )
 
@@ -74,7 +73,7 @@ class TestStrategyRegistry:
         with pytest.raises(SearchError, match="unknown search strategy"):
             get_strategy("gradient-descent")
         with pytest.raises(SearchError, match="available"):
-            run_search(quadratic_problem(), quadratic_energy, strategy="nope")
+            run_search(quadratic_problem(), quadratic_scores, strategy="nope")
 
     def test_duplicate_name_rejected(self):
         with pytest.raises(SearchError, match="already registered"):
@@ -140,7 +139,9 @@ class TestSaFidelity:
             problem.initial, synthetic_recipe_energy, problem.neighbour, config
         )
         result = run_search(
-            problem, synthetic_recipe_energy, strategy="sa", config=config
+            problem,
+            lambda recipes: [synthetic_recipe_energy(r) for r in recipes],
+            strategy="sa", config=config,
         )
         assert result.best_state == best
         assert result.best_energy == best_energy
@@ -157,7 +158,7 @@ class TestSaFidelity:
         )
         result = run_search(
             SearchProblem(initial=100.0, neighbour=lambda x, rng: x / 2),
-            abs, strategy="sa", config=config, stop_energy=1.0,
+            abs_scores, strategy="sa", config=config, stop_energy=1.0,
         )
         assert result.best_energy == best_energy
         assert len(result.trace) == len(legacy)
@@ -169,10 +170,10 @@ class TestParallelTempering:
     def run(self, seed=0, chains=3, iterations=25):
         return run_search(
             quadratic_problem(),
-            quadratic_energy,
+            quadratic_scores,
             strategy="pt",
             config=SearchConfig(
-                iterations=iterations, chains=chains, seed=seed, swap_period=2
+                iterations=iterations, chains=chains, seed=seed
             ),
         )
 
@@ -199,6 +200,16 @@ class TestParallelTempering:
         result = self.run(seed=11, chains=4, iterations=60)
         assert abs(result.best_state - 3.0) < 1.0
 
+    def test_swaps_happen_at_the_fixed_period(self):
+        from repro.core.search.annealing import SWAP_PERIOD
+
+        result = self.run(seed=0, chains=4, iterations=40)
+        swap_rounds = {
+            entry["iteration"] for entry in result.trace if entry["swapped"]
+        }
+        assert swap_rounds
+        assert all(round_ % SWAP_PERIOD == 0 for round_ in swap_rounds)
+
 
 class TestBeamAndRandom:
     @pytest.mark.parametrize("strategy", ["beam", "random"])
@@ -206,7 +217,7 @@ class TestBeamAndRandom:
         config = SearchConfig(iterations=12, chains=3, seed=8)
         runs = [
             run_search(
-                quadratic_problem(), quadratic_energy, strategy=strategy,
+                quadratic_problem(), quadratic_scores, strategy=strategy,
                 config=config,
             )
             for _ in range(2)
@@ -217,7 +228,7 @@ class TestBeamAndRandom:
     def test_beam_best_monotone(self):
         result = run_search(
             quadratic_problem(),
-            quadratic_energy,
+            quadratic_scores,
             strategy="beam",
             config=SearchConfig(iterations=20, chains=3, seed=2),
         )
@@ -233,7 +244,7 @@ class TestBeamAndRandom:
             sample=lambda rng: float(rng.uniform(-20, 20)),
         )
         result = run_search(
-            problem, quadratic_energy, strategy="random",
+            problem, quadratic_scores, strategy="random",
             config=SearchConfig(iterations=5, chains=4, seed=0),
         )
         assert result.energy_evaluations == 4 * 6
@@ -246,7 +257,7 @@ class TestDriverAccounting:
         # so the counters read 1 iteration / 2 evaluations — distinct.
         result = run_search(
             quadratic_problem(),
-            quadratic_energy,
+            quadratic_scores,
             strategy="sa",
             config=SearchConfig(iterations=50, seed=0),
             stop_energy=1000.0,
@@ -267,29 +278,17 @@ class TestDriverAccounting:
             SearchProblem(
                 initial=0.5, neighbour=lambda x, rng: x + rng.normal()
             ),
-            abs, strategy="sa", config=config, stop_energy=10.0,
+            abs_scores, strategy="sa", config=config, stop_energy=10.0,
         )
         assert result.best_energy == best_energy
         assert len(result.trace) == len(legacy) == 2
         for new, old in zip(result.trace, legacy):
             assert {key: new[key] for key in old} == old
 
-    def test_max_evaluations_budget(self):
-        result = run_search(
-            quadratic_problem(),
-            quadratic_energy,
-            strategy="pt",
-            config=SearchConfig(
-                iterations=100, chains=4, seed=0, max_evaluations=20
-            ),
-        )
-        assert result.energy_evaluations == 20
-        assert result.iterations == 4  # 4 bootstrap + 4 rounds of 4
-
     def test_trace_carries_running_evaluations(self):
         result = run_search(
             quadratic_problem(),
-            quadratic_energy,
+            quadratic_scores,
             strategy="pt",
             config=SearchConfig(iterations=3, chains=2, seed=0),
         )
@@ -302,8 +301,6 @@ class TestDriverAccounting:
             SearchConfig(chains=0)
         with pytest.raises(SearchError):
             SearchConfig(iterations=-1)
-        with pytest.raises(SearchError):
-            SearchConfig(max_evaluations=-5)
 
 
 # -- evaluators ------------------------------------------------------------
@@ -315,18 +312,53 @@ def _square(x: float) -> float:  # module-level: picklable for the pool
     return x * x
 
 
+def _recipe_accuracy(recipe) -> float:  # module-level: picklable
+    return 0.5 + synthetic_recipe_energy(recipe)
+
+
 class TestEvaluators:
+    """AlmostDefense's scoring paths and the pool that fans them out."""
+
+    CONFIG = dict(
+        sa_iterations=3, seed=1, strategy="pt", chains=2, stop_margin=-1.0,
+    )
+
     def test_callable_evaluator(self):
-        assert CallableEvaluator(_square).evaluate([1, 2, 3]) == [1.0, 4.0, 9.0]
+        calls = []
+
+        def accuracy(recipe):
+            calls.append(recipe)
+            return _recipe_accuracy(recipe)
+
+        result = AlmostDefense(
+            accuracy, AlmostConfig(**self.CONFIG)
+        ).generate_recipe()
+        # One call per scored recipe; no synthesis cache to report.
+        assert len(calls) == result.energy_evaluations == 2 * 4
+        assert result.predicted_accuracy == _recipe_accuracy(result.recipe)
+        assert result.synth_cache == {}
 
     def test_process_pool_matches_serial(self):
-        with ProcessPoolEvaluator(_square, jobs=2) as pool:
-            assert pool.evaluate([1, 2, 3, 4]) == [1.0, 4.0, 9.0, 16.0]
-            assert pool.evaluate([]) == []
+        from repro.utils.pool import WorkerPool
+
+        with WorkerPool(2) as pool:
+            assert pool.run(_square, [1, 2, 3, 4]) == ([1, 4, 9, 16], False)
+            assert pool.run(_square, []) == ([], False)
+        serial = AlmostDefense(
+            _recipe_accuracy, AlmostConfig(jobs=1, **self.CONFIG)
+        ).generate_recipe()
+        pooled = AlmostDefense(
+            _recipe_accuracy, AlmostConfig(jobs=2, **self.CONFIG)
+        ).generate_recipe()
+        assert pooled.recipe == serial.recipe
+        assert pooled.trace == serial.trace
+        assert pooled.synth_cache == {}
 
     def test_pool_rejects_bad_jobs(self):
-        with pytest.raises(SearchError):
-            ProcessPoolEvaluator(_square, jobs=0)
+        from repro.utils.pool import WorkerPool
+
+        with pytest.raises(ValueError):
+            WorkerPool(0)
 
     def test_pool_workers_die_on_sigterm(self):
         """``Pool.terminate()`` must kill scoring workers, whatever the
@@ -334,18 +366,24 @@ class TestEvaluators:
         KeyboardInterrupt): each worker scores its own handler."""
         import signal
 
+        from repro.utils.pool import WorkerPool
+
         previous = signal.signal(signal.SIGTERM, lambda *_: None)
         try:
-            with ProcessPoolEvaluator(_sigterm_is_default, jobs=2) as pool:
-                assert pool.evaluate([0, 1, 2, 3]) == [1.0] * 4
+            with WorkerPool(2) as pool:
+                assert pool.run(_sigterm_is_default, [0, 1, 2, 3]) == (
+                    [1.0] * 4, False
+                )
         finally:
             signal.signal(signal.SIGTERM, previous)
 
     def test_pool_worker_error_reraises(self):
-        pool = ProcessPoolEvaluator(_reject_odd, jobs=2)
+        from repro.utils.pool import WorkerPool
+
+        pool = WorkerPool(2)
         try:
             with pytest.raises(ValueError, match="odd state 3"):
-                pool.evaluate([2, 3, 4])
+                pool.run(_reject_odd, [2, 3, 4])
         finally:
             pool.close()  # returns although a task failed
 
@@ -751,6 +789,13 @@ def _shared_cache_energy(cache, netlist, recipe) -> float:
     return abs(derive_seed(55, *recipe.steps) % 10_000 / 10_000 - 0.5)
 
 
+def _score_with_worker_state(state) -> float:
+    """Module-level pool task: score ``state`` with the pool's scorer."""
+    from repro.utils.pool import worker_state
+
+    return worker_state()(state)
+
+
 def _shared_cache_fingerprint(cache, netlist, recipe) -> str:
     """Module-level pool task: cached synthesis, reported by fingerprint."""
     return apply_recipe(
@@ -789,34 +834,38 @@ class TestSharedSynthCache:
         import functools
 
         from repro.core.search import run_search
+        from repro.utils.pool import WorkerPool
 
         cache = self._fresh()
-        pool = ProcessPoolEvaluator(
-            functools.partial(_shared_cache_energy, cache, c432_netlist),
-            jobs=2,
-            shared_cache=cache,
-        )
-        result = run_search(
-            recipe_problem(),
-            pool,
-            strategy="pt",
-            config=SearchConfig(iterations=3, chains=4, seed=9),
-        )
-        # Every energy evaluation synthesizes exactly once through the
-        # shared store: one hit or miss each, and every one of the 10
-        # recipe steps is either served from a snapshot or executed.
-        # These totals are exact regardless of how the pool scheduled the
-        # candidates across workers.
-        stats = pool.cache_stats()
-        evals = result.energy_evaluations
-        assert evals == 4 * 4  # bootstrap + 3 rounds of 4 chains
-        assert stats["prefix_hits"] + stats["prefix_misses"] == evals
-        assert stats["steps_saved"] + stats["steps_executed"] == 10 * evals
-        assert stats["prefix_hits"] > 0
-        assert stats["shared"] is True
-        pool.close()
+        try:
+            with WorkerPool(
+                2,
+                state=functools.partial(
+                    _shared_cache_energy, cache, c432_netlist
+                ),
+            ) as pool:
+                result = run_search(
+                    recipe_problem(),
+                    lambda states: pool.run(_score_with_worker_state, states)[0],
+                    strategy="pt",
+                    config=SearchConfig(iterations=3, chains=4, seed=9),
+                )
+            # Every energy evaluation synthesizes exactly once through the
+            # shared store: one hit or miss each, and every one of the 10
+            # recipe steps is either served from a snapshot or executed.
+            # These totals are exact regardless of how the pool scheduled
+            # the candidates across workers, and outlive the workers.
+            stats = cache.stats()
+            evals = result.energy_evaluations
+            assert evals == 4 * 4  # bootstrap + 3 rounds of 4 chains
+            assert stats["prefix_hits"] + stats["prefix_misses"] == evals
+            assert stats["steps_saved"] + stats["steps_executed"] == 10 * evals
+            assert stats["prefix_hits"] > 0
+            assert stats["shared"] is True
+        finally:
+            cache.close()
         # close() froze the final totals; they remain readable.
-        assert pool.cache_stats() == stats
+        assert cache.stats() == stats
 
     def test_pool_workers_run_each_state_step_pair_once(self, c432_netlist):
         """The serial checks, with the steps spread over a 2-worker pool:
