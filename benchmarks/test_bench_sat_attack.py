@@ -12,6 +12,7 @@ unlock, whatever its bit-level Hamming distance to the defender's key.
 from __future__ import annotations
 
 import json
+import statistics
 import time
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from repro.utils.rng import derive_seed
 
 DIP_BUDGET = 512
 ARM_SEED = 2023  # pinned DIP-loop workload (see BENCH_sat.json)
+LOOP_RUNS = 15   # repeats of the ~0.1 s loop: enough for a median and IQR
 ANTISAT_WIDTH = 4
 ARM_STATS = (
     "conflicts", "decisions", "propagations", "restarts",
@@ -78,7 +80,10 @@ def test_bench_sat_attack_dip_scaling(workspace, scale, benchmark):
 
 
 def _run_loop(locked):
-    """Drive the production DipLoop to completion; DIPs, key, effort."""
+    """Drive the production DipLoop to completion.
+
+    Returns ``(wall seconds, solver effort, DIPs, key)``.
+    """
     oracle = oracle_from_key(locked.netlist, locked.key)
     started = time.perf_counter()
     loop = DipLoop(locked.netlist, oracle)
@@ -92,20 +97,20 @@ def _run_loop(locked):
     key = loop.extract_key()
     elapsed = time.perf_counter() - started
     stats = loop.solver.stats
-    return {
-        "elapsed_s": round(elapsed, 4),
+    return elapsed, {
         "iterations": loop.iterations,
         **{name: stats[name] for name in ARM_STATS},
     }, dips, key
 
 
 def test_bench_sat_attack_dip_loop(scale):
-    """The DIP loop's cost on one pinned workload, run twice.
+    """The DIP loop's cost on one pinned workload, run ``LOOP_RUNS`` times.
 
     Anti-SAT on c432 is the pinned workload because its point-function
-    structure forces a long DIP sequence over one growing CNF.  Both runs
-    must ask the same DIPs and recover the same key, and that key must
-    unlock the circuit; the faster run's time is recorded.
+    structure forces a long DIP sequence over one growing CNF.  Every run
+    must ask the same DIPs, recover the same key and spend the same solver
+    effort, and that key must unlock the circuit; the median wall time and
+    its quartiles are recorded.
 
     Writes ``BENCH_sat.json`` (schema in docs/benchmarks.md).
     """
@@ -113,20 +118,28 @@ def test_bench_sat_attack_dip_loop(scale):
     locked = lock_antisat(
         netlist, width=ANTISAT_WIDTH, seed=derive_seed(ARM_SEED, "antisat")
     )
-    runs = [_run_loop(locked) for _ in range(2)]
+    runs = [_run_loop(locked) for _ in range(LOOP_RUNS)]
 
     # Correctness before speed: the loop is deterministic and the
     # recovered key actually unlocks the circuit.
-    (first, first_dips, first_key), (second, second_dips, second_key) = runs
-    assert second_dips == first_dips, "DIP sequences diverged between runs"
-    assert second_key == first_key, "recovered keys diverged between runs"
-    assert {k: v for k, v in second.items() if k != "elapsed_s"} == {
-        k: v for k, v in first.items() if k != "elapsed_s"
-    }
+    _elapsed, effort, first_dips, first_key = runs[0]
+    for index, (_elapsed, counters, dips, key) in enumerate(runs[1:], 1):
+        assert dips == first_dips, f"run {index} asked different DIPs"
+        assert key == first_key, f"run {index} recovered a different key"
+        assert counters == effort, f"run {index} spent different effort"
     unlocked = apply_key(locked.netlist, Key(first_key))
     assert check_equivalence(unlocked, netlist).equivalent
 
-    arm = min((run for run, _dips, _key in runs), key=lambda r: r["elapsed_s"])
+    q1, median, q3 = statistics.quantiles(
+        [elapsed for elapsed, _effort, _dips, _key in runs], n=4
+    )
+    arm = {
+        "elapsed_s": round(median, 4),
+        "elapsed_q1_s": round(q1, 4),
+        "elapsed_q3_s": round(q3, 4),
+        "runs": LOOP_RUNS,
+        **effort,
+    }
     payload = {
         "bench": "sat_attack",
         "workload": {
@@ -144,7 +157,9 @@ def test_bench_sat_attack_dip_loop(scale):
     Path("BENCH_sat.json").write_text(json.dumps(payload, indent=2) + "\n")
     print()
     print(
-        f"DIP loop {arm['elapsed_s']:.3f}s over {arm['iterations']} DIPs; "
+        f"DIP loop {arm['elapsed_s']:.3f}s median of {LOOP_RUNS} "
+        f"(IQR {arm['elapsed_q1_s']:.3f}-{arm['elapsed_q3_s']:.3f}s) "
+        f"over {arm['iterations']} DIPs; "
         f"{arm['conflicts']} conflicts, {arm['decisions']} decisions"
     )
 
