@@ -33,8 +33,7 @@ _POOL_METHODS = frozenset({
 _POOLISH_METHODS = frozenset({"map", "apply", "starmap", "submit", "run"})
 #: Constructors whose callable kwargs/args cross the process boundary.
 _POOL_CONSTRUCTORS = frozenset({
-    "Pool", "Process", "ProcessPoolExecutor", "ProcessPoolEvaluator",
-    "WorkerPool",
+    "Pool", "Process", "ProcessPoolExecutor", "WorkerPool",
 })
 
 

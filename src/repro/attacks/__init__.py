@@ -23,9 +23,11 @@ Oracle-guided (the classic contrast class the paper positions against):
   random-query error estimation with an early exit, the standard response
   to point-function defenses (:mod:`repro.defenses`).
 
-:data:`ATTACK_REGISTRY` maps canonical names to attack classes;
-:func:`get_attack` is the by-name lookup the CLI's ``sat-attack`` command
-(and downstream tooling) instantiates from.
+The ML attacks (OMLA, SnapShot, SAIL) featurize key-gate localities
+through :mod:`repro.attacks.subgraph`; OMLA scores any number of circuits
+in one GIN forward (:meth:`~repro.attacks.omla.OmlaAttack.predict_circuits`).
+Attacks are addressed by name through the pipeline registry's ``attack``
+kind (:mod:`repro.pipeline.stages`).
 """
 
 from repro.attacks.base import AttackResult
@@ -43,28 +45,6 @@ from repro.attacks.sat_attack import (
 )
 from repro.attacks.appsat import AppSatAttack, AppSatConfig
 
-from repro.errors import AttackError
-
-ATTACK_REGISTRY: dict[str, type] = {
-    "omla": OmlaAttack,
-    "scope": ScopeAttack,
-    "redundancy": RedundancyAttack,
-    "snapshot": SnapShotAttack,
-    "sail": SailAttack,
-    "sat": SatAttack,
-    "appsat": AppSatAttack,
-}
-
-def get_attack(name: str) -> type:
-    """Look up an attack class by canonical name."""
-    try:
-        return ATTACK_REGISTRY[name]
-    except KeyError:
-        raise AttackError(
-            f"unknown attack {name!r}; available: {sorted(ATTACK_REGISTRY)}"
-        ) from None
-
-
 __all__ = [
     "AttackResult",
     "LocalityExtractor",
@@ -81,6 +61,4 @@ __all__ = [
     "AppSatAttack",
     "AppSatConfig",
     "oracle_from_key",
-    "ATTACK_REGISTRY",
-    "get_attack",
 ]

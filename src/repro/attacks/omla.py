@@ -12,23 +12,19 @@ The attack (Alrahis et al., IEEE TCAS-II 2022) proceeds in three steps:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
-
-import numpy as np
 
 from repro.attacks.base import AttackResult
 from repro.attacks.subgraph import (
     FEATURE_DIM,
     extract_localities,
-    functional_signal_probs,
     victim_key_inputs,
 )
 from repro.errors import AttackError
 from repro.locking.key import Key
 from repro.locking.relock import relock
-from repro.mapping.mapper import MappedCircuit
-from repro.ml.data import GraphData, pack_graphs
+from repro.ml.data import GraphData, pack_graph_groups
 from repro.ml.gnn import GinClassifier
 from repro.ml.train import TrainConfig, train_classifier
 from repro.netlist.netlist import Netlist
@@ -51,11 +47,6 @@ class OmlaConfig:
     relock_key_bits: int = 32      # key gates added per relock round
     num_relocks: int = 4           # rounds of relock + resynthesize
     seed: int = 0
-    #: Fill the locality feature column with simulated per-net signal
-    #: probabilities (one packed pass per circuit).  Off by default so the
-    #: structural-only baseline stays the reference configuration.
-    functional_features: bool = False
-    feature_patterns: int = 512    # patterns per signal-probability pass
 
 
 class OmlaAttack:
@@ -110,23 +101,12 @@ class OmlaAttack:
                     relocked.key.bits,
                     hops=config.hops,
                     max_nodes=config.max_nodes,
-                    signal_probs=self._signal_probs(mapped),
                 )
             )
             round_index += 1
         if num_samples is not None:
             graphs = graphs[:num_samples]
         return graphs
-
-    def _signal_probs(self, circuit) -> Optional[dict[str, float]]:
-        """The shared signal-probability map, when functional features are on."""
-        if not self.config.functional_features:
-            return None
-        return functional_signal_probs(
-            circuit,
-            num_patterns=self.config.feature_patterns,
-            seed=derive_seed(self.config.seed, "signal-probs"),
-        )
 
     # -- training -----------------------------------------------------------
 
@@ -162,42 +142,52 @@ class OmlaAttack:
 
     # -- inference -------------------------------------------------------------
 
-    def predict_bits(
-        self, circuit, key_nets: Optional[Sequence[str]] = None
-    ) -> tuple[list[int], list[float]]:
-        """Predicted key bits (and confidences) for ``key_nets``.
+    def predict_circuits(
+        self, circuits: Sequence
+    ) -> list[tuple[tuple[int, ...], tuple[float, ...]]]:
+        """Predicted key bits and confidences for each circuit's key inputs.
 
-        ``circuit`` may be a primitive netlist or a mapped circuit; mapped
+        Each circuit may be a primitive netlist or a mapped circuit; mapped
         views carry the richer cell vocabulary the model was trained on.
+        Every circuit's victim localities share one block-diagonal batch,
+        so the whole list costs a single GIN forward.  A bit is the argmax
+        of its softmax, its confidence the winning probability.
         """
         if self.model is None:
             raise AttackError("attack model is not trained")
-        key_nets = (
-            list(key_nets) if key_nets is not None else victim_key_inputs(circuit)
-        )
-        if not key_nets:
-            raise AttackError("circuit has no key inputs to attack")
-        graphs = extract_localities(
-            circuit,
-            key_nets,
-            [0] * len(key_nets),  # placeholder labels
-            hops=self.config.hops,
-            max_nodes=self.config.max_nodes,
-            signal_probs=self._signal_probs(circuit),
-        )
-        batch = pack_graphs(graphs)
+        groups = []
+        for circuit in circuits:
+            key_nets = victim_key_inputs(circuit)
+            if not key_nets:
+                raise AttackError("circuit has no key inputs to attack")
+            groups.append(
+                extract_localities(
+                    circuit,
+                    key_nets,
+                    [0] * len(key_nets),  # placeholder labels
+                    hops=self.config.hops,
+                    max_nodes=self.config.max_nodes,
+                )
+            )
+        batch, slices = pack_graph_groups(groups)
         probabilities = self.model.predict_proba(batch)
         bits = probabilities.argmax(axis=-1)
         confidence = probabilities.max(axis=-1)
-        return [int(b) for b in bits], [float(c) for c in confidence]
+        return [
+            (
+                tuple(int(b) for b in bits[part]),
+                tuple(float(c) for c in confidence[part]),
+            )
+            for part in slices
+        ]
 
     def attack(self, circuit, true_key: Optional[Key] = None) -> AttackResult:
         """Run inference against the victim key inputs of ``circuit``."""
-        bits, confidence = self.predict_bits(circuit)
+        [(bits, confidence)] = self.predict_circuits([circuit])
         return AttackResult(
-            predicted_bits=tuple(bits),
+            predicted_bits=bits,
             true_key=true_key,
-            confidence=tuple(confidence),
+            confidence=confidence,
             attack_name="OMLA",
             details={"recipe": str(self.recipe)},
         )

@@ -16,19 +16,13 @@ resynthesize loop as OMLA.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import ClassVar
 
 import numpy as np
 
-from repro.attacks.base import AttackResult
-from repro.attacks.subgraph import _TYPE_SLOTS, LocalityExtractor, victim_key_inputs
-from repro.errors import AttackError
-from repro.locking.key import Key
-from repro.ml.autograd import Tensor, cross_entropy
+from repro.attacks.snapshot import LocalityMlpAttack
+from repro.attacks.subgraph import _TYPE_SLOTS
 from repro.ml.data import GraphData
-from repro.ml.layers import Mlp
-from repro.ml.optim import Adam
-from repro.utils.rng import derive_seed, make_rng
 
 
 def sequence_encoding(graph: GraphData, max_gates: int) -> np.ndarray:
@@ -46,74 +40,18 @@ def sequence_encoding(graph: GraphData, max_gates: int) -> np.ndarray:
 
 
 @dataclass
-class SailAttack:
+class SailAttack(LocalityMlpAttack):
     """Sequence-encoded locality classifier (SAIL-style baseline)."""
 
-    hops: int = 3
-    max_gates: int = 24
     hidden: int = 64
-    epochs: int = 80
-    lr: float = 3e-3
-    seed: int = 0
+    max_gates: int = 24
 
-    def __post_init__(self) -> None:
-        self._model: Optional[Mlp] = None
+    attack_name: ClassVar[str] = "SAIL"
+    seed_tags: ClassVar[tuple[str, str]] = ("sail", "order")
 
-    def train(self, graphs: Sequence[GraphData]) -> None:
-        if not graphs:
-            raise AttackError("SAIL training requires localities")
-        features = np.vstack(
-            [sequence_encoding(g, self.max_gates) for g in graphs]
-        )
-        labels = np.array([g.label for g in graphs], dtype=np.int64)
-        self._model = Mlp(
-            features.shape[1],
-            self.hidden,
-            2,
-            seed=derive_seed(self.seed, "sail"),
-        )
-        optimizer = Adam(self._model.parameters(), lr=self.lr)
-        rng = make_rng(derive_seed(self.seed, "order"))
-        for _epoch in range(self.epochs):
-            order = rng.permutation(len(labels))
-            for start in range(0, len(labels), 64):
-                block = order[start: start + 64]
-                optimizer.zero_grad()
-                loss = cross_entropy(
-                    self._model(Tensor(features[block])), labels[block]
-                )
-                loss.backward()
-                optimizer.step()
+    @property
+    def max_nodes(self) -> int:
+        return self.max_gates
 
-    def attack(
-        self,
-        circuit,
-        true_key: Optional[Key] = None,
-        key_nets: Optional[Sequence[str]] = None,
-    ) -> AttackResult:
-        if self._model is None:
-            raise AttackError("SAIL model is not trained")
-        key_nets = (
-            list(key_nets) if key_nets is not None else victim_key_inputs(circuit)
-        )
-        if not key_nets:
-            raise AttackError("circuit has no key inputs to attack")
-        extractor = LocalityExtractor(
-            circuit, hops=self.hops, max_nodes=self.max_gates
-        )
-        features = np.vstack(
-            [
-                sequence_encoding(extractor.extract(net, 0), self.max_gates)
-                for net in key_nets
-            ]
-        )
-        logits = self._model(Tensor(features)).data
-        shifted = logits - logits.max(axis=-1, keepdims=True)
-        probs = np.exp(shifted)
-        probs /= probs.sum(axis=-1, keepdims=True)
-        return AttackResult(
-            predicted_bits=tuple(int(b) for b in logits.argmax(axis=-1)),
-            true_key=true_key,
-            confidence=tuple(float(p) for p in probs.max(axis=-1)),
-            attack_name="SAIL",
-        )
+    def encode(self, graph: GraphData) -> np.ndarray:
+        return sequence_encoding(graph, self.max_gates)

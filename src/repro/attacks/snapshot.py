@@ -4,13 +4,15 @@ SnapShot (Sisejkovic et al., ACM JETC 2021) predates OMLA and works on a
 fixed-size vector encoding of the key-gate locality rather than a graph.
 Here each locality is flattened into per-hop gate-type histograms, and a
 small MLP classifies the key bit.  Included as the paper's Sec. II mentions
-it among the tensor-based oracle-less attacks.
+it among the tensor-based oracle-less attacks.  Its MLP train/attack loop,
+:class:`LocalityMlpAttack`, is shared with SAIL (:mod:`repro.attacks.sail`),
+which differs only in the encoding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -22,7 +24,6 @@ from repro.ml.autograd import Tensor, cross_entropy
 from repro.ml.data import GraphData
 from repro.ml.layers import Mlp
 from repro.ml.optim import Adam
-from repro.netlist.netlist import Netlist
 from repro.utils.rng import derive_seed, make_rng
 
 
@@ -40,8 +41,14 @@ def flatten_locality(graph: GraphData, hops: int) -> np.ndarray:
 
 
 @dataclass
-class SnapShotAttack:
-    """MLP over flattened localities; trained like OMLA (self-referencing)."""
+class LocalityMlpAttack:
+    """An MLP over fixed-length locality encodings, trained like OMLA.
+
+    The shared train/attack loop of SnapShot and SAIL.  A subclass
+    supplies only :meth:`encode` (one locality to one vector),
+    ``max_nodes`` (the extractor's node budget), ``attack_name`` and
+    ``seed_tags`` (the model-init and minibatch-order seed tags).
+    """
 
     hops: int = 3
     hidden: int = 48
@@ -49,21 +56,28 @@ class SnapShotAttack:
     lr: float = 3e-3
     seed: int = 0
 
+    max_nodes: ClassVar[int]
+    attack_name: ClassVar[str]
+    seed_tags: ClassVar[tuple[str, str]]
+
     def __post_init__(self) -> None:
         self._model: Optional[Mlp] = None
 
+    def encode(self, graph: GraphData) -> np.ndarray:
+        raise NotImplementedError
+
     def train(self, graphs: Sequence[GraphData]) -> None:
         if not graphs:
-            raise AttackError("SnapShot training requires localities")
-        features = np.vstack(
-            [flatten_locality(g, self.hops) for g in graphs]
-        )
+            raise AttackError(f"{self.attack_name} training requires localities")
+        features = np.vstack([self.encode(g) for g in graphs])
         labels = np.array([g.label for g in graphs], dtype=np.int64)
+        model_tag, order_tag = self.seed_tags
         self._model = Mlp(
-            features.shape[1], self.hidden, 2, seed=derive_seed(self.seed, "mlp")
+            features.shape[1], self.hidden, 2,
+            seed=derive_seed(self.seed, model_tag),
         )
         optimizer = Adam(self._model.parameters(), lr=self.lr)
-        rng = make_rng(derive_seed(self.seed, "shuffle"))
+        rng = make_rng(derive_seed(self.seed, order_tag))
         for _epoch in range(self.epochs):
             order = rng.permutation(len(labels))
             for start in range(0, len(labels), 64):
@@ -81,27 +95,37 @@ class SnapShotAttack:
         key_nets: Optional[Sequence[str]] = None,
     ) -> AttackResult:
         if self._model is None:
-            raise AttackError("SnapShot model is not trained")
+            raise AttackError(f"{self.attack_name} model is not trained")
         key_nets = (
             list(key_nets) if key_nets is not None else victim_key_inputs(circuit)
         )
         if not key_nets:
             raise AttackError("circuit has no key inputs to attack")
-        extractor = LocalityExtractor(circuit, hops=self.hops)
+        extractor = LocalityExtractor(
+            circuit, hops=self.hops, max_nodes=self.max_nodes
+        )
         features = np.vstack(
-            [
-                flatten_locality(extractor.extract(net, 0), self.hops)
-                for net in key_nets
-            ]
+            [self.encode(extractor.extract(net, 0)) for net in key_nets]
         )
         logits = self._model(Tensor(features)).data
-        bits = tuple(int(b) for b in logits.argmax(axis=-1))
         shifted = logits - logits.max(axis=-1, keepdims=True)
         probs = np.exp(shifted)
         probs /= probs.sum(axis=-1, keepdims=True)
         return AttackResult(
-            predicted_bits=bits,
+            predicted_bits=tuple(int(b) for b in logits.argmax(axis=-1)),
             true_key=true_key,
             confidence=tuple(float(p) for p in probs.max(axis=-1)),
-            attack_name="SnapShot",
+            attack_name=self.attack_name,
         )
+
+
+@dataclass
+class SnapShotAttack(LocalityMlpAttack):
+    """MLP over flattened localities; trained like OMLA (self-referencing)."""
+
+    max_nodes: ClassVar[int] = 60
+    attack_name: ClassVar[str] = "SnapShot"
+    seed_tags: ClassVar[tuple[str, str]] = ("mlp", "shuffle")
+
+    def encode(self, graph: GraphData) -> np.ndarray:
+        return flatten_locality(graph, self.hops)

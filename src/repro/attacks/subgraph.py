@@ -13,17 +13,15 @@ choices expose polarity) — and, for every key input, cuts out the
 * in/out-degree,
 * distance from the key input (normalized),
 * a flag for nets feeding primary outputs,
-* the net's signal probability under random stimulus (0.5 when no
-  simulation profile is supplied) — the one *functional* feature, fed
-  from a single packed simulation pass over the whole circuit
-  (:func:`functional_signal_probs`) rather than per-locality
-  re-simulation.
+* a signal-probability column, a constant 0.5: the features are purely
+  structural, and the column only keeps the feature width
+  (:data:`FEATURE_DIM`) that trained models expect.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -32,7 +30,6 @@ from repro.mapping.mapper import MappedCircuit
 from repro.ml.data import GraphData
 from repro.netlist.gates import GateType
 from repro.netlist.netlist import Netlist
-from repro.netlist.simulate import signal_probabilities
 
 #: Feature layout: one-hot over these type slots, then numeric features.
 _TYPE_SLOTS = [
@@ -127,17 +124,11 @@ class _GateGraph:
 
 @dataclass
 class LocalityExtractor:
-    """Configurable locality extraction over one circuit.
-
-    ``signal_probs`` optionally maps nets to their signal probability
-    under random stimulus (see :func:`functional_signal_probs`); nets
-    without an entry get the uninformative 0.5.
-    """
+    """Configurable locality extraction over one circuit."""
 
     circuit: Union[Netlist, MappedCircuit]
     hops: int = 3
     max_nodes: int = 60
-    signal_probs: Optional[Mapping[str, float]] = None
 
     def __post_init__(self) -> None:
         self._graph = _GateGraph(self.circuit)
@@ -169,7 +160,6 @@ class LocalityExtractor:
         index_of = {net: i for i, net in enumerate(order)}
         features = np.zeros((len(order), FEATURE_DIM))
         base = len(_TYPE_SLOTS)
-        probs = self.signal_probs if self.signal_probs is not None else {}
         for net, node_index in index_of.items():
             slot = graph.type_slot(net)
             features[node_index, _TYPE_SLOTS.index(slot)] = 1.0
@@ -177,7 +167,7 @@ class LocalityExtractor:
             features[node_index, base + 1] = len(graph.fanouts(net))
             features[node_index, base + 2] = distance[net] / max(self.hops, 1)
             features[node_index, base + 3] = 1.0 if net in graph.outputs else 0.0
-            features[node_index, base + 4] = probs.get(net, 0.5)
+            features[node_index, base + 4] = 0.5
         edges = []
         for net, node_index in index_of.items():
             for fanin in graph.fanins(net):
@@ -202,38 +192,17 @@ def victim_key_inputs(circuit: Union[Netlist, MappedCircuit]) -> list[str]:
     return sorted(keys, key=lambda n: int(n[len("keyinput"):]))
 
 
-def functional_signal_probs(
-    circuit: Union[Netlist, MappedCircuit],
-    num_patterns: int = 512,
-    seed: int = 0,
-) -> dict[str, float]:
-    """Per-net signal probabilities for the locality feature column.
-
-    One packed bit-parallel simulation pass over the whole circuit; every
-    locality then reads its nets' probabilities from the shared map.
-    Mapped circuits are profiled through their primitive-netlist view so
-    net names line up with the gate graph.
-    """
-    netlist = (
-        circuit if isinstance(circuit, Netlist) else circuit.to_netlist()
-    )
-    return signal_probabilities(netlist, num_patterns=num_patterns, seed=seed)
-
-
 def extract_localities(
     circuit: Union[Netlist, MappedCircuit],
     key_nets: Sequence[str],
     labels: Sequence[int],
     hops: int = 3,
     max_nodes: int = 60,
-    signal_probs: Optional[Mapping[str, float]] = None,
 ) -> list[GraphData]:
     """Extract one labeled locality per key input."""
     if len(key_nets) != len(labels):
         raise AttackError("key_nets and labels length mismatch")
-    extractor = LocalityExtractor(
-        circuit, hops=hops, max_nodes=max_nodes, signal_probs=signal_probs
-    )
+    extractor = LocalityExtractor(circuit, hops=hops, max_nodes=max_nodes)
     return [
         extractor.extract(net, label) for net, label in zip(key_nets, labels)
     ]

@@ -14,18 +14,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.attacks.omla import OmlaAttack, OmlaConfig
+from repro.attacks.omla import OmlaAttack
 from repro.core.proxy import ProxyConfig, ProxyModel, _omla_config
 from repro.core.search import SearchConfig, SearchProblem, run_search
 from repro.locking.relock import relock
 from repro.locking.rll import LockedCircuit
-from repro.ml.data import GraphData, pack_graphs
-from repro.ml.train import TrainConfig, train_classifier
+from repro.ml.data import GraphData
+from repro.ml.train import evaluate_accuracy
 from repro.attacks.subgraph import extract_localities
 from repro.synth.cache import SynthCache
 from repro.synth.engine import synthesize_and_map
 from repro.synth.recipe import Recipe, mutate_step, random_recipe
-from repro.utils.rng import derive_seed, make_rng
+from repro.utils.rng import derive_seed
 
 
 @dataclass
@@ -74,10 +74,7 @@ def _adversarial_energy(
         hops=attack.config.hops,
         max_nodes=attack.config.max_nodes,
     )
-    batch = pack_graphs(graphs)
-    predictions = attack.model.predict(batch)
-    accuracy = float((predictions == batch.labels).mean())
-    return accuracy, graphs
+    return evaluate_accuracy(attack.model, graphs), graphs
 
 
 def train_adversarial_attack(
@@ -107,7 +104,6 @@ def train_adversarial_attack(
         recipes=initial_recipes,
         seed=derive_seed(config.seed, "adv-data"),
     )
-    rng = make_rng(derive_seed(config.seed, "adv-sa"))
     rounds_done = 0
     # One bounded synthesis cache across every adversarial round: each
     # relocked circuit starts its own chain of states, and the top-up

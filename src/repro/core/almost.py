@@ -111,11 +111,9 @@ class AlmostDefense:
             self._evaluate: Callable[[Recipe], float] = (
                 evaluator.predicted_accuracy
             )
-            self.evaluator_name = evaluator.name
         else:
             self._proxy = None
             self._evaluate = evaluator
-            self.evaluator_name = getattr(evaluator, "__name__", "custom")
 
     @contextlib.contextmanager
     def _accuracy_scorer(self):

@@ -23,9 +23,8 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from repro.attacks.base import AttackResult
 from repro.attacks.omla import OmlaAttack, OmlaConfig
-from repro.attacks.subgraph import extract_localities, victim_key_inputs
-from repro.errors import AttackError
 from repro.locking.rll import LockedCircuit
 from repro.synth.cache import SynthCache
 from repro.synth.engine import synthesize_and_map
@@ -97,14 +96,7 @@ class ProxyModel:
         accuracy is measured exactly: synthesize with the recipe, run the
         proxy on the victim key localities, compare with the true key.
         """
-        cached = self._cache_get(recipe.steps)
-        if cached is not None:
-            return cached
-        accuracy = self.attack.accuracy_on(
-            self._synthesize(recipe), self.locked.key
-        )
-        self._cache_put(recipe.steps, accuracy)
-        return accuracy
+        return self.predicted_accuracy_batch([recipe])[0]
 
     def predicted_accuracy_batch(
         self, recipes: Sequence[Recipe]
@@ -112,10 +104,9 @@ class ProxyModel:
         """Score a whole candidate batch in one vectorized GNN pass.
 
         Memo hits and in-batch duplicates are resolved first; the remaining
-        unique recipes are synthesized (cached), their key-gate
-        localities packed into a single block-diagonal batch, and the model
-        runs one forward for the lot.  Per-recipe values are identical to
-        :meth:`predicted_accuracy`.
+        unique recipes are synthesized (cached) and scored together by
+        :meth:`~repro.attacks.omla.OmlaAttack.predict_circuits`, one
+        model forward for the lot.
         """
         results: list[Optional[float]] = [None] * len(recipes)
         pending: "OrderedDict[tuple[str, ...], list[int]]" = OrderedDict()
@@ -126,39 +117,13 @@ class ProxyModel:
             else:
                 pending.setdefault(recipe.steps, []).append(index)
         if pending:
-            if self.attack.model is None:
-                raise AttackError("attack model is not trained")
-            from repro.ml.data import pack_graph_groups
-
-            unique = [Recipe(steps) for steps in pending]
-            groups = []
-            for recipe in unique:
-                mapped = self._synthesize(recipe)
-                key_nets = victim_key_inputs(mapped)
-                if not key_nets:
-                    raise AttackError("circuit has no key inputs to attack")
-                groups.append(
-                    extract_localities(
-                        mapped,
-                        key_nets,
-                        [0] * len(key_nets),  # placeholder labels
-                        hops=self.attack.config.hops,
-                        max_nodes=self.attack.config.max_nodes,
-                    )
-                )
-            batch, slices = pack_graph_groups(groups)
-            grouped = self.attack.model.predict_grouped(batch, slices)
-            true_bits = self.locked.key.bits
-            for recipe, predictions in zip(unique, grouped):
-                if len(predictions) != len(true_bits):
-                    raise AttackError("prediction/key size mismatch")
-                accuracy = sum(
-                    1
-                    for predicted, truth in zip(predictions, true_bits)
-                    if int(predicted) == truth
-                ) / len(true_bits)
-                self._cache_put(recipe.steps, accuracy)
-                for index in pending[recipe.steps]:
+            predictions = self.attack.predict_circuits(
+                [self._synthesize(Recipe(steps)) for steps in pending]
+            )
+            for steps, (bits, _confidence) in zip(pending, predictions):
+                accuracy = AttackResult(bits, true_key=self.locked.key).accuracy
+                self._cache_put(steps, accuracy)
+                for index in pending[steps]:
                     results[index] = accuracy
         return [float(value) for value in results]
 

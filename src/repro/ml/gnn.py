@@ -8,8 +8,6 @@ readouts, and a final linear classifier to two classes (key bit 0 / 1).
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.ml.autograd import Tensor, segment_sum, spmm
@@ -75,17 +73,3 @@ class GinClassifier(Module):
         shifted = logits - logits.max(axis=-1, keepdims=True)
         exp = np.exp(shifted)
         return exp / exp.sum(axis=-1, keepdims=True)
-
-    def predict_grouped(
-        self, batch: GraphBatch, slices: Sequence[slice]
-    ) -> list[np.ndarray]:
-        """One forward over a multi-candidate batch, split back per group.
-
-        ``batch``/``slices`` come from
-        :func:`repro.ml.data.pack_graph_groups`: all candidates' localities
-        share one block-diagonal adjacency, so the whole candidate batch
-        costs a single set of sparse matmuls instead of one forward per
-        candidate.
-        """
-        predictions = self.predict(batch)
-        return [predictions[s] for s in slices]

@@ -123,9 +123,8 @@ def signal_probabilities(
     """Per-net probability of being 1 under uniform random stimulus.
 
     One packed simulation pass; ones are counted with a vectorised
-    popcount rather than per-word Python bit twiddling.  Feeds both
-    switching-activity power estimates and the functional feature column
-    the GNN attacks attach to each gate.
+    popcount rather than per-word Python bit twiddling.  Feeds the
+    switching-activity power estimates.
     """
     patterns = random_patterns(len(netlist.inputs), num_patterns, seed)
     words = simulate(netlist, pack_patterns(patterns, netlist.inputs))

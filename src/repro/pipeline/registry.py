@@ -1,7 +1,6 @@
 """One registry for every pluggable stage kind.
 
-Generalizes the ``ATTACK_REGISTRY`` pattern from :mod:`repro.attacks` into a
-single table covering all pipeline extension points::
+A single table covering all pipeline extension points, attacks included::
 
     from repro.pipeline.registry import register
 

@@ -2,7 +2,7 @@
 
 Each function here adapts one of the repo's primitive operations —
 :func:`repro.locking.lock_rll`, :func:`repro.synth.engine.apply_recipe`,
-the classes in :data:`repro.attacks.ATTACK_REGISTRY`, the ALMOST defense —
+the attack classes in :mod:`repro.attacks`, the ALMOST defense —
 to the registry calling conventions:
 
 * ``locker(netlist, spec: LockSpec) -> LockArtifact``
@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional
 
-from repro.attacks import get_attack
 from repro.attacks.base import AttackResult
 from repro.errors import PipelineError, SpecError
 from repro.locking import Key, lock_rll, relock
@@ -473,12 +472,11 @@ def _oracle_guided_setup(ctx: AttackContext, attack_name: str):
 
 @register("attack", "sat")
 def _attack_sat(ctx: AttackContext, params: Mapping[str, Any]) -> AttackResult:
-    from repro.attacks import SatAttackConfig
+    from repro.attacks import SatAttack, SatAttackConfig
 
     params = _params("sat", params, {"max_iterations": 512})
     netlist, oracle, true_key = _oracle_guided_setup(ctx, "sat")
-    attack_cls = get_attack("sat")
-    attack = attack_cls(
+    attack = SatAttack(
         SatAttackConfig(max_iterations=params["max_iterations"])
     )
     return attack.attack(netlist, oracle=oracle, true_key=true_key)
@@ -488,7 +486,7 @@ def _attack_sat(ctx: AttackContext, params: Mapping[str, Any]) -> AttackResult:
 def _attack_appsat(
     ctx: AttackContext, params: Mapping[str, Any]
 ) -> AttackResult:
-    from repro.attacks import AppSatConfig
+    from repro.attacks import AppSatAttack, AppSatConfig
 
     params = _params(
         "appsat", params,
@@ -496,8 +494,7 @@ def _attack_appsat(
          "error_threshold": 0.0, "settle_rounds": 2, "seed": 0},
     )
     netlist, oracle, true_key = _oracle_guided_setup(ctx, "appsat")
-    attack_cls = get_attack("appsat")
-    attack = attack_cls(
+    attack = AppSatAttack(
         AppSatConfig(
             max_iterations=params["max_iterations"],
             query_period=params["query_period"],

@@ -9,13 +9,11 @@ import numpy as np
 import pytest
 
 from repro.attacks import (
-    ATTACK_REGISTRY,
     AppSatAttack,
     AppSatConfig,
     DipLoop,
     SatAttack,
     SatAttackConfig,
-    get_attack,
     oracle_from_key,
 )
 from repro.circuits import CircuitBuilder
@@ -27,9 +25,10 @@ from repro.defenses import (
     lock_scheme,
     next_key_index,
 )
-from repro.errors import AttackError, LockingError
+from repro.errors import AttackError, LockingError, PipelineError
 from repro.locking import Key, apply_key, lock_rll, oracle_outputs
 from repro.netlist.simulate import exhaustive_patterns
+from repro.pipeline import registry
 from repro.sat import check_equivalence
 from tests.conftest import build_random_netlist
 
@@ -222,8 +221,9 @@ class TestDipLoopOnDefenses:
 
 class TestAppSat:
     def test_registered(self):
-        assert ATTACK_REGISTRY["appsat"] is AppSatAttack
-        assert get_attack("appsat") is AppSatAttack
+        assert registry.registered("attack", "appsat")
+        with pytest.raises(PipelineError):
+            registry.get("attack", "no-such-attack")
 
     def test_exact_on_plain_rll(self, c432_quick):
         """With nothing starving the loop, AppSAT degenerates to exact."""

@@ -8,18 +8,17 @@ import pytest
 from repro.aig.build import aig_from_netlist
 from repro.aig.simulate import output_truth_tables
 from repro.attacks import (
-    ATTACK_REGISTRY,
     SatAttack,
     SatAttackConfig,
-    get_attack,
     oracle_from_key,
 )
 from repro.circuits import CircuitBuilder
-from repro.errors import AttackError, SatError
+from repro.errors import AttackError, PipelineError, SatError
 from repro.locking import Key, apply_key, lock_rll
 from repro.netlist.gates import GATE_ARITY, GateType
 from repro.netlist.netlist import Netlist
 from repro.netlist.simulate import exhaustive_patterns, simulate_patterns
+from repro.pipeline import registry
 from repro.sat import (
     CdclSolver,
     Cnf,
@@ -482,10 +481,9 @@ class TestMiterPrefilter:
 
 class TestSatAttack:
     def test_registered(self):
-        assert ATTACK_REGISTRY["sat"] is SatAttack
-        assert get_attack("sat") is SatAttack
-        with pytest.raises(AttackError):
-            get_attack("nope")
+        assert registry.registered("attack", "sat")
+        with pytest.raises(PipelineError):
+            registry.get("attack", "nope")
 
     def test_recovers_functionally_correct_key(self, c432_quick):
         locked = lock_rll(c432_quick, key_size=8, seed=42)

@@ -8,6 +8,7 @@ import pytest
 
 from repro.aig.build import aig_from_netlist
 from repro.aig.export import netlist_from_aig
+from repro.attacks import AttackResult
 from repro.circuits import load_iscas85
 from repro.core.almost import AlmostConfig, AlmostDefense
 from repro.core.proxy import ProxyConfig, ProxyModel, build_resyn2_proxy
@@ -21,9 +22,15 @@ from repro.core.search import (
 )
 from repro.errors import SearchError, SpecError
 from repro.locking import lock_rll
+from repro.ml.gnn import GinClassifier
 from repro.pipeline.spec import DefenseSpec
 from repro.synth import RESYN2, Recipe, SynthCache, random_recipe
-from repro.synth.engine import apply_recipe, apply_transform, synthesize_netlist
+from repro.synth.engine import (
+    apply_recipe,
+    apply_transform,
+    synthesize_and_map,
+    synthesize_netlist,
+)
 from repro.synth.recipe import TRANSFORM_NAMES, mutate_step
 from repro.utils.rng import derive_seed, make_rng
 
@@ -584,12 +591,31 @@ def tiny_proxy():
 
 
 class TestProxyBatchScoring:
-    def test_batch_matches_per_item(self, tiny_proxy):
+    def test_batch_matches_per_item(self, tiny_proxy, monkeypatch):
         recipes = [RESYN2] + [random_recipe(10, seed=s) for s in range(3)]
         per_item = [tiny_proxy.predicted_accuracy(r) for r in recipes]
         tiny_proxy._cache.clear()  # force the batch path to recompute
+        forward = GinClassifier.predict_proba
+        forwards = []
+
+        def counted(model, batch):
+            forwards.append(batch.num_graphs)
+            return forward(model, batch)
+
+        monkeypatch.setattr(GinClassifier, "predict_proba", counted)
         batch = tiny_proxy.predicted_accuracy_batch(recipes)
+        monkeypatch.undo()
         assert batch == per_item
+        # The whole batch in one GIN forward: six key bits per recipe.
+        assert forwards == [6 * len(recipes)]
+        key = tiny_proxy.locked.key
+        for recipe, accuracy in zip(recipes, batch):
+            _netlist, mapped = synthesize_and_map(
+                tiny_proxy.locked.netlist, recipe
+            )
+            assert tiny_proxy.predicted_accuracy_on_circuit(mapped) == accuracy
+            bits = tiny_proxy.attack.attack(mapped).predicted_bits
+            assert AttackResult(bits, true_key=key).accuracy == accuracy
 
     def test_batch_handles_duplicates_and_memo_hits(self, tiny_proxy):
         recipe = random_recipe(10, seed=9)
