@@ -35,15 +35,15 @@ from repro.utils.rng import derive_seed
 
 @dataclass
 class OmlaConfig:
-    """Attack hyper-parameters (scaled-down OMLA defaults)."""
+    """Attack hyper-parameters (scaled-down OMLA defaults).
+
+    The locality budget, GIN width/depth and optimizer settings are the
+    defaults of :func:`~repro.attacks.subgraph.extract_localities`,
+    :class:`~repro.ml.gnn.GinClassifier` and :mod:`repro.ml.train`.
+    """
 
     hops: int = 3
-    max_nodes: int = 60
-    hidden: int = 32
-    num_layers: int = 3
     epochs: int = 40
-    batch_size: int = 64
-    lr: float = 5e-3
     relock_key_bits: int = 32      # key gates added per relock round
     num_relocks: int = 4           # rounds of relock + resynthesize
     seed: int = 0
@@ -60,6 +60,33 @@ class OmlaAttack:
 
     # -- data generation --------------------------------------------------
 
+    def relock_round(
+        self,
+        locked_netlist: Netlist,
+        recipe: Recipe,
+        seed: int,
+        cache=None,
+    ) -> list[GraphData]:
+        """One self-referencing round: relock, resynthesize, extract.
+
+        Adds ``relock_key_bits`` attacker-known key gates (``seed`` picks
+        them), synthesizes with ``recipe`` through the optional exact
+        :class:`~repro.synth.cache.SynthCache` and returns one labeled
+        locality per new key input.
+        """
+        relocked = relock(
+            locked_netlist, key_size=self.config.relock_key_bits, seed=seed
+        )
+        _netlist, mapped = synthesize_and_map(
+            relocked.netlist, recipe, cache=cache
+        )
+        return extract_localities(
+            mapped,
+            relocked.key_input_names,
+            relocked.key.bits,
+            hops=self.config.hops,
+        )
+
     def generate_training_data(
         self,
         locked_netlist: Netlist,
@@ -67,8 +94,10 @@ class OmlaAttack:
         recipes: Optional[Sequence[Recipe]] = None,
         seed: Optional[int] = None,
     ) -> list[GraphData]:
-        """Self-referencing training data from relock + resynthesize rounds.
+        """Self-referencing training data from :meth:`relock_round` calls.
 
+        Rounds run until ``num_samples`` localities exist (then the list
+        is cut to that size), or ``num_relocks`` rounds when it is None.
         ``recipes`` optionally varies the synthesis recipe per round (used
         to build the ``M_random`` and adversarial ``M*`` training sets);
         by default every round uses the attack's bound recipe.
@@ -77,43 +106,31 @@ class OmlaAttack:
         seed = config.seed if seed is None else seed
         graphs: list[GraphData] = []
         round_index = 0
-        while True:
-            if num_samples is not None and len(graphs) >= num_samples:
-                break
-            if num_samples is None and round_index >= config.num_relocks:
-                break
-            round_seed = derive_seed(seed, "relock", round_index)
-            relocked = relock(
-                locked_netlist,
-                key_size=config.relock_key_bits,
-                seed=round_seed,
-            )
+        while (
+            len(graphs) < num_samples
+            if num_samples is not None
+            else round_index < config.num_relocks
+        ):
             recipe = (
                 recipes[round_index % len(recipes)]
                 if recipes
                 else self.recipe
             )
-            _netlist, mapped = synthesize_and_map(relocked.netlist, recipe)
             graphs.extend(
-                extract_localities(
-                    mapped,
-                    relocked.key_input_names,
-                    relocked.key.bits,
-                    hops=config.hops,
-                    max_nodes=config.max_nodes,
+                self.relock_round(
+                    locked_netlist,
+                    recipe,
+                    derive_seed(seed, "relock", round_index),
                 )
             )
             round_index += 1
-        if num_samples is not None:
-            graphs = graphs[:num_samples]
-        return graphs
+        return graphs[:num_samples]
 
     # -- training -----------------------------------------------------------
 
     def train(
         self,
         graphs: Sequence[GraphData],
-        epochs: Optional[int] = None,
         extra_graphs_provider=None,
     ) -> GinClassifier:
         """Fit the GIN classifier; stores and returns the model."""
@@ -121,20 +138,14 @@ class OmlaAttack:
             raise AttackError("OMLA training requires labeled localities")
         config = self.config
         self.model = GinClassifier(
-            in_features=FEATURE_DIM,
-            hidden=config.hidden,
-            num_layers=config.num_layers,
-            seed=derive_seed(config.seed, "model"),
+            in_features=FEATURE_DIM, seed=derive_seed(config.seed, "model")
         )
         self.training_graphs = list(graphs)
         train_classifier(
             self.model,
             self.training_graphs,
             TrainConfig(
-                epochs=epochs if epochs is not None else config.epochs,
-                batch_size=config.batch_size,
-                lr=config.lr,
-                seed=derive_seed(config.seed, "train"),
+                epochs=config.epochs, seed=derive_seed(config.seed, "train")
             ),
             extra_graphs_provider=extra_graphs_provider,
         )
@@ -166,7 +177,6 @@ class OmlaAttack:
                     key_nets,
                     [0] * len(key_nets),  # placeholder labels
                     hops=self.config.hops,
-                    max_nodes=self.config.max_nodes,
                 )
             )
         batch, slices = pack_graph_groups(groups)

@@ -7,6 +7,9 @@ loss, Eq. 3); fresh relock localities synthesized with ``S_adv`` are then
 appended to the training pool (the min-max objective of Eq. 6).  The result
 is a proxy that stays accurate across the whole recipe space rather than
 near one recipe.
+
+Every locality comes from :meth:`~repro.attacks.omla.OmlaAttack.relock_round`,
+the same round OMLA's own training data uses.
 """
 
 from __future__ import annotations
@@ -17,13 +20,10 @@ from typing import Optional
 from repro.attacks.omla import OmlaAttack
 from repro.core.proxy import ProxyConfig, ProxyModel, _omla_config
 from repro.core.search import SearchConfig, SearchProblem, run_search
-from repro.locking.relock import relock
 from repro.locking.rll import LockedCircuit
 from repro.ml.data import GraphData
 from repro.ml.train import evaluate_accuracy
-from repro.attacks.subgraph import extract_localities
 from repro.synth.cache import SynthCache
-from repro.synth.engine import synthesize_and_map
 from repro.synth.recipe import Recipe, mutate_step, random_recipe
 from repro.utils.rng import derive_seed
 
@@ -32,49 +32,14 @@ from repro.utils.rng import derive_seed
 class AdversarialConfig:
     """Algorithm 1 knobs (scaled-down versions of the paper's values).
 
-    ``cache_entries`` bounds the per-(relock seed, prefix) synthesis cache
-    shared by a training run's inner SA rounds and ``augment_samples``
-    top-up loops; 0 disables caching (the pre-cache behaviour).
+    The inner SA uses :class:`~repro.core.search.SearchConfig`'s annealing
+    schedule.
     """
 
     period: int = 10                # paper R = 50
     augment_samples: int = 40       # paper: 200 per SA round
     sa_iterations: int = 8          # inner SA budget per round
-    sa_t_initial: float = 120.0
-    sa_acceptance: float = 1.8
     max_rounds: int = 3
-    cache_entries: int = 256
-
-
-def _adversarial_energy(
-    attack: OmlaAttack,
-    locked: LockedCircuit,
-    recipe: Recipe,
-    relock_bits: int,
-    seed: int,
-    cache=None,
-) -> tuple[float, list[GraphData]]:
-    """Model accuracy on fresh relock localities under ``recipe``.
-
-    Lower accuracy = higher loss = better adversarial sample source, so SA
-    minimizes this value directly (Eq. 3's argmax of loss).  ``cache`` is a
-    state-keyed :class:`~repro.synth.cache.SynthCache`; each relocked
-    circuit is its own starting state, and a re-evaluated recipe — the SA
-    revisiting a state, or a top-up resynthesizing ``S_adv`` — is served
-    from the stored states instead of rerunning the whole recipe.  Snapshots
-    are exact, so the localities (and hence ``M*``) are bit-identical to
-    the uncached computation.
-    """
-    relocked = relock(locked.netlist, key_size=relock_bits, seed=seed)
-    _netlist, mapped = synthesize_and_map(relocked.netlist, recipe, cache=cache)
-    graphs = extract_localities(
-        mapped,
-        relocked.key_input_names,
-        relocked.key.bits,
-        hops=attack.config.hops,
-        max_nodes=attack.config.max_nodes,
-    )
-    return evaluate_accuracy(attack.model, graphs), graphs
 
 
 def train_adversarial_attack(
@@ -108,11 +73,8 @@ def train_adversarial_attack(
     # One bounded synthesis cache across every adversarial round: each
     # relocked circuit starts its own chain of states, and the top-up
     # loop's repeated S_adv synthesis is served instead of rerun.
-    synth_cache = (
-        SynthCache(max_entries=adv_config.cache_entries)
-        if adv_config.cache_entries
-        else None
-    )
+    # Snapshots are exact, so M* is bit-identical to an uncached run.
+    synth_cache = SynthCache(max_entries=256)
 
     def extra_graphs_provider(epoch: int) -> list[GraphData]:
         nonlocal rounds_done
@@ -128,18 +90,22 @@ def train_adversarial_attack(
         collected: dict[tuple[str, ...], list[GraphData]] = {}
 
         def energy(recipe: Recipe) -> float:
-            accuracy, graphs = _adversarial_energy(
-                attack,
-                locked,
+            """Model accuracy on fresh relock localities under ``recipe``.
+
+            Lower accuracy = higher loss = better adversarial sample
+            source, so SA minimizes this value directly (Eq. 3's argmax of
+            loss).
+            """
+            graphs = attack.relock_round(
+                locked.netlist,
                 recipe,
-                config.relock_key_bits,
                 # recipe.short() kept as the relock-seed tag so the derived
                 # streams (and therefore M*) match the seed trainer exactly.
-                seed=derive_seed(round_seed, recipe.short()),
+                derive_seed(round_seed, recipe.short()),
                 cache=synth_cache,
             )
             collected[recipe.steps] = graphs
-            return accuracy
+            return evaluate_accuracy(attack.model, graphs)
 
         start = random_recipe(
             config.recipe_length, seed=derive_seed(round_seed, "start")
@@ -150,8 +116,6 @@ def train_adversarial_attack(
             strategy="sa",
             config=SearchConfig(
                 iterations=adv_config.sa_iterations,
-                t_initial=adv_config.sa_t_initial,
-                acceptance=adv_config.sa_acceptance,
                 seed=derive_seed(round_seed, "sa"),
             ),
         )
@@ -161,15 +125,12 @@ def train_adversarial_attack(
         top_up = 0
         while len(graphs) < adv_config.augment_samples:
             top_up += 1
-            _acc, more = _adversarial_energy(
-                attack,
-                locked,
+            graphs = graphs + attack.relock_round(
+                locked.netlist,
                 adversarial_recipe,
-                config.relock_key_bits,
-                seed=derive_seed(round_seed, "topup", top_up),
+                derive_seed(round_seed, "topup", top_up),
                 cache=synth_cache,
             )
-            graphs = graphs + more
         return graphs[: adv_config.augment_samples]
 
     # Build the model, then train with periodic augmentation (steps 3-9).

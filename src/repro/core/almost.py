@@ -29,6 +29,9 @@ from repro.synth.recipe import Recipe, mutate_step, random_recipe
 from repro.utils.pool import WorkerPool, worker_state
 from repro.utils.rng import derive_seed
 
+#: Eq. 1's target: a predicted accuracy of 0.5 is a coin flip.
+TARGET_ACCURACY = 0.5
+
 
 @dataclass
 class AlmostConfig:
@@ -38,14 +41,12 @@ class AlmostConfig:
     ``random``), ``chains`` sizes its candidate batch (tempering chains,
     beam width, sampling batch) and ``jobs`` > 1 fans candidate scoring out
     over a process pool.  The paper's setup is the default: serial ``sa``
-    with a single chain.
+    with a single chain and :class:`~repro.core.search.SearchConfig`'s
+    annealing schedule.
     """
 
     recipe_length: int = 10
     sa_iterations: int = 100
-    sa_t_initial: float = 120.0
-    sa_acceptance: float = 1.8
-    target_accuracy: float = 0.5
     stop_margin: float = 0.005     # stop when |acc - 0.5| <= margin
     seed: int = 0
     strategy: str = "sa"
@@ -194,7 +195,7 @@ class AlmostDefense:
                 accuracies = [float(a) for a in accuracy_batch(recipes)]
                 for recipe, accuracy in zip(recipes, accuracies):
                     accuracy_of[recipe.steps] = accuracy
-                return [abs(a - config.target_accuracy) for a in accuracies]
+                return [abs(a - TARGET_ACCURACY) for a in accuracies]
 
             result = run_search(
                 problem,
@@ -202,8 +203,6 @@ class AlmostDefense:
                 strategy=config.strategy,
                 config=SearchConfig(
                     iterations=config.sa_iterations,
-                    t_initial=config.sa_t_initial,
-                    acceptance=config.sa_acceptance,
                     seed=derive_seed(config.seed, "sa"),
                     chains=config.chains,
                 ),

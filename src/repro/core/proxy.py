@@ -141,20 +141,32 @@ def _omla_config(config: ProxyConfig, tag: str) -> OmlaConfig:
     )
 
 
+def _train_proxy(
+    locked: LockedCircuit,
+    config: ProxyConfig,
+    name: str,
+    tag: str,
+    recipes: Sequence[Recipe],
+) -> ProxyModel:
+    """Train an OMLA proxy on relock rounds synthesized with ``recipes``."""
+    attack = OmlaAttack(RESYN2, _omla_config(config, tag))
+    attack.train(
+        attack.generate_training_data(
+            locked.netlist,
+            num_samples=config.num_samples,
+            recipes=recipes,
+            seed=derive_seed(config.seed, f"{tag}-data"),
+        )
+    )
+    return ProxyModel(name=name, attack=attack, locked=locked)
+
+
 def build_resyn2_proxy(
     locked: LockedCircuit, config: Optional[ProxyConfig] = None
 ) -> ProxyModel:
     """``M_resyn2``: trained only on the baseline recipe's localities."""
     config = config if config is not None else ProxyConfig()
-    attack = OmlaAttack(RESYN2, _omla_config(config, "resyn2"))
-    data = attack.generate_training_data(
-        locked.netlist,
-        num_samples=config.num_samples,
-        recipes=[RESYN2],
-        seed=derive_seed(config.seed, "resyn2-data"),
-    )
-    attack.train(data)
-    return ProxyModel(name="M_resyn2", attack=attack, locked=locked)
+    return _train_proxy(locked, config, "M_resyn2", "resyn2", [RESYN2])
 
 
 def build_random_proxy(
@@ -168,12 +180,4 @@ def build_random_proxy(
         )
         for i in range(config.num_random_recipes)
     ]
-    attack = OmlaAttack(RESYN2, _omla_config(config, "random"))
-    data = attack.generate_training_data(
-        locked.netlist,
-        num_samples=config.num_samples,
-        recipes=recipes,
-        seed=derive_seed(config.seed, "random-data"),
-    )
-    attack.train(data)
-    return ProxyModel(name="M_random", attack=attack, locked=locked)
+    return _train_proxy(locked, config, "M_random", "random", recipes)

@@ -1,11 +1,16 @@
-"""Training loop for graph classifiers, with validation-split tracking."""
+"""Training loop for graph classifiers.
+
+The optimizer settings are fixed (Adam, batch 64, learning rate 5e-3,
+weight decay 1e-5).  Pools of more than four graphs hold out a tenth
+(at least one graph) as the paper's 9:1 train/validation split, and the
+weights of the epoch with the best validation accuracy (the last one on
+a tie) are restored at the end.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
-
-import numpy as np
 
 from repro.errors import MLError
 from repro.ml.autograd import cross_entropy
@@ -14,28 +19,26 @@ from repro.ml.gnn import GinClassifier
 from repro.ml.optim import Adam
 from repro.utils.rng import make_rng
 
+BATCH_SIZE = 64
+LR = 5e-3
+WEIGHT_DECAY = 1e-5
+VAL_FRACTION = 0.1
+
 
 @dataclass
 class TrainConfig:
     """Hyper-parameters for :func:`train_classifier`."""
 
     epochs: int = 60
-    batch_size: int = 64
-    lr: float = 5e-3
-    weight_decay: float = 1e-5
-    val_fraction: float = 0.1   # the paper's 9:1 train/validation split
     seed: int = 0
-    keep_best: bool = True      # restore the best-validation-accuracy weights
 
 
 @dataclass
 class TrainResult:
-    """Loss/accuracy history of one training run."""
+    """Per-epoch loss/accuracy history on the training split."""
 
     train_loss: list[float] = field(default_factory=list)
     train_accuracy: list[float] = field(default_factory=list)
-    val_accuracy: list[float] = field(default_factory=list)
-    best_val_accuracy: float = 0.0
 
 
 def evaluate_accuracy(model: GinClassifier, graphs: Sequence[GraphData]) -> float:
@@ -51,15 +54,12 @@ def train_classifier(
     model: GinClassifier,
     graphs: Sequence[GraphData],
     config: Optional[TrainConfig] = None,
-    epoch_callback: Optional[Callable[[int, "GinClassifier"], None]] = None,
     extra_graphs_provider: Optional[
         Callable[[int], Sequence[GraphData]]
     ] = None,
 ) -> TrainResult:
     """Train ``model`` on labeled subgraphs.
 
-    ``epoch_callback(epoch, model)`` runs after every epoch (used by the
-    adversarial re-training loop to inject SA-mined samples);
     ``extra_graphs_provider(epoch)`` may return new graphs to append to the
     training pool before the epoch runs (Algorithm 1's data augmentation).
     """
@@ -69,15 +69,13 @@ def train_classifier(
     if not pool:
         raise MLError("training requires at least one graph")
     perm = rng.permutation(len(pool))
-    num_val = max(1, int(len(pool) * config.val_fraction)) if len(pool) > 4 else 0
+    num_val = max(1, int(len(pool) * VAL_FRACTION)) if len(pool) > 4 else 0
     val_set = [pool[i] for i in perm[:num_val]]
     train_set = [pool[i] for i in perm[num_val:]]
 
-    optimizer = Adam(
-        model.parameters(), lr=config.lr, weight_decay=config.weight_decay
-    )
+    optimizer = Adam(model.parameters(), lr=LR, weight_decay=WEIGHT_DECAY)
     result = TrainResult()
-    best_state = None
+    best_accuracy, best_state = 0.0, None
     for epoch in range(config.epochs):
         if extra_graphs_provider is not None:
             extra = list(extra_graphs_provider(epoch))
@@ -86,8 +84,8 @@ def train_classifier(
         order = rng.permutation(len(train_set))
         epoch_loss = 0.0
         correct = 0
-        for start in range(0, len(train_set), config.batch_size):
-            index_block = order[start: start + config.batch_size]
+        for start in range(0, len(train_set), BATCH_SIZE):
+            index_block = order[start: start + BATCH_SIZE]
             batch = pack_graphs([train_set[i] for i in index_block])
             optimizer.zero_grad()
             logits = model(batch)
@@ -99,17 +97,9 @@ def train_classifier(
         result.train_loss.append(epoch_loss / len(train_set))
         result.train_accuracy.append(correct / len(train_set))
         if val_set:
-            val_acc = evaluate_accuracy(model, val_set)
-            result.val_accuracy.append(val_acc)
-            if config.keep_best and val_acc >= result.best_val_accuracy:
-                result.best_val_accuracy = val_acc
-                best_state = model.state_dict()
-        if epoch_callback is not None:
-            epoch_callback(epoch, model)
-    if best_state is not None and config.keep_best:
+            val_accuracy = evaluate_accuracy(model, val_set)
+            if val_accuracy >= best_accuracy:
+                best_accuracy, best_state = val_accuracy, model.state_dict()
+    if best_state is not None:
         model.load_state_dict(best_state)
-    if not val_set:
-        result.best_val_accuracy = (
-            result.train_accuracy[-1] if result.train_accuracy else 0.0
-        )
     return result

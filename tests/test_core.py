@@ -121,7 +121,21 @@ class TestProxyModels:
         accuracies = proxy.predicted_accuracy_batch(recipes)
         assert len(accuracies) == 2
 
-    def test_adversarial_proxy(self, tiny_locked):
+    def test_adversarial_proxy(self, tiny_locked, monkeypatch):
+        from repro.attacks.omla import OmlaAttack
+
+        # Every relock round run once the model exists is an adversarial
+        # one (the SA energy or the S_adv top-up).
+        adversarial_graphs = []
+        relock_round = OmlaAttack.relock_round
+
+        def spy(attack, *args, **kwargs):
+            graphs = relock_round(attack, *args, **kwargs)
+            if attack.model is not None:
+                adversarial_graphs.extend(graphs)
+            return graphs
+
+        monkeypatch.setattr(OmlaAttack, "relock_round", spy)
         proxy = train_adversarial_attack(
             tiny_locked,
             _TINY,
@@ -132,22 +146,29 @@ class TestProxyModels:
         assert proxy.name == "M*"
         accuracy = proxy.predicted_accuracy(RESYN2)
         assert 0.0 <= accuracy <= 1.0
-        # Adversarial augmentation must have grown the pool.
-        assert len(proxy.attack.training_graphs) >= _TINY.num_samples
+        assert len(proxy.attack.training_graphs) == _TINY.num_samples
+        # Adversarial augmentation must have mined at least the budget.
+        assert len(adversarial_graphs) >= 8
 
-    def test_adversarial_synth_cache_is_exact(self, tiny_locked):
-        """The per-(relock seed, prefix) cache must not change M* at all:
-        same trained pool, same predictions, cached or not."""
-        adv = dict(period=2, augment_samples=8, sa_iterations=2, max_rounds=1)
-        cached = train_adversarial_attack(
-            tiny_locked, _TINY, AdversarialConfig(cache_entries=256, **adv)
+    def test_adversarial_synth_cache_is_exact(self, tiny_locked, monkeypatch):
+        """The state-keyed synthesis cache must not change M* at all:
+        same trained pool, same weights, same predictions, cached or not."""
+        adv = AdversarialConfig(
+            period=2, augment_samples=8, sa_iterations=2, max_rounds=1
         )
-        uncached = train_adversarial_attack(
-            tiny_locked, _TINY, AdversarialConfig(cache_entries=0, **adv)
+        cached = train_adversarial_attack(tiny_locked, _TINY, adv)
+        monkeypatch.setattr(
+            "repro.core.adversarial.SynthCache", lambda **kwargs: None
         )
+        uncached = train_adversarial_attack(tiny_locked, _TINY, adv)
         assert len(cached.attack.training_graphs) == len(
             uncached.attack.training_graphs
         )
+        for ours, theirs in zip(
+            cached.attack.model.state_dict(),
+            uncached.attack.model.state_dict(),
+        ):
+            assert (ours == theirs).all()
         for recipe in (RESYN2, random_recipe(10, seed=21)):
             assert cached.predicted_accuracy(
                 recipe
@@ -157,8 +178,8 @@ class TestProxyModels:
         """Re-evaluating one (recipe, relock seed) resumes from the full
         snapshot — zero new steps — and reproduces the localities exactly."""
         from repro.attacks.omla import OmlaAttack
-        from repro.core.adversarial import _adversarial_energy
         from repro.core.proxy import _omla_config
+        from repro.ml.train import evaluate_accuracy
         from repro.synth import SynthCache
 
         attack = OmlaAttack(RESYN2, _omla_config(_TINY, "cache-test"))
@@ -168,22 +189,22 @@ class TestProxyModels:
         attack.train(data)
         cache = SynthCache()
         recipe = random_recipe(10, seed=7)
-        first_acc, first_graphs = _adversarial_energy(
-            attack, tiny_locked, recipe, 8, seed=17, cache=cache
+        first_graphs = attack.relock_round(
+            tiny_locked.netlist, recipe, 17, cache=cache
         )
+        first_acc = evaluate_accuracy(attack.model, first_graphs)
         executed = cache.steps_executed
         assert executed == 10 and cache.steps_saved == 0
-        second_acc, second_graphs = _adversarial_energy(
-            attack, tiny_locked, recipe, 8, seed=17, cache=cache
+        second_graphs = attack.relock_round(
+            tiny_locked.netlist, recipe, 17, cache=cache
         )
+        second_acc = evaluate_accuracy(attack.model, second_graphs)
         assert cache.steps_executed == executed  # full-prefix resume
         assert cache.steps_saved == 10
         assert second_acc == first_acc
         assert len(second_graphs) == len(first_graphs)
         # A different relock seed is a different circuit: its own chain.
-        _acc, _graphs = _adversarial_energy(
-            attack, tiny_locked, recipe, 8, seed=18, cache=cache
-        )
+        attack.relock_round(tiny_locked.netlist, recipe, 18, cache=cache)
         assert cache.steps_executed == executed + 10
 
 

@@ -7,7 +7,6 @@ import os
 import pytest
 
 from repro.aig.build import aig_from_netlist
-from repro.aig.export import netlist_from_aig
 from repro.attacks import AttackResult
 from repro.circuits import load_iscas85
 from repro.core.almost import AlmostConfig, AlmostDefense
@@ -24,7 +23,7 @@ from repro.errors import SearchError, SpecError
 from repro.locking import lock_rll
 from repro.ml.gnn import GinClassifier
 from repro.pipeline.spec import DefenseSpec
-from repro.synth import RESYN2, Recipe, SynthCache, random_recipe
+from repro.synth import RESYN2, SynthCache, random_recipe
 from repro.synth.engine import (
     apply_recipe,
     apply_transform,

@@ -23,7 +23,7 @@ from pathlib import Path
 import pytest
 
 from repro.circuits import load_iscas85
-from repro.core.almost import AlmostConfig, AlmostDefense
+from repro.core.almost import TARGET_ACCURACY, AlmostConfig, AlmostDefense
 from repro.core.proxy import ProxyConfig, build_resyn2_proxy
 from repro.locking import lock_rll
 from repro.synth.cache import SynthCache
@@ -62,7 +62,7 @@ def search_case(name: str) -> dict:
     def recorded(recipes):
         accuracies = score(recipes)
         evaluations.extend(
-            [recipe.short(), abs(accuracy - config.target_accuracy)]
+            [recipe.short(), abs(accuracy - TARGET_ACCURACY)]
             for recipe, accuracy in zip(recipes, accuracies)
         )
         return accuracies
