@@ -1,10 +1,10 @@
 """Training loop for graph classifiers.
 
-The optimizer settings are fixed (Adam, batch 64, learning rate 5e-3,
-weight decay 1e-5).  Pools of more than four graphs hold out a tenth
-(at least one graph) as the paper's 9:1 train/validation split, and the
-weights of the epoch with the best validation accuracy (the last one on
-a tie) are restored at the end.
+Adam runs with the fixed batch size, learning rate and weight decay
+below.  Pools of more than four graphs hold out a tenth (at least one
+graph) as the paper's 9:1 train/validation split, and the weights of the
+epoch with the best validation accuracy (the last one on a tie) are
+restored at the end.
 """
 
 from __future__ import annotations
