@@ -2,7 +2,7 @@
 
 Two flavours, matching what the synthesis passes need:
 
-* :class:`CutManager` / :func:`enumerate_cuts` — classic bottom-up
+* :class:`CutManager` — classic bottom-up
   k-feasible cut enumeration with a per-node cut limit, used by ``rewrite``
   (k = 4).  Each stored :class:`Cut` carries its sorted leaf tuple, a leaf
   bitset (bit ``v`` set for leaf ``v``) and its truth table over the
@@ -137,31 +137,25 @@ class CutManager:
         return kept
 
 
-def enumerate_cuts(
-    aig: Aig, k: int = 4, limit: int = 8
-) -> dict[int, list[tuple[int, ...]]]:
-    """Leaf tuples of the k-feasible cuts of every live AND node."""
-    manager = CutManager(aig, k=k, limit=limit)
-    return {
-        var: [cut.leaves for cut in manager.cuts(var)]
-        for var in aig.topological_ands()
-    }
+#: Expansion steps after which :func:`reconvergence_cut` stops growing.
+MAX_VISITS = 200
 
 
 def reconvergence_cut(
-    aig: Aig, root: int, max_leaves: int = 8, max_visits: int = 200
+    aig: Aig, root: int, max_leaves: int = 8
 ) -> tuple[int, ...]:
     """Grow a reconvergence-driven cut of at most ``max_leaves`` leaves.
 
     Starting from the root's fanins, repeatedly expands the leaf whose
     replacement by its own fanins increases the leaf count the least
     (preferring expansions that *reduce* it, i.e. reconvergence).  Stops when
-    no expansion fits the leaf budget.
+    no expansion fits the leaf budget, or after ``MAX_VISITS`` expansions.
     """
     if not aig.is_and(root):
         return (root,)
     f0, f1 = aig.fanins(root)
     leaves = {lit_var(f0), lit_var(f1)}
+    max_visits = MAX_VISITS
     visits = 0
     while visits < max_visits:
         visits += 1

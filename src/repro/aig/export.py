@@ -41,11 +41,9 @@ def _xor_pattern(aig: Aig, var: int) -> tuple[int, int] | None:
     return g00, g01
 
 
-def netlist_from_aig(
-    aig: Aig, detect_xor: bool = True, name: str | None = None
-) -> Netlist:
-    """Export the live PO cone as a primitive-gate netlist."""
-    netlist = Netlist(name=name if name is not None else aig.name)
+def netlist_from_aig(aig: Aig) -> Netlist:
+    """Export the live PO cone as a primitive-gate netlist of the same name."""
+    netlist = Netlist(name=aig.name)
     net_of: dict[int, str] = {}
     for var, pi_name in zip(aig.pi_vars(), aig.pi_names()):
         netlist.add_input(pi_name)
@@ -81,23 +79,22 @@ def netlist_from_aig(
     xor_operands: dict[int, tuple[int, int]] = {}
     absorbed: set[int] = set()
     order = aig.topological_ands(roots=aig.po_lits())
-    if detect_xor:
-        po_vars = {lit_var(po) for po in aig.po_lits()}
-        for var in order:
-            pattern = _xor_pattern(aig, var)
-            if pattern is None:
-                continue
-            f0, f1 = aig.fanins(var)
-            children = [lit_var(f0), lit_var(f1)]
-            # Only absorb children used nowhere else and not POs themselves.
-            if all(
-                len(aig.fanout_vars(c)) == 1
-                and aig.num_refs(c) == 1
-                and c not in po_vars
-                for c in children
-            ):
-                xor_operands[var] = pattern
-                absorbed.update(children)
+    po_vars = {lit_var(po) for po in aig.po_lits()}
+    for var in order:
+        pattern = _xor_pattern(aig, var)
+        if pattern is None:
+            continue
+        f0, f1 = aig.fanins(var)
+        children = [lit_var(f0), lit_var(f1)]
+        # Only absorb children used nowhere else and not POs themselves.
+        if all(
+            len(aig.fanout_vars(c)) == 1
+            and aig.num_refs(c) == 1
+            and c not in po_vars
+            for c in children
+        ):
+            xor_operands[var] = pattern
+            absorbed.update(children)
 
     for index, var in enumerate(order):
         if var in absorbed and var not in xor_operands:

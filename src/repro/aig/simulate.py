@@ -164,36 +164,39 @@ def cut_truth_table(aig: Aig, root_lit: int, leaves: Sequence[int]) -> TruthTabl
     return TruthTable(bits & mask, nvars)
 
 
-def functionally_equal(
-    first: Aig,
-    second: Aig,
-    exhaustive_limit: int = 14,
-    width: int = 1024,
-    seed: int = 7,
-) -> bool:
+#: :func:`functionally_equal` enumerates every pattern up to this many PIs.
+EXHAUSTIVE_LIMIT = 14
+#: Random patterns, and their seed, that :func:`functionally_equal` uses
+#: above the exhaustive limit.
+RANDOM_WIDTH = 1024
+RANDOM_SEED = 7
+
+
+def functionally_equal(first: Aig, second: Aig) -> bool:
     """Check PO-by-PO functional equality of two AIGs with shared PI names.
 
     Uses exhaustive simulation when the circuits have at most
-    ``exhaustive_limit`` inputs, random simulation otherwise (a strong
-    randomized check, not a proof).
+    ``EXHAUSTIVE_LIMIT`` (14) inputs, otherwise ``RANDOM_WIDTH`` (1024)
+    random patterns from seed ``RANDOM_SEED`` (a strong randomized check,
+    not a proof).
     """
     if first.pi_names() != second.pi_names():
         raise AigError("AIGs have different PI name lists")
     if first.num_pos != second.num_pos:
         return False
     num = first.num_pis
-    if num <= exhaustive_limit:
+    if num <= EXHAUSTIVE_LIMIT:
         sim_width = 1 << num
         pi_bits = {
             name: TruthTable.var(i, num).bits
             for i, name in enumerate(first.pi_names())
         }
     else:
-        sim_width = width
-        rng = make_rng(seed)
+        sim_width = RANDOM_WIDTH
+        rng = make_rng(RANDOM_SEED)
         pi_bits = {
-            name: int.from_bytes(rng.bytes((width + 7) // 8), "big")
-            & ((1 << width) - 1)
+            name: int.from_bytes(rng.bytes((sim_width + 7) // 8), "big")
+            & ((1 << sim_width) - 1)
             for name in first.pi_names()
         }
     pis_a = {

@@ -38,7 +38,7 @@ class OmlaConfig:
     """Attack hyper-parameters (scaled-down OMLA defaults).
 
     The locality budget, GIN width/depth and optimizer settings are the
-    defaults of :func:`~repro.attacks.subgraph.extract_localities`,
+    defaults of :class:`~repro.attacks.subgraph.LocalityExtractor`,
     :class:`~repro.ml.gnn.GinClassifier` and :mod:`repro.ml.train`.
     """
 
@@ -56,7 +56,6 @@ class OmlaAttack:
         self.recipe = recipe
         self.config = config if config is not None else OmlaConfig()
         self.model: Optional[GinClassifier] = None
-        self.training_graphs: list[GraphData] = []
 
     # -- data generation --------------------------------------------------
 
@@ -140,10 +139,9 @@ class OmlaAttack:
         self.model = GinClassifier(
             in_features=FEATURE_DIM, seed=derive_seed(config.seed, "model")
         )
-        self.training_graphs = list(graphs)
         train_classifier(
             self.model,
-            self.training_graphs,
+            graphs,
             TrainConfig(
                 epochs=config.epochs, seed=derive_seed(config.seed, "train")
             ),

@@ -197,12 +197,14 @@ def extract_localities(
     key_nets: Sequence[str],
     labels: Sequence[int],
     hops: int = 3,
-    max_nodes: int = 60,
 ) -> list[GraphData]:
-    """Extract one labeled locality per key input."""
+    """Extract one labeled locality per key input.
+
+    Each locality keeps :class:`LocalityExtractor`'s default node budget.
+    """
     if len(key_nets) != len(labels):
         raise AttackError("key_nets and labels length mismatch")
-    extractor = LocalityExtractor(circuit, hops=hops, max_nodes=max_nodes)
+    extractor = LocalityExtractor(circuit, hops=hops)
     return [
         extractor.extract(net, label) for net, label in zip(key_nets, labels)
     ]

@@ -128,13 +128,13 @@ class CircuitBuilder:
         return self.xor(a, b), self.and_(a, b)
 
     def ripple_adder(
-        self, a: Sequence[str], b: Sequence[str], cin: str | None = None
+        self, a: Sequence[str], b: Sequence[str]
     ) -> tuple[list[str], str]:
-        """Ripple-carry adder; returns ``(sum_bits, carry_out)``."""
+        """Ripple-carry adder, no carry-in; returns ``(sums, carry_out)``."""
         if len(a) != len(b):
             raise ValueError("operand widths differ")
         sums: list[str] = []
-        carry = cin
+        carry = None
         for bit_a, bit_b in zip(a, b):
             if carry is None:
                 s, carry = self.half_adder(bit_a, bit_b)

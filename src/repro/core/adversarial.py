@@ -82,7 +82,6 @@ def train_adversarial_attack(
             epoch == 0
             or epoch % adv_config.period != 0
             or rounds_done >= adv_config.max_rounds
-            or attack.model is None
         ):
             return []
         rounds_done += 1

@@ -10,31 +10,23 @@ footnote 3).
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.locking.key import Key
 from repro.locking.rll import LockedCircuit, lock_rll
 from repro.netlist.netlist import Netlist
 
 RELOCK_PREFIX = "relockinput"
 
 
-def relock(
-    netlist: Netlist,
-    key_size: int,
-    seed: int,
-    key: Optional[Key] = None,
-) -> LockedCircuit:
+def relock(netlist: Netlist, key_size: int, seed: int) -> LockedCircuit:
     """Insert ``key_size`` additional key gates with fresh key inputs.
 
-    The new inputs use the ``relockinput`` prefix so they never collide with
-    (or shadow) the victim's ``keyinput`` pins, and attacks can tell the
-    training localities apart from the ones under attack.
+    ``seed`` picks the gate sites and the key bits.  The new inputs use the
+    ``relockinput`` prefix so they never collide with (or shadow) the
+    victim's ``keyinput`` pins, and attacks can tell the training
+    localities apart from the ones under attack.
     """
     return lock_rll(
         netlist,
         key_size=key_size,
         seed=seed,
-        key=key,
         prefix=RELOCK_PREFIX,
     )

@@ -18,11 +18,9 @@ which phase) so PPA power analysis can reuse AIG switching activities.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
-
 from repro.aig.aig import Aig, lit_var
 from repro.errors import MappingError
-from repro.mapping.cells import Cell, CellLibrary, nangate45_library
+from repro.mapping.cells import CellLibrary, nangate45_library
 from repro.netlist.gates import GateType
 from repro.netlist.netlist import Netlist
 
@@ -124,16 +122,11 @@ class MappedCircuit:
         return netlist
 
 
-def map_aig(
-    aig: Aig,
-    library: Optional[CellLibrary] = None,
-    detect_patterns: bool = True,
-) -> MappedCircuit:
-    """Map an AIG onto the cell library (all X1 strengths)."""
-    library = library if library is not None else nangate45_library()
+def map_aig(aig: Aig) -> MappedCircuit:
+    """Map an AIG onto the NanGate45 cell library (all X1 strengths)."""
     mapped = MappedCircuit(
         name=aig.name,
-        library=library,
+        library=nangate45_library(),
         inputs=list(aig.pi_names()),
         outputs=[],
     )
@@ -162,65 +155,55 @@ def map_aig(
     # pattern[var] = (kind, payload); absorbed nodes are skipped in covering.
     pattern: dict[int, tuple[str, tuple]] = {}
     absorbed: set[int] = set()
-    if detect_patterns:
-        for var in order:
-            if var in absorbed:
-                continue
-            f0, f1 = aig.fanins(var)
-            if not (f0 & 1) or not (f1 & 1):
-                continue
-            v0, v1 = lit_var(f0), lit_var(f1)
-            if not (aig.is_and(v0) and aig.is_and(v1)) or v0 == v1:
-                continue
-            if v0 in absorbed or v1 in absorbed or v0 in pattern or v1 in pattern:
-                continue
-            single_use = all(
-                aig.num_refs(c) == 1 and c not in po_vars for c in (v0, v1)
-            )
-            if not single_use:
-                continue
-            g00, g01 = aig.fanins(v0)
-            g10, g11 = aig.fanins(v1)
-            vars0 = {lit_var(g00), lit_var(g01)}
-            vars1 = {lit_var(g10), lit_var(g11)}
-            if vars0 != vars1:
-                continue
-            if {g10, g11} == {g00 ^ 1, g01 ^ 1}:
-                # var = ~(ab) & ~(a'b') -> XOR(a, b) with a=g00, b=g01
-                pattern[var] = ("xor", (g00, g01))
-                absorbed.update((v0, v1))
-                continue
-            shared = vars0 & vars1
-            if len(shared) == 2:
-                # Same two variables, exactly one flipped -> MUX.
-                lits0 = {g00, g01}
-                lits1 = {g10, g11}
-                flipped = {l ^ 1 for l in lits0}
-                common = lits0 & lits1
-                if len(common) == 1 and len(lits1 & flipped) == 1:
-                    pass  # fall through: not a standard mux shape
-            # MUX: var = ~(s&b) & ~(~s&a) -> ~var... handled via select var.
-            select = None
-            # sorted(): first matching candidate wins, so candidate order
-            # must be canonical for the mapped netlist to be reproducible.
-            for cand in sorted(vars0):
-                lits_with_cand0 = [l for l in (g00, g01) if lit_var(l) == cand]
-                lits_with_cand1 = [l for l in (g10, g11) if lit_var(l) == cand]
-                if (
-                    len(lits_with_cand0) == 1
-                    and len(lits_with_cand1) == 1
-                    and lits_with_cand0[0] == (lits_with_cand1[0] ^ 1)
-                ):
-                    select = cand
-                    break
-            if select is not None and len(vars0 | vars1) >= 2:
-                sel_lit0 = next(l for l in (g00, g01) if lit_var(l) == select)
-                data0 = next(l for l in (g00, g01) if lit_var(l) != select)
-                data1 = next(l for l in (g10, g11) if lit_var(l) != select)
-                # ~var = MUX(sel, ...): when sel_lit0 true, v0 = data0.
-                # ~var = (sel_lit0 & data0) | (~sel_lit0 & data1)
-                pattern[var] = ("mux", (sel_lit0, data0, data1))
-                absorbed.update((v0, v1))
+    for var in order:
+        if var in absorbed:
+            continue
+        f0, f1 = aig.fanins(var)
+        if not (f0 & 1) or not (f1 & 1):
+            continue
+        v0, v1 = lit_var(f0), lit_var(f1)
+        if not (aig.is_and(v0) and aig.is_and(v1)) or v0 == v1:
+            continue
+        if v0 in absorbed or v1 in absorbed or v0 in pattern or v1 in pattern:
+            continue
+        single_use = all(
+            aig.num_refs(c) == 1 and c not in po_vars for c in (v0, v1)
+        )
+        if not single_use:
+            continue
+        g00, g01 = aig.fanins(v0)
+        g10, g11 = aig.fanins(v1)
+        vars0 = {lit_var(g00), lit_var(g01)}
+        vars1 = {lit_var(g10), lit_var(g11)}
+        if vars0 != vars1:
+            continue
+        if {g10, g11} == {g00 ^ 1, g01 ^ 1}:
+            # var = ~(ab) & ~(a'b') -> XOR(a, b) with a=g00, b=g01
+            pattern[var] = ("xor", (g00, g01))
+            absorbed.update((v0, v1))
+            continue
+        # MUX: var = ~(s&b) & ~(~s&a) -> ~var... handled via select var.
+        select = None
+        # sorted(): first matching candidate wins, so candidate order
+        # must be canonical for the mapped netlist to be reproducible.
+        for cand in sorted(vars0):
+            lits_with_cand0 = [l for l in (g00, g01) if lit_var(l) == cand]
+            lits_with_cand1 = [l for l in (g10, g11) if lit_var(l) == cand]
+            if (
+                len(lits_with_cand0) == 1
+                and len(lits_with_cand1) == 1
+                and lits_with_cand0[0] == (lits_with_cand1[0] ^ 1)
+            ):
+                select = cand
+                break
+        if select is not None and len(vars0 | vars1) >= 2:
+            sel_lit0 = next(l for l in (g00, g01) if lit_var(l) == select)
+            data0 = next(l for l in (g00, g01) if lit_var(l) != select)
+            data1 = next(l for l in (g10, g11) if lit_var(l) != select)
+            # ~var = MUX(sel, ...): when sel_lit0 true, v0 = data0.
+            # ~var = (sel_lit0 & data0) | (~sel_lit0 & data1)
+            pattern[var] = ("mux", (sel_lit0, data0, data1))
+            absorbed.update((v0, v1))
 
     # --- covering -------------------------------------------------------------
     # stored[var] = (net, negated): the mapped net computes var ^ negated.

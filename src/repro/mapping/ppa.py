@@ -20,6 +20,12 @@ from repro.netlist.simulate import switching_activity
 #: Clock assumed for dynamic power normalization (arbitrary but fixed).
 _SUPPLY_V = 1.1
 _FREQ_GHZ = 1.0
+#: Random patterns (seed 0) behind the switching activities.
+ACTIVITY_PATTERNS = 1024
+#: Upsize/downsize rounds of the ``+opt`` flow, and the share of the
+#: critical delay within which a path counts as critical.
+OPT_ROUNDS = 3
+SLACK_FRACTION = 0.05
 
 
 @dataclass(frozen=True)
@@ -71,11 +77,7 @@ def _arrival_times(mapped: MappedCircuit) -> dict[str, float]:
     return arrival
 
 
-def analyze_ppa(
-    mapped: MappedCircuit,
-    num_patterns: int = 1024,
-    seed: int = 0,
-) -> PpaReport:
+def analyze_ppa(mapped: MappedCircuit) -> PpaReport:
     """Compute the PPA report of a mapped circuit."""
     arrival = _arrival_times(mapped)
     delay = max((arrival[net] for net in mapped.outputs), default=0.0)
@@ -85,7 +87,7 @@ def analyze_ppa(
     )
     # Dynamic power: P = alpha * C * V^2 * f per driven pin.
     netlist = mapped.to_netlist()
-    activity = switching_activity(netlist, num_patterns=num_patterns, seed=seed)
+    activity = switching_activity(netlist, num_patterns=ACTIVITY_PATTERNS)
     input_cap_of: dict[str, float] = {}
     for inst in mapped.instances:
         cell = mapped.library[inst.cell_name]
@@ -107,11 +109,11 @@ def analyze_ppa(
     )
 
 
-def _critical_instances(mapped: MappedCircuit, slack_fraction: float) -> set[int]:
+def _critical_instances(mapped: MappedCircuit) -> set[int]:
     """Indices of instances on (near-)critical paths."""
     arrival = _arrival_times(mapped)
     delay = max((arrival[net] for net in mapped.outputs), default=0.0)
-    threshold = delay * (1.0 - slack_fraction)
+    threshold = delay * (1.0 - SLACK_FRACTION)
     producers = {inst.output: i for i, inst in enumerate(mapped.instances)}
     critical: set[int] = set()
     frontier = [
@@ -134,11 +136,7 @@ def _critical_instances(mapped: MappedCircuit, slack_fraction: float) -> set[int
     return critical
 
 
-def optimize_mapping(
-    mapped: MappedCircuit,
-    rounds: int = 3,
-    slack_fraction: float = 0.05,
-) -> MappedCircuit:
+def optimize_mapping(mapped: MappedCircuit) -> MappedCircuit:
     """The ``+opt`` flow: upsize critical cells, downsize the rest.
 
     Operates in place on a shallow copy of the instance list and returns the
@@ -160,8 +158,8 @@ def optimize_mapping(
             for inst in mapped.instances
         ],
     )
-    for _ in range(rounds):
-        critical = _critical_instances(out, slack_fraction)
+    for _ in range(OPT_ROUNDS):
+        critical = _critical_instances(out)
         changed = False
         for index, inst in enumerate(out.instances):
             base, strength = inst.cell_name.rsplit("_", 1)

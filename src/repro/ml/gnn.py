@@ -37,7 +37,6 @@ class GinClassifier(Module):
         in_features: int,
         hidden: int = 32,
         num_layers: int = 3,
-        num_classes: int = 2,
         seed: int = 0,
     ):
         self.layers = [
@@ -50,7 +49,7 @@ class GinClassifier(Module):
             for i in range(num_layers)
         ]
         readout_width = in_features + hidden * num_layers
-        self.head = Linear(readout_width, num_classes, seed=seed + 999)
+        self.head = Linear(readout_width, 2, seed=seed + 999)
 
     def __call__(self, batch: GraphBatch) -> Tensor:
         features = Tensor(batch.features)

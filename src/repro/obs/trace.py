@@ -47,6 +47,8 @@ from repro.obs.metrics import REGISTRY
 
 #: Bumped when the JSONL record shape changes (see docs/observability.md).
 TRACE_SCHEMA = 1
+#: A tracer with a sink writes its buffer out at this many records.
+BUFFER_LIMIT = 256
 
 #: Process-wide span-id counter.  Module-level so successive tracers in
 #: one process (a pool worker's, say) never reuse an id; the pid prefix
@@ -158,7 +160,7 @@ class Tracer:
     """Collects spans into a buffer and (optionally) a JSONL file.
 
     ``path`` names the sink; records are buffered and written out every
-    ``buffer_limit`` records and on :meth:`flush`/:meth:`close`.  Without a
+    ``BUFFER_LIMIT`` records and on :meth:`flush`/:meth:`close`.  Without a
     path everything stays in :attr:`records` (what the tests read).  The
     tracer is also a context manager — ``with Tracer(path) as t`` closes
     (flushes) on exit.
@@ -166,13 +168,8 @@ class Tracer:
 
     enabled = True
 
-    def __init__(
-        self,
-        path: Optional[Union[str, os.PathLike]] = None,
-        buffer_limit: int = 256,
-    ):
+    def __init__(self, path: Optional[Union[str, os.PathLike]] = None):
         self.path = str(path) if path else None
-        self.buffer_limit = buffer_limit
         self.records: list[dict] = []
         self._stack: list[Span] = []
         self._sink: Optional[IO[str]] = None
@@ -218,7 +215,7 @@ class Tracer:
 
     def _emit(self, record: dict) -> None:
         self.records.append(record)
-        if self.path and len(self.records) >= self.buffer_limit:
+        if self.path and len(self.records) >= BUFFER_LIMIT:
             self.flush()
 
     @property

@@ -344,19 +344,15 @@ class Runner:
         workdir: Optional[Union[str, Path]] = None,
         jobs: int = 1,
         use_cache: bool = True,
-        cache: Optional[ArtifactCache] = None,
     ):
         if jobs < 1:
             raise PipelineError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
         self.use_cache = use_cache
         self.workdir = Path(workdir).expanduser() if workdir else None
-        if cache is not None:
-            self.cache: Optional[ArtifactCache] = cache
-        elif use_cache:
-            self.cache = ArtifactCache(self.workdir)
-        else:
-            self.cache = None
+        self.cache: Optional[ArtifactCache] = (
+            ArtifactCache(self.workdir) if use_cache else None
+        )
 
     # -- validation -------------------------------------------------------
 
@@ -506,21 +502,16 @@ class Runner:
 
     # -- execution --------------------------------------------------------
 
-    def cell_artifacts(
-        self,
-        spec: ExperimentSpec,
-        bench: Optional[BenchmarkSpec] = None,
-        attack: Optional[AttackSpec] = None,
-    ) -> dict[str, Any]:
-        """Raw stage artifacts for one cell (cache-hot on a warm store).
+    def cell_artifacts(self, spec: ExperimentSpec) -> dict[str, Any]:
+        """Raw stage artifacts of the spec's first benchmark, no attack.
 
-        This is the escape hatch for callers that need the actual netlists
-        or mapped circuits — e.g. ``repro defend --out`` writing the
-        defended design, or the re-synthesis sweep seeding its SA search.
+        Cache-hot on a warm store.  This is the escape hatch for callers
+        that need the actual netlists or mapped circuits — e.g. ``repro
+        defend --out`` writing the defended design, or the re-synthesis
+        sweep seeding its SA search.
         """
-        bench = bench if bench is not None else spec.benchmarks[0]
         artifacts, _log = execute_stages(
-            self._build_cell_stages(spec, bench, attack), self.cache
+            self._build_cell_stages(spec, spec.benchmarks[0], None), self.cache
         )
         return artifacts
 

@@ -75,7 +75,6 @@ class QueryComplexityRecord:
 
 def render_query_complexity_table(
     records: Sequence[QueryComplexityRecord],
-    title: str = "Query complexity: DIPs to key recovery",
 ) -> str:
     """ASCII table of DIP counts vs. key width, exact vs. approximate.
 
@@ -114,4 +113,6 @@ def render_query_complexity_table(
                 round(record.elapsed_s, 3),
             ]
         )
-    return render_table(headers, rows, title=title)
+    return render_table(
+        headers, rows, title="Query complexity: DIPs to key recovery"
+    )

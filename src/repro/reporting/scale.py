@@ -79,9 +79,12 @@ FULL = Scale(
 _SCALES = {"quick": QUICK, "standard": STANDARD, "full": FULL}
 
 
-def resolve_scale(default: str = "quick") -> Scale:
-    """The active scale, from ``REPRO_SCALE`` (quick | standard | full)."""
-    name = os.environ.get("REPRO_SCALE", default).lower()
+def resolve_scale() -> Scale:
+    """The active scale, from ``REPRO_SCALE`` (quick | standard | full).
+
+    Unset means quick.
+    """
+    name = os.environ.get("REPRO_SCALE", "quick").lower()
     scale = _SCALES.get(name)
     if scale is None:
         raise ValueError(

@@ -200,27 +200,17 @@ class _ConstPool:
         return lit < 0
 
 
-def tseitin_aig(
-    aig: Aig,
-    cnf: Optional[Cnf] = None,
-    input_vars: Optional[Mapping[str, int]] = None,
-) -> CircuitCnf:
-    """Tseitin-encode an AIG's primary-output cone.
+def tseitin_aig(aig: Aig) -> CircuitCnf:
+    """Tseitin-encode an AIG's primary-output cone into a fresh clause set.
 
-    ``cnf`` lets callers accumulate several circuits into one clause set;
-    ``input_vars`` pre-assigns CNF variables to primary inputs *by name*, so
-    two encodings can share inputs (miters, attack copies).  Unlisted inputs
-    get fresh variables.
+    Every primary input gets a fresh variable, in PI order.
     """
-    cnf = cnf if cnf is not None else Cnf()
-    shared = dict(input_vars) if input_vars else {}
+    cnf = Cnf()
     consts = _ConstPool(cnf)
     lits: dict[int, int] = {}
     inputs: dict[str, int] = {}
     for var, name in zip(aig.pi_vars(), aig.pi_names()):
-        cnf_var = shared.get(name)
-        if cnf_var is None:
-            cnf_var = cnf.new_var()
+        cnf_var = cnf.new_var()
         inputs[name] = cnf_var
         lits[var] = cnf_var
 
@@ -316,8 +306,10 @@ def tseitin_netlist(
 
     Net names survive into the variable maps, so locking-specific nets
     (``keyinput*``) stay addressable — which is what the SAT attack needs to
-    tie or split key variables between circuit copies.  ``input_vars``
-    shares primary-input variables exactly as in :func:`tseitin_aig`.
+    tie or split key variables between circuit copies.  ``cnf`` lets callers
+    accumulate several circuits into one clause set; ``input_vars``
+    pre-assigns CNF variables to primary inputs *by name*, so two encodings
+    can share inputs (attack copies).  Unlisted inputs get fresh variables.
 
     ``constants`` fixes primary inputs to 0/1, and the encoder folds them
     forward: a gate whose value the constants decide becomes the call's one

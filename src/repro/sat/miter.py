@@ -36,6 +36,9 @@ from repro.sat.solver import CdclSolver
 
 Circuit = Union[Aig, Netlist]
 
+#: Seed of the prefilter's random patterns.
+PREFILTER_SEED = 1
+
 
 @dataclass
 class EquivalenceResult:
@@ -113,14 +116,14 @@ def build_miter(first: Circuit, second: Circuit) -> Aig:
 
 
 def _prefilter_counterexample(
-    miter: Aig, width: int, seed: int
+    miter: Aig, width: int
 ) -> Optional[dict[str, int]]:
     """Random simulation of the miter; first differing pattern or None.
 
     The returned pattern is the lowest-indexed random pattern whose
-    ``diff`` bit is set — deterministic for a fixed seed.
+    ``diff`` bit is set — deterministic, as the seed is fixed.
     """
-    words = random_signatures(miter, width, seed)
+    words = random_signatures(miter, width, PREFILTER_SEED)
     diff = po_words(miter, words, width)[0]
     if not diff:
         return None
@@ -161,27 +164,22 @@ def _verified_counterexample(
 
 
 def check_equivalence(
-    first: Circuit,
-    second: Circuit,
-    prefilter_width: int = 1024,
-    prefilter_seed: int = 1,
+    first: Circuit, second: Circuit, prefilter_width: int = 1024
 ) -> EquivalenceResult:
     """Prove two circuits combinationally equivalent or produce a witness.
 
     Accepts any mix of :class:`Aig` and :class:`Netlist`.  A
-    random-simulation prefilter (``prefilter_width`` patterns; 0 disables
-    it) catches easy differences without touching the solver.  UNSAT on
-    the miter is a proof of equivalence; on SAT the distinguishing
-    pattern is verified by simulation before being returned (a
-    :class:`SatError` on that verification would indicate an
-    encoder/solver bug).
+    random-simulation prefilter (``prefilter_width`` patterns drawn from
+    seed ``PREFILTER_SEED``; 0 disables it) catches easy differences
+    without touching the solver.  UNSAT on the miter is a proof of
+    equivalence; on SAT the distinguishing pattern is verified by
+    simulation before being returned (a :class:`SatError` on that
+    verification would indicate an encoder/solver bug).
     """
     aig_a, aig_b = _as_aig(first), _as_aig(second)
     miter = build_miter(aig_a, aig_b)
     if prefilter_width:
-        pattern = _prefilter_counterexample(
-            miter, prefilter_width, prefilter_seed
-        )
+        pattern = _prefilter_counterexample(miter, prefilter_width)
         if pattern is not None:
             return _verified_counterexample(
                 aig_a,

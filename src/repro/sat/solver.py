@@ -37,6 +37,9 @@ from repro.sat.cnf import Cnf
 _RESTART_BASE = 100
 _RESTART_GROWTH = 1.5
 _ACTIVITY_RESCALE = 1e100
+#: VSIDS decay: the activity increment grows by ``1 / _VAR_DECAY`` per
+#: conflict.
+_VAR_DECAY = 0.95
 #: Learned clauses with LBD at or below this are "glue" and never deleted.
 _GLUE_LBD = 2
 
@@ -65,7 +68,6 @@ class CdclSolver:
     def __init__(
         self,
         cnf: Optional[Cnf] = None,
-        var_decay: float = 0.95,
         reduce_base: int = 2000,
         reduce_growth: int = 512,
         minimize: bool = True,
@@ -89,7 +91,6 @@ class CdclSolver:
         self._trail_lim: list[int] = []
         self._qhead = 0
         self._var_inc = 1.0
-        self._var_decay = var_decay
         self._unsat = False
         self.stats = {
             "decisions": 0,
@@ -412,6 +413,7 @@ class CdclSolver:
             return SolverResult(False, stats=dict(self.stats))
         conflicts_before_restart = _RESTART_BASE
         restart_limit = float(_RESTART_BASE)
+        var_decay = _VAR_DECAY
         while True:
             conflict = self._propagate()
             if conflict is not None:
@@ -428,7 +430,7 @@ class CdclSolver:
                     self._learned_count += 1
                     self.stats["learned"] += 1
                     self._enqueue(learned[0], learned)
-                self._var_inc /= self._var_decay
+                self._var_inc /= var_decay
                 conflicts_before_restart -= 1
                 if conflicts_before_restart <= 0:
                     self.stats["restarts"] += 1
@@ -471,6 +473,6 @@ class CdclSolver:
             self._enqueue(branch, None)
 
 
-def solve_cnf(cnf: Cnf, assumptions: Sequence[int] = ()) -> SolverResult:
+def solve_cnf(cnf: Cnf) -> SolverResult:
     """One-shot convenience: build a solver for ``cnf`` and solve."""
-    return CdclSolver(cnf).solve(assumptions)
+    return CdclSolver(cnf).solve()

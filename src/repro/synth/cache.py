@@ -43,11 +43,12 @@ Two stores share the walk and differ only in storage:
 
 * :class:`SynthCache` — in-process LRU of clones; the default on every
   :class:`~repro.core.proxy.ProxyModel`.
-* :class:`SharedSynthCache` — ``multiprocessing.Manager`` dicts shared by
-  every worker of a ``--jobs`` process pool under one lock, so fan-out
-  keeps the serial path's hit rate instead of warming one cold cache per
-  worker.  Counters live in the shared store too, which is what makes the
-  hit/miss totals parent-visible after the pool is torn down.
+* :class:`SharedSynthCache` — dicts of a ``multiprocessing.Manager`` that
+  the cache starts itself, shared by every worker of a ``--jobs`` process
+  pool under one lock, so fan-out keeps the serial path's hit rate instead
+  of warming one cold cache per worker.  Counters live in the shared store
+  too, which is what makes the hit/miss totals parent-visible after the
+  pool is torn down.
 
 A no-op pass lands on the state it started from, so a later recipe that
 repeats it is served without running anything::
@@ -298,14 +299,11 @@ class SharedSynthCache(SynthCache):
     server down; call it only after the pool's workers have exited.
     """
 
-    def __init__(self, max_entries: int = 512, manager=None):
+    def __init__(self, max_entries: int = 512):
         super().__init__(max_entries)
         import multiprocessing
 
-        self._owns_manager = manager is None
-        self._manager = (
-            multiprocessing.Manager() if manager is None else manager
-        )
+        self._manager = multiprocessing.Manager()
         self._lock = self._manager.Lock()
         self._snapshots = self._manager.dict()  # state -> pickled Aig bytes
         self._moves = self._manager.dict()      # state -> {step: state}
@@ -321,7 +319,6 @@ class SharedSynthCache(SynthCache):
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         state["_manager"] = None
-        state["_owns_manager"] = False
         return state
 
     @staticmethod
@@ -343,9 +340,9 @@ class SharedSynthCache(SynthCache):
     def close(self) -> None:
         """Freeze final stats and shut the manager server down; idempotent.
 
-        Only the parent-side handle that created the manager actually shuts
-        it down — handles that arrived by pickling (pool workers) own
-        nothing and close() is a stats freeze for them.
+        Only the parent-side handle that started the manager holds it and
+        shuts it down — handles that arrived by pickling (pool workers)
+        hold none, and close() is a stats freeze for them.
         """
         if self._closed:
             return
@@ -354,6 +351,6 @@ class SharedSynthCache(SynthCache):
         except Exception:  # manager already gone (interpreter teardown)
             self._final_stats = {}
         self._closed = True
-        if self._owns_manager and self._manager is not None:
+        if self._manager is not None:
             self._manager.shutdown()
             self._manager = None

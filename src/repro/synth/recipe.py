@@ -14,7 +14,7 @@ the paper's fixed recipe length L = 10::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -123,12 +123,11 @@ def random_recipe(
     length: int = 10,
     seed: int | None = 0,
     rng: np.random.Generator | None = None,
-    alphabet: Sequence[str] = TRANSFORM_NAMES,
 ) -> Recipe:
-    """A uniformly random recipe of ``length`` steps."""
+    """A uniformly random recipe of ``length`` steps from the alphabet."""
     generator = rng if rng is not None else make_rng(seed)
-    indices = generator.integers(0, len(alphabet), size=length)
-    return Recipe(tuple(alphabet[int(i)] for i in indices))
+    indices = generator.integers(0, len(TRANSFORM_NAMES), size=length)
+    return Recipe(tuple(TRANSFORM_NAMES[int(i)] for i in indices))
 
 
 def mutate_step(recipe: Recipe, rng: np.random.Generator) -> Recipe:

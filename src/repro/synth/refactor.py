@@ -1,7 +1,7 @@
 """Reconvergence-driven refactoring (ABC's ``refactor`` / ``refactor -z``).
 
-For each node, grow a reconvergence-driven cut of up to ``max_leaves``
-inputs, collapse the cone to its truth table, re-express it as an
+For each node, grow a reconvergence-driven cut of up to ``MAX_LEAVES``
+(10) inputs, collapse the cone to its truth table, re-express it as an
 ISOP-factored (or XOR-decomposed) multi-level form and accept the new
 structure when it reduces the node count (or matches it, with ``-z``).
 The candidate forms come compiled from the structure cache
@@ -26,20 +26,21 @@ from repro.synth.opt_common import (
 )
 
 
-def refactor_pass(
-    aig: Aig,
-    zero_cost: bool = False,
-    max_leaves: int = 10,
-    min_leaves: int = 3,
-) -> int:
+#: Leaf budget of the reconvergence-driven cut grown at each node.
+MAX_LEAVES = 10
+#: Cuts with fewer leaves are skipped.
+MIN_LEAVES = 3
+
+
+def refactor_pass(aig: Aig, zero_cost: bool = False) -> int:
     """Run one refactoring pass in place; returns replacements committed."""
     need = 0 if zero_cost else 1
     changed = cuts_seen = evaluated = pruned = 0
     for var in aig.topological_ands():
         if aig.is_dead(var) or not aig.is_and(var):
             continue
-        cut = reconvergence_cut(aig, var, max_leaves=max_leaves)
-        if len(cut) < min_leaves or var in cut:
+        cut = reconvergence_cut(aig, var, max_leaves=MAX_LEAVES)
+        if len(cut) < MIN_LEAVES or var in cut:
             continue
         cuts_seen += 1
         table = cut_truth_table(aig, make_lit(var), cut)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from repro.aig.aig import Aig, lit_not, lit_var, make_lit
 from repro.aig.cuts import reconvergence_cut
-from repro.aig.simulate import cut_truth_table
 from repro.synth.opt_common import try_replace
 from repro.utils.truth import TruthTable
 
@@ -33,18 +32,20 @@ def _window_tables(
     return words, mask
 
 
-def resub_pass(
-    aig: Aig,
-    zero_cost: bool = False,
-    max_leaves: int = 8,
-    max_divisors: int = 24,
-) -> int:
+#: Leaf budget of the window grown at each node.
+MAX_LEAVES = 8
+#: At most this many window nodes are tried as divisors.
+MAX_DIVISORS = 24
+
+
+def resub_pass(aig: Aig, zero_cost: bool = False) -> int:
     """Run one resubstitution pass in place; returns replacements."""
+    max_divisors = MAX_DIVISORS
     changed = 0
     for root in aig.topological_ands():
         if aig.is_dead(root) or not aig.is_and(root):
             continue
-        leaves = reconvergence_cut(aig, root, max_leaves=max_leaves)
+        leaves = reconvergence_cut(aig, root, max_leaves=MAX_LEAVES)
         if len(leaves) < 2 or root in leaves:
             continue
         words, mask = _window_tables(aig, root, leaves)

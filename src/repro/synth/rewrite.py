@@ -32,14 +32,9 @@ from repro.synth.opt_common import (
 from repro.utils.truth import TruthTable
 
 
-def rewrite_pass(
-    aig: Aig,
-    zero_cost: bool = False,
-    cut_size: int = 4,
-    cut_limit: int = 8,
-) -> int:
+def rewrite_pass(aig: Aig, zero_cost: bool = False) -> int:
     """Run one rewriting pass in place; returns the number of replacements."""
-    manager = CutManager(aig, k=cut_size, limit=cut_limit)
+    manager = CutManager(aig)
     need = 0 if zero_cost else 1
     changed = cuts_seen = evaluated = pruned = 0
     for var in aig.topological_ands():

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.aig import Aig, aig_from_netlist, lit_var, make_lit
-from repro.aig.cuts import CutManager, enumerate_cuts
+from repro.aig.cuts import CutManager
 from repro.aig.simulate import cut_truth_table
 from tests.conftest import build_random_netlist
 
@@ -83,7 +83,3 @@ def test_quick_c432_matches_the_references(c432_quick, k, limit):
 def test_quick_c880_matches_the_references(c880_quick):
     _check_manager(aig_from_netlist(c880_quick), 4, 8)
 
-
-def test_enumerate_cuts_returns_leaf_tuples(c432_quick):
-    aig = aig_from_netlist(c432_quick)
-    assert enumerate_cuts(aig) == _reference_cuts(aig, 4, 8)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.aig import aig_from_netlist
-from repro.aig.cuts import CutManager, enumerate_cuts, reconvergence_cut
+from repro.aig.cuts import CutManager, reconvergence_cut
 from repro.aig.simulate import cut_truth_table, functionally_equal
 from repro.errors import SynthesisError
 from repro.sat import check_equivalence
@@ -37,9 +37,10 @@ class TestCuts:
 
     def test_cut_sizes_bounded(self, c432_quick):
         aig = aig_from_netlist(c432_quick)
-        for var, cuts in enumerate_cuts(aig, k=4).items():
-            for cut in cuts:
-                assert len(cut) <= 4
+        manager = CutManager(aig, k=4)
+        for var in aig.topological_ands():
+            for cut in manager.cuts(var):
+                assert len(cut.leaves) <= 4
 
     def test_cut_truth_table_consistency(self, c432_quick):
         aig = aig_from_netlist(c432_quick)
