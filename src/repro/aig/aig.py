@@ -108,14 +108,24 @@ class Aig:
     def is_and(self, var: int) -> bool:
         return not self._is_pi[var] and var != CONST_VAR and self._fanin0[var] >= 0
 
-    def is_dead(self, var: int) -> bool:
-        return self._dead[var]
-
     def fanins(self, var: int) -> tuple[int, int]:
         """The two fanin literals of an AND node."""
         if not self.is_and(var):
             raise AigError(f"variable {var} is not a live AND node")
         return self._fanin0[var], self._fanin1[var]
+
+    def fanin_arrays(self) -> tuple[list[int], list[int]]:
+        """The fanin lists themselves, for passes' inner loops: read-only.
+
+        ``fanin0[v]``/``fanin1[v]`` are node ``v``'s fanin literals when it
+        is a live AND.  Otherwise ``fanin0[v]`` is negative: -1 for a PI or
+        the constant, -2 for a node detached mid-``replace``, -3 for a dead
+        slot.  So ``fanin0[v] >= 0`` is exactly :meth:`is_and`.  The AIG
+        mutates these lists in place and never rebinds them, so a pass may
+        bind them to locals once and keep reading them across ``replace``
+        and ``add_and`` calls; it must never write to them.
+        """
+        return self._fanin0, self._fanin1
 
     def fanout_vars(self, var: int) -> set[int]:
         """Variables of the AND nodes reading ``var`` (live ones)."""
@@ -248,15 +258,16 @@ class Aig:
         Restricted to the cone of ``roots`` (literals) when given, otherwise
         the cone of all primary outputs plus every live AND node.
         """
+        fanin0, fanin1 = self._fanin0, self._fanin1
         if roots is None:
-            root_vars = [lit_var(po) for po in self._pos]
-            root_vars.extend(v for v in self.live_vars() if self.is_and(v))
+            root_vars = [po >> 1 for po in self._pos]
+            root_vars.extend(v for v in range(len(fanin0)) if fanin0[v] >= 0)
         else:
-            root_vars = [lit_var(r) for r in roots]
+            root_vars = [r >> 1 for r in roots]
         order: list[int] = []
         state: dict[int, int] = {}
         for root in root_vars:
-            if state.get(root) == 2 or not self.is_and(root):
+            if fanin0[root] < 0 or state.get(root) == 2:
                 continue
             stack: list[tuple[int, int]] = [(root, 0)]
             while stack:
@@ -266,10 +277,12 @@ class Aig:
                 if phase == 0:
                     state[var] = 1
                     stack.append((var, 1))
-                    for lit in (self._fanin1[var], self._fanin0[var]):
-                        child = lit_var(lit)
-                        if self.is_and(child) and state.get(child) != 2:
-                            if state.get(child) == 1:
+                    for child in (fanin1[var] >> 1, fanin0[var] >> 1):
+                        if fanin0[child] < 0:
+                            continue
+                        seen = state.get(child)
+                        if seen != 2:
+                            if seen == 1:
                                 raise AigError(f"cycle detected at var {child}")
                             stack.append((child, 0))
                 else:
@@ -299,11 +312,12 @@ class Aig:
         or constant not in the leaf set) — that means ``leaves`` is not a
         valid cut of the root.
         """
+        fanin0, fanin1 = self._fanin0, self._fanin1
         leaf_set = set(leaves)
-        root = lit_var(root_lit)
+        root = root_lit >> 1
         order: list[int] = []
         state: dict[int, int] = {}
-        if root in leaf_set or not self.is_and(root):
+        if root in leaf_set or fanin0[root] < 0:
             return order
         stack: list[tuple[int, int]] = [(root, 0)]
         while stack:
@@ -313,15 +327,17 @@ class Aig:
             if phase == 0:
                 state[var] = 1
                 stack.append((var, 1))
-                for lit in (self._fanin1[var], self._fanin0[var]):
-                    child = lit_var(lit)
-                    if child in leaf_set or state.get(child) == 2:
+                for child in (fanin1[var] >> 1, fanin0[var] >> 1):
+                    if child in leaf_set:
                         continue
-                    if not self.is_and(child):
+                    seen = state.get(child)
+                    if seen == 2:
+                        continue
+                    if fanin0[child] < 0:
                         raise AigError(
                             f"cone of {root} escapes cut at var {child}"
                         )
-                    if state.get(child) == 1:
+                    if seen == 1:
                         raise AigError(f"cycle detected at var {child}")
                     stack.append((child, 0))
             else:
@@ -360,26 +376,33 @@ class Aig:
 
         The set of AND nodes (including the root) that would become dead if
         the root were replaced — nodes all of whose fanout paths lead back to
-        the root.
+        the root.  One iterative dereference: a node joins once every one
+        of its references comes from a node already in the cone, which
+        does not depend on the order the cone is walked in.
         """
-        leaf_set = set(leaves)
-        if not self.is_and(root_var):
+        fanin0 = self._fanin0
+        if fanin0[root_var] < 0:
             return set()
+        fanin1 = self._fanin1
+        fanouts = self._fanouts
+        po_refs = self._po_refs
+        leaf_set = set(leaves)
         decremented: dict[int, int] = {}
-        mffc_nodes: set[int] = set()
-
-        def deref(var: int) -> None:
-            mffc_nodes.add(var)
-            for lit in (self._fanin0[var], self._fanin1[var]):
-                child = lit_var(lit)
-                if child in leaf_set or not self.is_and(child):
+        nodes = {root_var}
+        stack = [root_var]
+        pop = stack.pop
+        push = stack.append
+        while stack:
+            var = pop()
+            for child in (fanin0[var] >> 1, fanin1[var] >> 1):
+                if fanin0[child] < 0 or child in leaf_set:
                     continue
-                decremented[child] = decremented.get(child, 0) + 1
-                if decremented[child] == self.num_refs(child):
-                    deref(child)
-
-        deref(root_var)
-        return mffc_nodes
+                count = decremented.get(child, 0) + 1
+                decremented[child] = count
+                if count == len(fanouts[child]) + po_refs[child]:
+                    nodes.add(child)
+                    push(child)
+        return nodes
 
     # -- in-place replacement ---------------------------------------------------
 

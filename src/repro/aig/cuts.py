@@ -24,7 +24,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import NamedTuple, Optional
 
-from repro.aig.aig import Aig, lit_var
+from repro.aig.aig import Aig
 
 
 class Cut(NamedTuple):
@@ -76,7 +76,7 @@ class CutManager:
         cached = memo.get(var)
         if cached is not None:
             return cached
-        aig = self.aig
+        fanin0, fanin1 = self.aig.fanin_arrays()
         # Iterative post-order computation to avoid deep recursion.
         stack = [var]
         while stack:
@@ -84,18 +84,23 @@ class CutManager:
             if v in memo:
                 stack.pop()
                 continue
-            if not aig.is_and(v):
+            f0 = fanin0[v]
+            if f0 < 0:  # not a live AND: only the trivial cut
                 memo[v] = [Cut((v,), 1 << v, _PROJECTION)]
                 stack.pop()
                 continue
-            f0, f1 = aig.fanins(v)
-            c0, c1 = lit_var(f0), lit_var(f1)
-            missing = [c for c in (c0, c1) if c not in memo]
-            if missing:
-                stack.extend(missing)
+            f1 = fanin1[v]
+            c0, c1 = f0 >> 1, f1 >> 1
+            cuts0 = memo.get(c0)
+            cuts1 = memo.get(c1)
+            if cuts0 is None or cuts1 is None:
+                if cuts0 is None:
+                    stack.append(c0)
+                if cuts1 is None:
+                    stack.append(c1)
                 continue
             stack.pop()
-            memo[v] = self._merge(v, f0, f1, memo[c0], memo[c1])
+            memo[v] = self._merge(v, f0, f1, cuts0, cuts1)
         return memo[var]
 
     def _merge(
@@ -120,20 +125,28 @@ class CutManager:
         kept_sigs: list[int] = []
         kept = [Cut((var,), 1 << var, _PROJECTION)]
         for size, sig, cut0, cut1 in merged:
-            if any(other & sig == other for other in kept_sigs):
-                continue
-            kept_sigs.append(sig)
-            leaves = tuple(sorted({*cut0.leaves, *cut1.leaves}))
-            full = (1 << (1 << size)) - 1
-            bits0 = _stretch(
-                cut0.bits, tuple(map(leaves.index, cut0.leaves)), size
-            ) ^ (full if f0 & 1 else 0)
-            bits1 = _stretch(
-                cut1.bits, tuple(map(leaves.index, cut1.leaves)), size
-            ) ^ (full if f1 & 1 else 0)
-            kept.append(Cut(leaves, sig, bits0 & bits1))
-            if len(kept_sigs) >= self.limit:
-                break
+            for other in kept_sigs:
+                if other & sig == other:
+                    break
+            else:
+                kept_sigs.append(sig)
+                leaves0, leaves1 = cut0.leaves, cut1.leaves
+                leaves = tuple(sorted({*leaves0, *leaves1}))
+                full = (1 << (1 << size)) - 1
+                # A fanin cut as wide as the union is the union itself.
+                bits0 = cut0.bits if len(leaves0) == size else _stretch(
+                    cut0.bits, tuple(map(leaves.index, leaves0)), size
+                )
+                bits1 = cut1.bits if len(leaves1) == size else _stretch(
+                    cut1.bits, tuple(map(leaves.index, leaves1)), size
+                )
+                if f0 & 1:
+                    bits0 ^= full
+                if f1 & 1:
+                    bits1 ^= full
+                kept.append(Cut(leaves, sig, bits0 & bits1))
+                if len(kept_sigs) >= self.limit:
+                    break
         return kept
 
 
@@ -151,36 +164,35 @@ def reconvergence_cut(
     (preferring expansions that *reduce* it, i.e. reconvergence).  Stops when
     no expansion fits the leaf budget, or after ``MAX_VISITS`` expansions.
     """
-    if not aig.is_and(root):
+    fanin0, fanin1 = aig.fanin_arrays()
+    if fanin0[root] < 0:
         return (root,)
-    f0, f1 = aig.fanins(root)
-    leaves = {lit_var(f0), lit_var(f1)}
-    max_visits = MAX_VISITS
-    visits = 0
-    while visits < max_visits:
-        visits += 1
+    leaves = {fanin0[root] >> 1, fanin1[root] >> 1}
+    for _ in range(MAX_VISITS):
         best_leaf: Optional[int] = None
-        best_cost = None
+        best_cost = 2  # above any real cost
+        size = len(leaves)
         # sorted(): ties on cost must break by node id, not set hashing —
         # the chosen expansion decides the final cut.
         for leaf in sorted(leaves):
-            if not aig.is_and(leaf):
+            g0 = fanin0[leaf]
+            if g0 < 0:
                 continue
-            g0, g1 = aig.fanins(leaf)
-            candidates = {lit_var(g0), lit_var(g1)}
-            new_size = len(leaves) - 1 + len(candidates - (leaves - {leaf}))
-            cost = new_size - len(leaves)
-            if new_size > max_leaves:
-                continue
-            if best_cost is None or cost < best_cost:
+            # Expanding a leaf adds each of its two fanins not yet a leaf
+            # (neither is the leaf itself), so the cost is -1, 0 or 1.
+            cost = (
+                (g0 >> 1 not in leaves) + (fanin1[leaf] >> 1 not in leaves) - 1
+            )
+            if cost < best_cost and size + cost <= max_leaves:
                 best_cost = cost
                 best_leaf = leaf
+                if cost < 0:  # the least cost; the first minimum wins ties
+                    break
         if best_leaf is None:
             break
-        g0, g1 = aig.fanins(best_leaf)
         leaves.discard(best_leaf)
-        leaves.add(lit_var(g0))
-        leaves.add(lit_var(g1))
-        if best_cost is not None and best_cost > 0 and len(leaves) >= max_leaves:
+        leaves.add(fanin0[best_leaf] >> 1)
+        leaves.add(fanin1[best_leaf] >> 1)
+        if best_cost > 0 and len(leaves) >= max_leaves:
             break
     return tuple(sorted(leaves))

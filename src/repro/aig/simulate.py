@@ -24,7 +24,7 @@ import numpy as np
 from repro.aig.aig import CONST_VAR, Aig, lit_var
 from repro.errors import AigError
 from repro.utils.rng import make_rng
-from repro.utils.truth import TruthTable
+from repro.utils.truth import TruthTable, _var_mask
 
 
 def simulate_words(
@@ -148,15 +148,17 @@ def cut_truth_table(aig: Aig, root_lit: int, leaves: Sequence[int]) -> TruthTabl
     mask = (1 << width) - 1
     words: dict[int, int] = {CONST_VAR: 0}
     for index, leaf in enumerate(leaves):
-        words[leaf] = TruthTable.var(index, nvars).bits
+        words[leaf] = _var_mask(index, nvars)
     root = lit_var(root_lit)
     if root in words:
         bits = words[root]
     else:
+        fanin0, fanin1 = aig.fanin_arrays()
         for var in aig.cone_vars(root_lit, leaves):
-            f0, f1 = aig.fanins(var)
-            w0 = words[lit_var(f0)] ^ (mask if f0 & 1 else 0)
-            w1 = words[lit_var(f1)] ^ (mask if f1 & 1 else 0)
+            f0 = fanin0[var]
+            f1 = fanin1[var]
+            w0 = words[f0 >> 1] ^ (mask if f0 & 1 else 0)
+            w1 = words[f1 >> 1] ^ (mask if f1 & 1 else 0)
             words[var] = w0 & w1
         bits = words[root]
     if root_lit & 1:

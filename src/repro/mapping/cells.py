@@ -39,29 +39,6 @@ class Cell:
         return self.function(inputs)
 
 
-#: Factories that can rebuild a library by name — makes :class:`CellLibrary`
-#: picklable even though its cell functions are lambdas, which in turn lets
-#: mapped circuits travel through the pipeline artifact cache and
-#: multiprocessing workers.
-_LIBRARY_FACTORIES: dict[str, Callable[[], "CellLibrary"]] = {}
-
-
-def register_library_factory(
-    name: str, factory: Callable[[], "CellLibrary"]
-) -> None:
-    """Register a zero-arg factory that rebuilds the library ``name``."""
-    _LIBRARY_FACTORIES[name] = factory
-
-
-def _rebuild_library(name: str) -> "CellLibrary":
-    factory = _LIBRARY_FACTORIES.get(name)
-    if factory is None:
-        raise MappingError(
-            f"cannot unpickle library {name!r}: no registered factory"
-        )
-    return factory()
-
-
 class CellLibrary:
     """A named collection of cells with drive-strength variants."""
 
@@ -70,9 +47,11 @@ class CellLibrary:
         self._cells = {cell.name: cell for cell in cells}
 
     def __reduce__(self):
-        if self.name in _LIBRARY_FACTORIES:
-            return (_rebuild_library, (self.name,))
-        return super().__reduce__()
+        # The cell functions are lambdas, which do not pickle.  NanGate45
+        # is the only library, so unpickling rebuilds it from its factory;
+        # mapped circuits can then travel through the pipeline artifact
+        # cache and worker pools.
+        return (nangate45_library, ())
 
     def __getitem__(self, name: str) -> Cell:
         cell = self._cells.get(name)
@@ -175,6 +154,3 @@ def nangate45_library() -> CellLibrary:
         "LOGIC1", 0, lambda x: None, 0.266, 0.0, 0.0, 0.0, 0.3
     )
     return CellLibrary("nangate45-lite", cells)
-
-
-register_library_factory("nangate45-lite", nangate45_library)

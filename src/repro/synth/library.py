@@ -20,6 +20,11 @@ exactly what regeneration would.  The cache holds compiled programs and
 never the factored-form trees: for the 222 tables the synthesis bench's
 recipes look up, the trees took about 15 MB and their programs 0.3 MB.
 Each lookup counts one ``synth.struct_cache.hits`` or ``.misses``.
+
+``rewrite`` reaches the NPN-keyed cache through a second bounded memo on
+the raw cut table (:func:`rewrite_entry`), which also keeps the NPN leaf
+binding, so a repeated table skips canonization.  :func:`clear_structure_cache`
+empties both.
 """
 
 from __future__ import annotations
@@ -38,6 +43,11 @@ MAX_CANDIDATES = 4
 
 #: Entries the structure cache holds before evicting the least recently used.
 STRUCT_CACHE_SIZE = 1 << 14
+
+#: Raw cut tables the ``rewrite`` memo holds, least recently used evicted
+#: first.  Of the 2**16 + 2**8 + 2**4 tables of 2..4 inputs, proxy
+#: training plus eight ALMOST searches on quick c1355 meet 248.
+RAW_MEMO_SIZE = 1 << 14
 
 
 class Candidate(NamedTuple):
@@ -74,8 +84,10 @@ def _lookup(
 
 
 def clear_structure_cache() -> None:
-    """Empty the structure cache (for cold-start measurements)."""
+    """Empty the structure cache and the raw-table memo (for cold-start
+    measurements)."""
     _CACHE.clear()
+    _RAW_MEMO.clear()
 
 
 def rewrite_candidates(
@@ -90,6 +102,51 @@ def rewrite_candidates(
     """
     canonical, transform = table.npn_canon()
     return _lookup("npn", canonical, _rewrite_trees), transform
+
+
+class RewriteEntry(NamedTuple):
+    """What ``rewrite`` needs of one raw cut table, resolved once.
+
+    Canonical variable ``i`` reads leaf ``perm[i]``, complemented when
+    ``negations[i]`` is 1; ``output_negation`` is the NPN transform's
+    output phase.
+    """
+
+    candidates: tuple[Candidate, ...]
+    perm: tuple[int, ...]
+    negations: tuple[int, ...]
+    output_negation: bool
+
+
+_RAW_MEMO: OrderedDict[tuple[int, int], RewriteEntry] = OrderedDict()
+
+
+def rewrite_entry(bits: int, nvars: int) -> RewriteEntry:
+    """:func:`rewrite_candidates` of the raw table ``(bits, nvars)``, memoized.
+
+    Most cuts a pass sees repeat a raw table seen before; the memo saves
+    their NPN canonization and the objects it builds.  Each call counts
+    one ``synth.struct_cache`` hit or miss, as :func:`rewrite_candidates`
+    does: a memo hit counts a hit, and a memo miss counts whatever the
+    structure cache lookup behind it counts.
+    """
+    key = (bits, nvars)
+    entry = _RAW_MEMO.get(key)
+    if entry is not None:
+        _metrics.inc("synth.struct_cache.hits")
+        _RAW_MEMO.move_to_end(key)
+        return entry
+    candidates, transform = rewrite_candidates(TruthTable(bits, nvars))
+    entry = RewriteEntry(
+        candidates,
+        transform.perm,
+        tuple(transform.input_negation >> i & 1 for i in range(nvars)),
+        transform.output_negation,
+    )
+    if len(_RAW_MEMO) >= RAW_MEMO_SIZE:
+        _RAW_MEMO.popitem(last=False)
+    _RAW_MEMO[key] = entry
+    return entry
 
 
 def refactor_candidates(table: TruthTable) -> tuple[Candidate, ...]:

@@ -25,17 +25,15 @@ than ``limit`` new nodes; about half of ``rewrite``'s candidates end there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from repro.aig.aig import Aig, lit_not, lit_var, make_lit
 from repro.synth.structure import Program, dry_run, realize
 from repro.utils.truth import TruthTable
 
 
-@dataclass
-class Evaluation:
+class Evaluation(NamedTuple):
     """Outcome of dry-running one candidate at one site."""
 
     gain: int
@@ -59,20 +57,18 @@ def evaluate_candidate(
     if outcome is None:
         return None
     added, hits = outcome
+    saved = len(mffc_set)
     hits_inside = hits & mffc_set
-    kept = _closure_within(aig, hits_inside, mffc_set, set(cut))
-    saved = len(mffc_set) - len(kept)
-    return Evaluation(
-        gain=saved - added,
-        added=added,
-        needs_cycle_check=not hits <= mffc_set,
-    )
+    if hits_inside:
+        saved -= len(_closure_within(aig, hits_inside, mffc_set, set(cut)))
+    return Evaluation(saved - added, added, not hits <= mffc_set)
 
 
 def _closure_within(
     aig: Aig, seeds: set[int], universe: set[int], leaves: set[int]
 ) -> set[int]:
     """Downward closure of ``seeds`` inside ``universe`` (stop at leaves)."""
+    fanin0, fanin1 = aig.fanin_arrays()
     kept: set[int] = set()
     # Canonical seed order: the closure *membership* is order-independent,
     # but DFS visit order must not vary with set hashing (exact-replay).
@@ -82,8 +78,7 @@ def _closure_within(
         if node in kept or node not in universe:
             continue
         kept.add(node)
-        for lit in aig.fanins(node):
-            child = lit_var(lit)
+        for child in (fanin0[node] >> 1, fanin1[node] >> 1):
             if child not in leaves and child in universe:
                 stack.append(child)
     return kept
@@ -119,14 +114,15 @@ def try_replace(
 
 
 def constant_or_leaf_lit(
-    table_bits: int, nvars: int, leaf_handles: Sequence[int]
+    table_bits: int, leaves: Sequence[int]
 ) -> Optional[int]:
-    """Detect trivial cut functions: constants or a (complemented) leaf."""
-    trivial = _trivial_functions(nvars).get(table_bits)
+    """Detect trivial cut functions: the constant or (complemented) leaf
+    literal a table over ``leaves`` denotes, else ``None``."""
+    trivial = _trivial_functions(len(leaves)).get(table_bits)
     if trivial is None:
         return None
     index, negated = trivial
-    return negated if index < 0 else leaf_handles[index] ^ negated
+    return negated if index < 0 else make_lit(leaves[index], negated)
 
 
 @lru_cache(maxsize=None)

@@ -36,21 +36,22 @@ def refactor_pass(aig: Aig, zero_cost: bool = False) -> int:
     """Run one refactoring pass in place; returns replacements committed."""
     need = 0 if zero_cost else 1
     changed = cuts_seen = evaluated = pruned = 0
+    fanin0, _ = aig.fanin_arrays()
     for var in aig.topological_ands():
-        if aig.is_dead(var) or not aig.is_and(var):
+        if fanin0[var] < 0:  # removed by an earlier replacement
             continue
         cut = reconvergence_cut(aig, var, max_leaves=MAX_LEAVES)
         if len(cut) < MIN_LEAVES or var in cut:
             continue
         cuts_seen += 1
         table = cut_truth_table(aig, make_lit(var), cut)
-        handles = leaf_lits(cut)
-        trivial = constant_or_leaf_lit(table.bits, table.nvars, handles)
-        mffc_set = aig.mffc(var, cut)
+        trivial = constant_or_leaf_lit(table.bits, cut)
         if trivial is not None:
             if try_replace(aig, var, cut, trivial, needs_cycle_check=False):
                 changed += 1
             continue
+        handles = leaf_lits(cut)
+        mffc_set = aig.mffc(var, cut)
         best = None
         for cand in refactor_candidates(table):
             # Ties keep the earlier candidate: a later one must beat the

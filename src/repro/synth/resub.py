@@ -9,10 +9,10 @@ functions are compared exactly on window truth tables.
 
 from __future__ import annotations
 
-from repro.aig.aig import Aig, lit_not, lit_var, make_lit
+from repro.aig.aig import Aig, lit_not, make_lit
 from repro.aig.cuts import reconvergence_cut
 from repro.synth.opt_common import try_replace
-from repro.utils.truth import TruthTable
+from repro.utils.truth import _var_mask
 
 
 def _window_tables(
@@ -23,11 +23,13 @@ def _window_tables(
     mask = (1 << (1 << nvars)) - 1
     words: dict[int, int] = {0: 0}
     for index, leaf in enumerate(leaves):
-        words[leaf] = TruthTable.var(index, nvars).bits
+        words[leaf] = _var_mask(index, nvars)
+    fanin0, fanin1 = aig.fanin_arrays()
     for var in aig.cone_vars(make_lit(root), leaves):
-        f0, f1 = aig.fanins(var)
-        w0 = words[lit_var(f0)] ^ (mask if f0 & 1 else 0)
-        w1 = words[lit_var(f1)] ^ (mask if f1 & 1 else 0)
+        f0 = fanin0[var]
+        f1 = fanin1[var]
+        w0 = words[f0 >> 1] ^ (mask if f0 & 1 else 0)
+        w1 = words[f1 >> 1] ^ (mask if f1 & 1 else 0)
         words[var] = w0 & w1
     return words, mask
 
@@ -42,8 +44,9 @@ def resub_pass(aig: Aig, zero_cost: bool = False) -> int:
     """Run one resubstitution pass in place; returns replacements."""
     max_divisors = MAX_DIVISORS
     changed = 0
+    fanin0, _ = aig.fanin_arrays()
     for root in aig.topological_ands():
-        if aig.is_dead(root) or not aig.is_and(root):
+        if fanin0[root] < 0:  # removed by an earlier replacement
             continue
         leaves = reconvergence_cut(aig, root, max_leaves=MAX_LEAVES)
         if len(leaves) < 2 or root in leaves:

@@ -3,9 +3,9 @@
 For every AND node in topological order, enumerate its 4-feasible cuts
 (each carries its function, see :mod:`repro.aig.cuts`) and test candidate
 implementations of its NPN class from the structure cache
-(:mod:`repro.synth.library`).  A candidate's dry-run stops once it cannot
-reach the best gain so far (see :mod:`repro.synth.opt_common`).  A
-candidate is committed when it strictly reduces the node count; with
+(:mod:`repro.synth.library`, reached through its raw-table memo).  A
+candidate's dry-run stops once it cannot reach the best gain so far (see
+:mod:`repro.synth.opt_common`).  A candidate is committed when it strictly reduces the node count; with
 ``zero_cost=True`` (``rewrite -z``) equal-size replacements are also
 committed, which reshapes localities and unlocks later passes — the
 property ALMOST's recipe search exploits.
@@ -18,27 +18,27 @@ leaves of memoized cuts stay alive because live cones keep referencing them.
 
 from __future__ import annotations
 
-from repro.aig.aig import Aig, lit_not
+from repro.aig.aig import Aig
 from repro.aig.cuts import CutManager
 from repro.obs import metrics as _metrics
-from repro.synth.library import rewrite_candidates
+from repro.synth.library import rewrite_entry
 from repro.synth.opt_common import (
     constant_or_leaf_lit,
     evaluate_candidate,
-    leaf_lits,
     realize_candidate,
     try_replace,
 )
-from repro.utils.truth import TruthTable
 
 
 def rewrite_pass(aig: Aig, zero_cost: bool = False) -> int:
     """Run one rewriting pass in place; returns the number of replacements."""
     manager = CutManager(aig)
+    fanin0, _ = aig.fanin_arrays()
+    mffc = aig.mffc
     need = 0 if zero_cost else 1
     changed = cuts_seen = evaluated = pruned = 0
     for var in aig.topological_ands():
-        if aig.is_dead(var) or not aig.is_and(var):
+        if fanin0[var] < 0:  # removed by an earlier replacement
             continue
         best = None  # (gain, -literal_cost, cut, tree, out_neg, cycle_check)
         for cut in manager.cuts(var):
@@ -46,23 +46,20 @@ def rewrite_pass(aig: Aig, zero_cost: bool = False) -> int:
             if len(leaves) < 2 or var in leaves:
                 continue
             cuts_seen += 1
-            handles = leaf_lits(leaves)
-            trivial = constant_or_leaf_lit(cut.bits, len(leaves), handles)
+            trivial = constant_or_leaf_lit(cut.bits, leaves)
             if trivial is not None:
-                mffc_gain = len(aig.mffc(var, leaves))
-                candidate = (mffc_gain, 0, leaves, None, trivial, False)
+                gain = len(mffc(var, leaves))
+                candidate = (gain, 0, leaves, None, trivial, False)
                 if best is None or candidate[:2] > best[:2]:
                     best = candidate
                 continue
-            mffc_set = aig.mffc(var, leaves)
-            candidates, transform = rewrite_candidates(
-                TruthTable(cut.bits, len(leaves))
-            )
+            mffc_set = mffc(var, leaves)
+            entry = rewrite_entry(cut.bits, len(leaves))
             bound = [
-                lit_not(handle) if neg else handle
-                for handle, neg in transform.leaf_order(handles)
+                (leaves[index] << 1) | negated
+                for index, negated in zip(entry.perm, entry.negations)
             ]
-            for cand in candidates:
+            for cand in entry.candidates:
                 # An equal gain can still win on literal cost: the floor is
                 # the best gain so far, not one more.
                 floor = need if best is None or best[0] < need else best[0]
@@ -74,16 +71,16 @@ def rewrite_pass(aig: Aig, zero_cost: bool = False) -> int:
                 if evaluation is None:
                     pruned += 1
                     continue
-                entry = (
+                candidate = (
                     evaluation.gain,
                     -cand.literal_cost,
                     leaves,
                     (cand, bound),
-                    transform.output_negation ^ cand.output_negated,
+                    entry.output_negation ^ cand.output_negated,
                     evaluation.needs_cycle_check,
                 )
-                if best is None or entry[:2] > best[:2]:
-                    best = entry
+                if best is None or candidate[:2] > best[:2]:
+                    best = candidate
         if best is None:
             continue
         gain, _, cut, payload, neg_or_lit, cycle_check = best

@@ -1,21 +1,32 @@
-"""Differential tests of the bitset cut manager.
+"""Differential tests of the cut machinery.
 
 ``CutManager`` merges fanin cuts as leaf bitsets and builds each cut's
 truth table from its fanins' tables.  Both are checked against simple
 references: a set-based enumerator kept here as the oracle (the merge the
 manager replaced), and ``cut_truth_table``, which simulates the cut cone
 directly.
+
+``Aig.mffc`` and ``reconvergence_cut`` read the AIG's fanin arrays
+directly.  They are checked against the accessor-based bodies they
+replaced, kept here as oracles, on random AIGs and on AIGs caught in the
+middle of a pass, where dead and detached slots occur.
 """
 
 from __future__ import annotations
+
+from typing import Optional
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.aig import Aig, aig_from_netlist, lit_var, make_lit
-from repro.aig.cuts import CutManager
+from repro.aig.cuts import MAX_VISITS, CutManager, reconvergence_cut
 from repro.aig.simulate import cut_truth_table
+from repro.synth import refactor as refactor_module
+from repro.synth import resub as resub_module
+from repro.synth import rewrite as rewrite_module
 from tests.conftest import build_random_netlist
 
 
@@ -83,3 +94,166 @@ def test_quick_c432_matches_the_references(c432_quick, k, limit):
 def test_quick_c880_matches_the_references(c880_quick):
     _check_manager(aig_from_netlist(c880_quick), 4, 8)
 
+
+
+def _reference_mffc(aig: Aig, root_var: int, leaves) -> set[int]:
+    """The recursive dereference ``Aig.mffc`` replaced."""
+    leaf_set = set(leaves)
+    if not aig.is_and(root_var):
+        return set()
+    decremented: dict[int, int] = {}
+    mffc_nodes: set[int] = set()
+
+    def deref(var: int) -> None:
+        mffc_nodes.add(var)
+        for lit in (aig._fanin0[var], aig._fanin1[var]):
+            child = lit_var(lit)
+            if child in leaf_set or not aig.is_and(child):
+                continue
+            decremented[child] = decremented.get(child, 0) + 1
+            if decremented[child] == aig.num_refs(child):
+                deref(child)
+
+    deref(root_var)
+    return mffc_nodes
+
+
+def _reference_reconvergence_cut(aig: Aig, root: int, max_leaves: int):
+    """The set-algebra body ``reconvergence_cut`` replaced."""
+    if not aig.is_and(root):
+        return (root,)
+    f0, f1 = aig.fanins(root)
+    leaves = {lit_var(f0), lit_var(f1)}
+    visits = 0
+    while visits < MAX_VISITS:
+        visits += 1
+        best_leaf: Optional[int] = None
+        best_cost = None
+        for leaf in sorted(leaves):
+            if not aig.is_and(leaf):
+                continue
+            g0, g1 = aig.fanins(leaf)
+            candidates = {lit_var(g0), lit_var(g1)}
+            new_size = len(leaves) - 1 + len(candidates - (leaves - {leaf}))
+            cost = new_size - len(leaves)
+            if new_size > max_leaves:
+                continue
+            if best_cost is None or cost < best_cost:
+                best_cost = cost
+                best_leaf = leaf
+        if best_leaf is None:
+            break
+        g0, g1 = aig.fanins(best_leaf)
+        leaves.discard(best_leaf)
+        leaves.add(lit_var(g0))
+        leaves.add(lit_var(g1))
+        if best_cost is not None and best_cost > 0 and len(leaves) >= max_leaves:
+            break
+    return tuple(sorted(leaves))
+
+
+class _Stop(Exception):
+    pass
+
+
+def _mid_pass(aig: Aig, module, pass_fn, commits: int) -> Aig:
+    """``aig`` after ``pass_fn`` committed ``commits`` replacements, with
+    the rest of the pass abandoned: dead slots, and nodes the pass has not
+    reached yet."""
+    real = module.try_replace
+    done = 0
+
+    def counting(*args, **kwargs):
+        nonlocal done
+        committed = real(*args, **kwargs)
+        done += committed
+        if done >= commits:
+            raise _Stop
+        return committed
+
+    aig = aig.clone()
+    with mock.patch.object(module, "try_replace", counting):
+        try:
+            pass_fn(aig, zero_cost=True)
+        except _Stop:
+            pass
+    return aig
+
+
+def _inside_replace(aig: Aig, limit: int = 3) -> list[Aig]:
+    """Clones taken inside ``replace``, right after a reader folded and was
+    detached (its fanins -2) and before its own readers were rewired."""
+    snapshots: list[Aig] = []
+    real = Aig._substitute_fanin
+
+    def spying(self, fan, old_var, new_lit):
+        folded = real(self, fan, old_var, new_lit)
+        if folded is not None and len(snapshots) < limit:
+            snapshots.append(self.clone())
+        return folded
+
+    with mock.patch.object(Aig, "_substitute_fanin", spying):
+        rewrite_module.rewrite_pass(aig.clone(), zero_cost=True)
+    return snapshots
+
+
+def _check_against_references(aig: Aig) -> None:
+    fanin0, _ = aig.fanin_arrays()
+    manager = CutManager(aig)
+    for var in range(aig.num_vars):
+        assert (fanin0[var] >= 0) == aig.is_and(var)
+        for max_leaves in (3, 8, 10):
+            cut = reconvergence_cut(aig, var, max_leaves)
+            assert cut == _reference_reconvergence_cut(aig, var, max_leaves)
+        assert aig.mffc(var, cut) == _reference_mffc(aig, var, cut)
+        if fanin0[var] < 0:
+            continue
+        for stored in manager.cuts(var):
+            assert aig.mffc(var, stored.leaves) == _reference_mffc(
+                aig, var, stored.leaves
+            ), (var, stored.leaves)
+
+
+_PASSES = [
+    (rewrite_module, rewrite_module.rewrite_pass),
+    (refactor_module, refactor_module.refactor_pass),
+    (resub_module, resub_module.resub_pass),
+]
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10**6),
+    num_gates=st.integers(min_value=5, max_value=70),
+    which=st.integers(min_value=0, max_value=len(_PASSES) - 1),
+    commits=st.integers(min_value=1, max_value=6),
+)
+@settings(max_examples=40, deadline=None)
+def test_mffc_and_reconvergence_cut_match_the_references(
+    seed, num_gates, which, commits
+):
+    aig = aig_from_netlist(
+        build_random_netlist(seed=seed, num_inputs=6, num_gates=num_gates)
+    )
+    _check_against_references(aig)
+    module, pass_fn = _PASSES[which]
+    _check_against_references(_mid_pass(aig, module, pass_fn, commits))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_references_hold_on_detached_slots(seed):
+    aig = aig_from_netlist(
+        build_random_netlist(seed=seed, num_inputs=5, num_gates=60)
+    )
+    snapshots = _inside_replace(aig)
+    assert snapshots
+    for snapshot in snapshots:
+        assert -2 in snapshot.fanin_arrays()[0]
+        _check_against_references(snapshot)
+
+
+def test_quick_c432_mid_pass_matches_the_references(c432_quick):
+    aig = aig_from_netlist(c432_quick)
+    _check_against_references(aig)
+    _check_against_references(
+        _mid_pass(aig, rewrite_module, rewrite_module.rewrite_pass, 5)
+    )

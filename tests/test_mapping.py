@@ -1,5 +1,7 @@
 """Tests for technology mapping and PPA analysis."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,16 @@ class TestLibrary:
         lib = nangate45_library()
         with pytest.raises(MappingError):
             lib["INV_X1"].evaluate([np.zeros(2, bool), np.zeros(2, bool)])
+
+    def test_pickled_mapped_circuit_reports_the_same_ppa(self):
+        netlist = build_random_netlist(seed=2, num_gates=30)
+        mapped = map_aig(aig_from_netlist(netlist))
+        copy = pickle.loads(pickle.dumps(mapped))
+        assert copy.library.name == mapped.library.name
+        want, got = analyze_ppa(mapped), analyze_ppa(copy)
+        assert (got.area, got.delay, got.power) == (
+            want.area, want.delay, want.power
+        )
 
 
 class TestMapper:

@@ -303,6 +303,83 @@ class TestStructureCache:
         assert misses == 0
 
 
+class TestRawTableMemo:
+    """``rewrite`` resolves each raw cut table once through a bounded memo."""
+
+    @staticmethod
+    def _pass_counts(aig, monkeypatch):
+        """Hit/miss deltas of one rewrite pass, and its non-trivial cuts."""
+        trivial = 0
+        real = rewrite_module.constant_or_leaf_lit
+
+        def counting(bits, leaves):
+            nonlocal trivial
+            lit = real(bits, leaves)
+            trivial += lit is not None
+            return lit
+
+        with monkeypatch.context() as patch:
+            patch.setattr(rewrite_module, "constant_or_leaf_lit", counting)
+            before = REGISTRY.counters()
+            rewrite_pass(aig)
+            after = REGISTRY.counters()
+
+        def delta(name):
+            return after.get(name, 0) - before.get(name, 0)
+
+        return (
+            delta("synth.struct_cache.hits"),
+            delta("synth.struct_cache.misses"),
+            delta("synth.cuts") - trivial,
+        )
+
+    def test_cold_then_warm_pass_counts_one_lookup_per_cut(
+        self, locked_c432, monkeypatch
+    ):
+        aig = aig_from_netlist(locked_c432.netlist)
+        library.clear_structure_cache()
+        assert not library._RAW_MEMO
+        hits, misses, looked_up = self._pass_counts(aig.clone(), monkeypatch)
+        assert misses > 0
+        assert hits + misses == looked_up
+        hits, misses, looked_up = self._pass_counts(aig.clone(), monkeypatch)
+        assert misses == 0
+        assert hits == looked_up > 0
+        library.clear_structure_cache()
+        assert not library._RAW_MEMO
+
+    def test_memo_stays_within_its_bound(self, locked_c432, monkeypatch):
+        monkeypatch.setattr(library, "RAW_MEMO_SIZE", 3)
+        library.clear_structure_cache()
+        t1, t2, t3 = (0x6, 2), (0x8, 2), (0x96, 3)
+
+        def memoized(table) -> bool:
+            present = table in library._RAW_MEMO
+            library.rewrite_entry(*table)
+            return present
+
+        assert [memoized(t) for t in (t1, t2, t1)] == [False, False, True]
+        assert not memoized(t3)
+        assert not memoized((0xE8, 3))  # evicts t2, the least recently used
+        assert [memoized(t1), memoized(t2)] == [True, False]
+        rewrite_pass(aig_from_netlist(locked_c432.netlist))
+        assert len(library._RAW_MEMO) == 3
+        library.clear_structure_cache()
+
+    def test_entry_binds_leaves_as_the_transform_does(self):
+        for bits in (0x6, 0x8, 0x96, 0xE8, 0x1E, 0xCA, 0x6996, 0x8000, 0x1234):
+            nvars = 2 if bits < 0x10 else 3 if bits < 0x100 else 4
+            entry = library.rewrite_entry(bits, nvars)
+            candidates, transform = rewrite_candidates(TruthTable(bits, nvars))
+            assert entry.candidates == candidates
+            assert entry.output_negation == transform.output_negation
+            leaves = list(range(10, 10 + nvars))
+            assert [
+                (leaves[index], bool(negated))
+                for index, negated in zip(entry.perm, entry.negations)
+            ] == transform.leaf_order(leaves)
+
+
 class TestBoundedPasses:
     """Bounded dry-runs commit exactly what unbounded ones would."""
 
