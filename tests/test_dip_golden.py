@@ -10,7 +10,9 @@ seed = slot).  Per case the file records:
 
 * every DIP with the oracle's response, in query order;
 * the recovered key and the iteration count;
-* the conflicts and decisions each DIP cost, and the solver totals;
+* the conflicts and decisions each DIP cost, and the solver totals of
+  conflicts, decisions, propagations and restarts (propagations pin the
+  order unit propagation visits clauses in, not only the search tree);
 * for AppSAT, its error estimates, reinforced queries, error rate and
   how the loop ended.
 
@@ -123,6 +125,8 @@ def dip_case(slot: int) -> dict:
         ],
         "conflicts": details["solver"]["conflicts"],
         "decisions": details["solver"]["decisions"],
+        "propagations": details["solver"]["propagations"],
+        "restarts": details["solver"]["restarts"],
         "budget_exhausted": details["budget_exhausted"],
         "key_unique": details["key_unique"],
     }
