@@ -21,6 +21,27 @@ repository's quick-scale circuits:
 Literals follow the DIMACS convention externally (signed non-zero ints);
 internally each literal is an even/odd index ``2*var + sign`` so negation
 is ``^ 1``.
+
+The hot loop follows MiniSat's layout (Eén & Sörensson, "An Extensible
+SAT-solver", SAT 2003) under three order contracts, which the DIP
+goldens (``tests/test_dip_golden.py``: every DIP, conflict, decision,
+propagation and restart count) pin:
+
+* **A value per literal.** ``_val[idx]`` is ``True``, ``False`` or
+  ``None`` for every literal index; assigning a literal writes both it
+  and its negation, so a reader never derives a literal's value from its
+  variable's.
+* **Watch lists walked last-to-first.** ``_propagate`` visits a watch
+  list from its end and rebuilds it in visit order: the clauses that stay
+  come first, in the order visited, and on a conflict the unvisited
+  prefix follows unchanged.
+* **One heap entry per distinct key.** The decision heap is lazy: a
+  variable is pushed under ``-activity`` whenever it is unassigned or
+  bumped, and stale entries are skipped when popped.  ``_queued`` counts
+  how many copies of each ``(key, var)`` entry a heap that pushed every
+  time would hold, and the heap holds the entry once.  Picks come out in
+  the same order as from the heap with every copy, including after an
+  activity rescale, when stale keys decide the order.
 """
 
 from __future__ import annotations
@@ -81,12 +102,14 @@ class CdclSolver:
         self._reduce_growth = reduce_growth
         self._minimize = minimize
         self._watches: list[list[list[int]]] = [[], []]
-        self._assign: list[Optional[bool]] = [None]
+        self._val: list[Optional[bool]] = [None, None]
         self._level: list[int] = [0]
         self._reason: list[Optional[list[int]]] = [None]
         self._activity: list[float] = [0.0]
         self._phase: list[bool] = [False]
         self._heap: list[tuple[float, int]] = []
+        # Copies of each heap entry (see the module docstring).
+        self._queued: dict[tuple[float, int], int] = {}
         self._trail: list[int] = []
         self._trail_lim: list[int] = []
         self._qhead = 0
@@ -126,24 +149,18 @@ class CdclSolver:
         while self._nvars < count:
             self._nvars += 1
             self._watches.extend(([], []))
-            self._assign.append(None)
+            self._val.extend((None, None))
             self._level.append(0)
             self._reason.append(None)
             self._activity.append(0.0)
             self._phase.append(False)
-            heapq.heappush(self._heap, (0.0, self._nvars))
+            self._queue(self._nvars)
 
     def _to_idx(self, lit: int) -> int:
         var = abs(lit)
         if lit == 0 or var > self._nvars:
             raise SatError(f"literal {lit} out of range (have {self._nvars} vars)")
         return (var << 1) | (lit < 0)
-
-    def _lit_value(self, idx: int) -> Optional[bool]:
-        value = self._assign[idx >> 1]
-        if value is None:
-            return None
-        return value != bool(idx & 1)
 
     # -- clause management ----------------------------------------------------
 
@@ -158,7 +175,7 @@ class CdclSolver:
                 continue
             if idx ^ 1 in seen:
                 return  # tautology
-            value = self._lit_value(idx)
+            value = self._val[idx]
             if value is True:
                 return  # satisfied by a permanent (level-0) assignment
             if value is False:
@@ -230,61 +247,103 @@ class CdclSolver:
 
     # -- assignment and propagation -------------------------------------------
 
-    def _decision_level(self) -> int:
-        return len(self._trail_lim)
-
     def _enqueue(self, idx: int, reason: Optional[list[int]]) -> None:
+        self._val[idx] = True
+        self._val[idx ^ 1] = False
         var = idx >> 1
-        self._assign[var] = not bool(idx & 1)
-        self._level[var] = self._decision_level()
+        self._level[var] = len(self._trail_lim)
         self._reason[var] = reason
         self._trail.append(idx)
 
     def _propagate(self) -> Optional[list[int]]:
         """Unit propagation to fixpoint; returns a conflicting clause or None."""
-        while self._qhead < len(self._trail):
-            lit = self._trail[self._qhead]
-            self._qhead += 1
-            self.stats["propagations"] += 1
-            falsified = lit ^ 1
-            watchers = self._watches[falsified]
-            self._watches[falsified] = []
-            while watchers:
-                clause = watchers.pop()
-                if clause[0] == falsified:
-                    clause[0], clause[1] = clause[1], clause[0]
+        trail = self._trail
+        watches = self._watches
+        val = self._val
+        level = self._level
+        reason = self._reason
+        depth = len(self._trail_lim)
+        qhead = self._qhead
+        propagated = 0
+        conflict = None
+        while qhead < len(trail):
+            falsified = trail[qhead] ^ 1
+            qhead += 1
+            propagated += 1
+            watchers = watches[falsified]
+            kept: list[list[int]] = []
+            watches[falsified] = kept
+            i = len(watchers)
+            while i:
+                i -= 1
+                clause = watchers[i]
                 first = clause[0]
-                if self._lit_value(first) is True:
-                    self._watches[falsified].append(clause)
+                if first == falsified:
+                    first = clause[0] = clause[1]
+                    clause[1] = falsified
+                if val[first]:
+                    kept.append(clause)
                     continue
-                moved = False
                 for k in range(2, len(clause)):
-                    if self._lit_value(clause[k]) is not False:
-                        clause[1], clause[k] = clause[k], clause[1]
-                        self._watches[clause[1]].append(clause)
-                        moved = True
+                    lit = clause[k]
+                    if val[lit] is not False:
+                        clause[1] = lit
+                        clause[k] = falsified
+                        watches[lit].append(clause)
                         break
-                if moved:
-                    continue
-                self._watches[falsified].append(clause)
-                if self._lit_value(first) is False:
-                    self._watches[falsified].extend(watchers)
-                    self._qhead = len(self._trail)
-                    return clause
-                self._enqueue(first, clause)
-        return None
+                else:
+                    kept.append(clause)
+                    if val[first] is False:
+                        kept.extend(watchers[:i])
+                        conflict = clause
+                        break
+                    val[first] = True
+                    val[first ^ 1] = False
+                    var = first >> 1
+                    level[var] = depth
+                    reason[var] = clause
+                    trail.append(first)
+            if conflict is not None:
+                qhead = len(trail)
+                break
+        self._qhead = qhead
+        self.stats["propagations"] += propagated
+        return conflict
 
     def _backtrack(self, level: int) -> None:
-        while len(self._trail_lim) > level:
-            limit = self._trail_lim.pop()
-            for idx in self._trail[limit:]:
+        trail_lim = self._trail_lim
+        if len(trail_lim) > level:
+            trail = self._trail
+            limit = trail_lim[level]
+            del trail_lim[level:]
+            val = self._val
+            phase = self._phase
+            reason = self._reason
+            activity = self._activity
+            queued = self._queued
+            heap = self._heap
+            heappush = heapq.heappush
+            for idx in trail[limit:]:
                 var = idx >> 1
-                self._phase[var] = not bool(idx & 1)
-                self._assign[var] = None
-                self._reason[var] = None
-                heapq.heappush(self._heap, (-self._activity[var], var))
-            del self._trail[limit:]
+                phase[var] = not idx & 1
+                val[idx] = val[idx ^ 1] = None
+                reason[var] = None
+                # _queue(var), inlined.
+                entry = (-activity[var], var)
+                copies = queued.get(entry, 0)
+                queued[entry] = copies + 1
+                if not copies:
+                    heappush(heap, entry)
+            del trail[limit:]
         self._qhead = min(self._qhead, len(self._trail))
+
+    def _queue(self, var: int) -> None:
+        """Push ``var`` on the decision heap under its current activity."""
+        entry = (-self._activity[var], var)
+        copies = self._queued.get(entry, 0)
+        self._queued[entry] = copies + 1
+        if not copies:
+            heapq.heappush(self._heap, entry)
 
     # -- conflict analysis -----------------------------------------------------
 
@@ -294,7 +353,7 @@ class CdclSolver:
             for v in range(1, self._nvars + 1):
                 self._activity[v] *= 1.0 / _ACTIVITY_RESCALE
             self._var_inc *= 1.0 / _ACTIVITY_RESCALE
-        heapq.heappush(self._heap, (-self._activity[var], var))
+        self._queue(var)
 
     def _analyze(self, conflict: list[int]) -> tuple[list[int], int, int]:
         """First-UIP analysis: (learned clause, backjump level, LBD).
@@ -304,7 +363,7 @@ class CdclSolver:
         clause — low-LBD clauses are the valuable ones the database
         reduction pass must never delete.
         """
-        current = self._decision_level()
+        current = len(self._trail_lim)
         seen = bytearray(self._nvars + 1)
         learned: list[int] = []
         counter = 0
@@ -364,12 +423,24 @@ class CdclSolver:
     # -- search ----------------------------------------------------------------
 
     def _pick_branch(self) -> Optional[int]:
-        while self._heap:
-            _, var = heapq.heappop(self._heap)
-            if self._assign[var] is None:
+        heap = self._heap
+        val = self._val
+        queued = self._queued
+        while heap:
+            entry = heap[0]
+            var = entry[1]
+            if val[var << 1] is None:
+                copies = queued[entry]
+                if copies > 1:
+                    queued[entry] = copies - 1
+                else:
+                    heapq.heappop(heap)
+                    del queued[entry]
                 return (var << 1) | (not self._phase[var])
+            heapq.heappop(heap)
+            del queued[entry]
         for var in range(1, self._nvars + 1):
-            if self._assign[var] is None:
+            if val[var << 1] is None:
                 return (var << 1) | (not self._phase[var])
         return None
 
@@ -418,7 +489,7 @@ class CdclSolver:
             conflict = self._propagate()
             if conflict is not None:
                 self.stats["conflicts"] += 1
-                if self._decision_level() == 0:
+                if not self._trail_lim:
                     self._unsat = True
                     return SolverResult(False, stats=dict(self.stats))
                 learned, backjump, glue = self._analyze(conflict)
@@ -443,9 +514,9 @@ class CdclSolver:
                 continue
             branch: Optional[int] = None
             failed = False
-            while self._decision_level() < len(assumed):
-                lit = assumed[self._decision_level()]
-                value = self._lit_value(lit)
+            while len(self._trail_lim) < len(assumed):
+                lit = assumed[len(self._trail_lim)]
+                value = self._val[lit]
                 if value is True:
                     self._trail_lim.append(len(self._trail))
                 elif value is False:
@@ -462,9 +533,9 @@ class CdclSolver:
             if branch is None:
                 branch = self._pick_branch()
                 if branch is None:
+                    val = self._val
                     model = {
-                        var: bool(self._assign[var])
-                        for var in range(1, self._nvars + 1)
+                        var: val[var << 1] for var in range(1, self._nvars + 1)
                     }
                     self._backtrack(0)
                     return SolverResult(True, model=model, stats=dict(self.stats))

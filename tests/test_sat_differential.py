@@ -10,7 +10,11 @@ assignments, then check
 - an *incremental* solver — same instance, a stream of assumption probes
   and clause additions — agrees with enumeration at every step, even when
   ``reduce_base`` is cranked low enough to force several DB reductions;
-- minimization on/off never changes a verdict.
+- minimization on/off never changes a verdict;
+- with the activity ceiling cranked low, so rescales fire every few
+  conflicts, verdicts and models still agree, no pick is an assigned
+  variable, and the deduplicated decision heap picks exactly what a heap
+  holding every pushed copy would.
 
 A handful of seeds run in tier-1; the wide sweep is ``slow``-marked (CI
 runs it with ``-m ""``).
@@ -18,15 +22,20 @@ runs it with ``-m ""``).
 
 from __future__ import annotations
 
+import heapq
 import itertools
 
 import pytest
 
 from repro.sat import Cnf, CdclSolver
+from repro.sat import solver as solver_module
 from repro.utils.rng import make_rng
 
 FAST_SEEDS = range(8)
 SLOW_SEEDS = range(8, 120)
+#: An activity ceiling low enough that rescales fire every few conflicts,
+#: so stale heap keys outrank current ones most of the time.
+LOW_RESCALE = 2.0
 
 
 def random_cnf(seed: int, max_vars: int = 12) -> Cnf:
@@ -67,8 +76,8 @@ def assert_model_satisfies(cnf: Cnf, model: dict[int, bool]) -> None:
         assert any(model[abs(lit)] == (lit > 0) for lit in clause), clause
 
 
-def check_one_shot(seed: int, **solver_kwargs) -> None:
-    cnf = random_cnf(seed)
+def check_one_shot(seed: int, make_cnf=random_cnf, **solver_kwargs) -> None:
+    cnf = make_cnf(seed)
     expected = bool(enumerate_models(cnf))
     result = CdclSolver(cnf, **solver_kwargs).solve()
     assert result.satisfiable == expected, f"seed={seed}"
@@ -76,9 +85,9 @@ def check_one_shot(seed: int, **solver_kwargs) -> None:
         assert_model_satisfies(cnf, result.model)
 
 
-def check_incremental(seed: int, **solver_kwargs) -> None:
+def check_incremental(seed: int, make_cnf=random_cnf, **solver_kwargs) -> None:
     """One persistent solver vs. enumeration across a probe/add stream."""
-    cnf = random_cnf(seed)
+    cnf = make_cnf(seed)
     rng = make_rng(seed + 10_000)
     solver = CdclSolver(cnf, **solver_kwargs)
     for step in range(6):
@@ -157,3 +166,122 @@ def test_slow_sweep_one_shot(seed):
 @pytest.mark.parametrize("seed", SLOW_SEEDS)
 def test_slow_sweep_incremental(seed):
     check_incremental(seed, reduce_base=8, reduce_growth=8)
+
+
+def random_3cnf(seed: int, num_vars: int = 40, ratio: float = 4.26) -> Cnf:
+    """A random 3-CNF at the satisfiability threshold.
+
+    Unlike :func:`random_cnf`, whose unit clauses settle most instances
+    before the first decision, these need real search: conflicts, learned
+    clauses and activity bumps.
+    """
+    rng = make_rng(seed)
+    cnf = Cnf(num_vars)
+    for _ in range(int(num_vars * ratio)):
+        variables = rng.choice(num_vars, size=3, replace=False)
+        cnf.add_clause(tuple(
+            int(v) + 1 if rng.random() < 0.5 else -(int(v) + 1)
+            for v in variables
+        ))
+    return cnf
+
+
+def small_3cnf(seed: int) -> Cnf:
+    """A threshold 3-CNF small enough to enumerate."""
+    return random_3cnf(seed, num_vars=10)
+
+
+class PlainHeapSolver(CdclSolver):
+    """The reference decision heap: one push per unassign and per bump.
+
+    It holds every copy of every ``(key, var)`` entry, backtracks level by
+    level, and pops until it meets an unassigned variable.
+    """
+
+    def _queue(self, var):
+        heapq.heappush(self._heap, (-self._activity[var], var))
+
+    def _backtrack(self, level):
+        while len(self._trail_lim) > level:
+            limit = self._trail_lim.pop()
+            for idx in self._trail[limit:]:
+                var = idx >> 1
+                self._phase[var] = not idx & 1
+                self._val[idx] = self._val[idx ^ 1] = None
+                self._reason[var] = None
+                self._queue(var)
+            del self._trail[limit:]
+        self._qhead = min(self._qhead, len(self._trail))
+
+    def _pick_branch(self):
+        while self._heap:
+            _, var = heapq.heappop(self._heap)
+            if self._val[var << 1] is None:
+                return (var << 1) | (not self._phase[var])
+        return None
+
+
+@pytest.fixture
+def rescale_spy(monkeypatch):
+    """Low activity ceiling; counts rescales and rejects assigned picks."""
+    monkeypatch.setattr(solver_module, "_ACTIVITY_RESCALE", LOW_RESCALE)
+    counts = {"rescales": 0, "picks": 0}
+    bump, pick = CdclSolver._bump, CdclSolver._pick_branch
+
+    def counting_bump(self, var):
+        before = self._var_inc
+        bump(self, var)
+        counts["rescales"] += self._var_inc < before
+
+    def checked_pick(self):
+        lit = pick(self)
+        if lit is not None:
+            assert self._val[lit] is None, f"picked assigned literal {lit}"
+            counts["picks"] += 1
+        return lit
+
+    monkeypatch.setattr(CdclSolver, "_bump", counting_bump)
+    monkeypatch.setattr(CdclSolver, "_pick_branch", checked_pick)
+    return counts
+
+
+@pytest.mark.parametrize("seed", FAST_SEEDS)
+def test_frequent_rescales_agree_with_enumeration(seed, rescale_spy):
+    check_one_shot(seed, small_3cnf)
+    check_incremental(seed, small_3cnf)
+    check_incremental(seed, small_3cnf, reduce_base=8, reduce_growth=8)
+    assert rescale_spy["picks"] > 0
+    assert rescale_spy["rescales"] > 0, "no rescale fired: lower LOW_RESCALE"
+
+
+def _probe_stream(solver: CdclSolver, seed: int) -> list:
+    """Solve under six random assumption sets; every result in full."""
+    rng = make_rng(seed + 20_000)
+    results = []
+    for _ in range(6):
+        assumed = rng.choice(solver.num_vars, size=4, replace=False)
+        assumptions = [
+            int(v) + 1 if rng.random() < 0.5 else -(int(v) + 1)
+            for v in assumed
+        ]
+        result = solver.solve(assumptions)
+        results.append((
+            result.satisfiable, result.assumption_failed, result.model,
+            result.stats,
+        ))
+    return results
+
+
+@pytest.mark.parametrize("rescale", [LOW_RESCALE, solver_module._ACTIVITY_RESCALE])
+@pytest.mark.parametrize("seed", range(4))
+def test_deduplicated_heap_picks_as_the_plain_heap(seed, rescale, monkeypatch):
+    # Same stats and models, call by call, so the same decisions in the
+    # same order; with frequent rescales the copies a plain heap holds of a
+    # stale entry decide picks, and the copy counts must stand in for them.
+    monkeypatch.setattr(solver_module, "_ACTIVITY_RESCALE", rescale)
+    cnf = random_3cnf(seed)
+    streams = [
+        _probe_stream(cls(cnf, reduce_base=8, reduce_growth=8), seed)
+        for cls in (CdclSolver, PlainHeapSolver)
+    ]
+    assert streams[0] == streams[1]
