@@ -5,7 +5,7 @@ an expensive artifact (a trained proxy model, an ALMOST recipe) is built at
 most once per pytest session regardless of how many benches consume it.
 
 Scale is controlled by ``REPRO_SCALE`` (quick | standard | full); see
-``repro.reporting.scale`` and EXPERIMENTS.md.
+``repro.reporting.scale`` and docs/benchmarks.md.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 The paper's hyper-parameters (1000 training samples, 350 epochs, SA with 100
 iterations, 7 circuits x 2 key sizes) are hours of compute in this pure
 Python stack.  Benches resolve a :class:`Scale` from the ``REPRO_SCALE``
-environment variable; EXPERIMENTS.md records which scale produced the
-committed numbers.
+environment variable (default ``quick``); docs/benchmarks.md says which
+scale produced the committed numbers.
 """
 
 from __future__ import annotations
