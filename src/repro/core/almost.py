@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -121,7 +123,9 @@ class AlmostDefense:
         """Yield ``(recipes -> accuracies, synthesis cache or None)``.
 
         With ``config.jobs`` > 1 recipes fan out over a
-        :class:`WorkerPool`.  A proxy scorer then synthesizes through one
+        :class:`WorkerPool`.  A proxy resolves memo hits and in-batch
+        duplicates here first, so only its unique misses fan out, to
+        workers that carry an empty memo; they synthesize through one
         :class:`SharedSynthCache`: a private cache would be pickled into
         each worker and start cold there.  The store closes after the
         pool has exited, so its cross-worker totals freeze and its
@@ -139,12 +143,15 @@ class AlmostDefense:
                 jobs = 1
         if jobs > 1:
             scorer, shared = self._evaluate, None
-            if self._proxy is not None and self._proxy.synth_cache is not None:
-                shared = SharedSynthCache(
-                    max_entries=self._proxy.synth_cache.max_entries
-                )
+            if self._proxy is not None:
+                if self._proxy.synth_cache is not None:
+                    shared = SharedSynthCache(
+                        max_entries=self._proxy.synth_cache.max_entries
+                    )
+                # The memo stays in this process (an empty one travels):
+                # a recipe is sent to one worker at most once.
                 scorer = dataclasses.replace(
-                    self._proxy, synth_cache=shared
+                    self._proxy, synth_cache=shared, _cache=OrderedDict()
                 ).predicted_accuracy
             try:
                 with WorkerPool(jobs, state=scorer) as pool:
@@ -157,6 +164,10 @@ class AlmostDefense:
                             raise KeyboardInterrupt
                         return values
 
+                    if self._proxy is not None:
+                        score = functools.partial(
+                            self._proxy.predicted_accuracy_batch, score=score
+                        )
                     yield score, shared
             finally:
                 if shared is not None:

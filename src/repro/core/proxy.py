@@ -99,14 +99,16 @@ class ProxyModel:
         return self.predicted_accuracy_batch([recipe])[0]
 
     def predicted_accuracy_batch(
-        self, recipes: Sequence[Recipe]
+        self, recipes: Sequence[Recipe], score=None
     ) -> list[float]:
         """Score a whole candidate batch in one vectorized GNN pass.
 
         Memo hits and in-batch duplicates are resolved first; the remaining
         unique recipes are synthesized (cached) and scored together by
         :meth:`~repro.attacks.omla.OmlaAttack.predict_circuits`, one
-        model forward for the lot.
+        model forward for the lot.  ``score`` replaces that last step
+        (``recipes -> accuracies``, e.g. a worker pool's fan-out), so the
+        memo stays here whoever scores the misses.
         """
         results: list[Optional[float]] = [None] * len(recipes)
         pending: "OrderedDict[tuple[str, ...], list[int]]" = OrderedDict()
@@ -117,15 +119,22 @@ class ProxyModel:
             else:
                 pending.setdefault(recipe.steps, []).append(index)
         if pending:
-            predictions = self.attack.predict_circuits(
-                [self._synthesize(Recipe(steps)) for steps in pending]
-            )
-            for steps, (bits, _confidence) in zip(pending, predictions):
-                accuracy = AttackResult(bits, true_key=self.locked.key).accuracy
+            misses = [Recipe(steps) for steps in pending]
+            scored = (score or self._score_misses)(misses)
+            for steps, accuracy in zip(pending, scored):
                 self._cache_put(steps, accuracy)
                 for index in pending[steps]:
                     results[index] = accuracy
         return [float(value) for value in results]
+
+    def _score_misses(self, recipes: Sequence[Recipe]) -> list[float]:
+        predictions = self.attack.predict_circuits(
+            [self._synthesize(recipe) for recipe in recipes]
+        )
+        return [
+            AttackResult(bits, true_key=self.locked.key).accuracy
+            for bits, _confidence in predictions
+        ]
 
     def predicted_accuracy_on_circuit(self, mapped) -> float:
         """Accuracy against an externally synthesized mapped circuit."""

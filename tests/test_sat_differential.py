@@ -39,13 +39,18 @@ LOW_RESCALE = 2.0
 
 
 def random_cnf(seed: int, max_vars: int = 12) -> Cnf:
-    """A random k-CNF near the satisfiability threshold (ratio ~4.0)."""
+    """A random mixed 2/3-CNF, 3 to 5 clauses per variable.
+
+    No unit clauses: with them, level-0 propagation refuted almost every
+    instance before the first decision, and the checks below never
+    reached conflict analysis.
+    """
     rng = make_rng(seed)
     num_vars = int(rng.integers(3, max_vars + 1))
     num_clauses = int(num_vars * (3.0 + 2.0 * rng.random()))
     cnf = Cnf(num_vars)
     for _ in range(num_clauses):
-        width = int(rng.integers(1, 4))
+        width = 2 if rng.random() < 0.3 else 3
         variables = rng.choice(num_vars, size=min(width, num_vars), replace=False)
         clause = tuple(
             int(v) + 1 if rng.random() < 0.5 else -(int(v) + 1)
@@ -112,6 +117,15 @@ def check_incremental(seed: int, make_cnf=random_cnf, **solver_kwargs) -> None:
             )
             solver.add_clause(clause)
             cnf.add_clause(clause)
+
+
+def test_fast_seeds_reach_conflict_analysis():
+    # The checks on random_cnf mean little if propagation alone decides.
+    conflicted = [
+        seed for seed in FAST_SEEDS
+        if CdclSolver(random_cnf(seed)).solve().stats["conflicts"] > 0
+    ]
+    assert len(conflicted) > len(FAST_SEEDS) // 2, conflicted
 
 
 @pytest.mark.parametrize("seed", FAST_SEEDS)

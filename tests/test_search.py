@@ -635,6 +635,23 @@ class TestProxyBatchScoring:
         assert recipes[-1].steps in tiny_proxy._cache
         tiny_proxy.cache_size = 1024
 
+    def test_batch_scores_only_unique_misses(self, tiny_proxy):
+        # Whoever scores the misses (a worker pool with jobs > 1), memo
+        # hits and in-batch duplicates are resolved by the proxy first.
+        scored = []
+
+        def score(recipes):
+            scored.append([recipe.steps for recipe in recipes])
+            return [0.25] * len(recipes)
+
+        first, second = (random_recipe(10, seed=s) for s in (201, 202))
+        tiny_proxy._cache.clear()
+        batch = tiny_proxy.predicted_accuracy_batch
+        assert batch([first, second, first], score=score) == [0.25] * 3
+        assert batch([second, first], score=score) == [0.25] * 2
+        assert scored == [[first.steps, second.steps]]
+        tiny_proxy._cache.clear()
+
     def test_prefix_cache_fed_by_scoring(self, tiny_proxy):
         tiny_proxy.synth_cache.clear()
         base = random_recipe(10, seed=42)
@@ -1010,6 +1027,13 @@ class TestSharedCacheAlmost:
         assert stats["steps_saved"] + stats["steps_executed"] > 0
         assert stats["prefix_hits"] + stats["prefix_misses"] > 0
         assert serial.synth_cache["steps_executed"] > 0
+        # The memo stays in the parent, so the workers synthesize each
+        # unique memo miss once: as many walks as the serial run makes.
+        walks = [
+            run["prefix_hits"] + run["prefix_misses"]
+            for run in (stats, serial.synth_cache)
+        ]
+        assert walks[0] == walks[1]
 
 
 # -- AlmostDefense(jobs > 1) pool lifecycle --------------------------------
