@@ -5,8 +5,8 @@ runtime and the reduction achieved by ``resyn2`` per benchmark circuit.
 ``test_bench_synth_recipes`` writes ``BENCH_synth.json``: per-pass time of
 the recipes ALMOST scores, on a locked c1355, with the structure cache's
 hit rate, the cuts and candidates ``rewrite``/``refactor`` examined (and
-how many candidates the bounded dry-run pruned), and the inputs that
-produced them.
+how many candidates the bounded dry-run pruned), the windows and divisor
+pairs ``resub`` examined, and the inputs that produced them.
 """
 
 from __future__ import annotations
@@ -133,7 +133,10 @@ def _time_recipes(start, recipes) -> dict:
         },
         "work": {
             name: delta(f"synth.{name}")
-            for name in ("cuts", "candidates_evaluated", "candidates_pruned")
+            for name in (
+                "cuts", "candidates_evaluated", "candidates_pruned",
+                "resub_windows", "resub_pair_ands",
+            )
         },
     }
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from repro.aig.aig import Aig, lit_not, make_lit
 from repro.aig.cuts import reconvergence_cut
+from repro.obs import metrics as _metrics
 from repro.synth.opt_common import try_replace
 from repro.utils.truth import _var_mask
 
@@ -43,7 +44,7 @@ MAX_DIVISORS = 24
 def resub_pass(aig: Aig, zero_cost: bool = False) -> int:
     """Run one resubstitution pass in place; returns replacements."""
     max_divisors = MAX_DIVISORS
-    changed = 0
+    changed = windows = pair_ands = 0
     fanin0, _ = aig.fanin_arrays()
     for root in aig.topological_ands():
         if fanin0[root] < 0:  # removed by an earlier replacement
@@ -51,6 +52,7 @@ def resub_pass(aig: Aig, zero_cost: bool = False) -> int:
         leaves = reconvergence_cut(aig, root, max_leaves=MAX_LEAVES)
         if len(leaves) < 2 or root in leaves:
             continue
+        windows += 1
         words, mask = _window_tables(aig, root, leaves)
         target = words[root]
         mffc_set = aig.mffc(root, leaves)
@@ -95,6 +97,7 @@ def resub_pass(aig: Aig, zero_cost: bool = False) -> int:
                     a = w1 ^ (mask if p1 else 0)
                     for p2 in (0, 1):
                         b = w2 ^ (mask if p2 else 0)
+                        pair_ands += 1
                         if (a & b) == target:
                             found = (d1, p1, d2, p2, False)
                             break
@@ -113,4 +116,6 @@ def resub_pass(aig: Aig, zero_cost: bool = False) -> int:
             new_lit = lit_not(new_lit)
         if try_replace(aig, root, leaves, new_lit, needs_cycle_check=True):
             changed += 1
+    _metrics.inc("synth.resub_windows", windows)
+    _metrics.inc("synth.resub_pair_ands", pair_ands)
     return changed

@@ -21,6 +21,7 @@ from repro.synth.opt_common import evaluate_candidate, leaf_lits
 from repro.synth import refactor as refactor_module
 from repro.synth import rewrite as rewrite_module
 from repro.synth.refactor import refactor_pass
+from repro.synth.resub import resub_pass
 from repro.synth.rewrite import rewrite_pass
 from repro.synth.structure import compile_fnode, dry_run, realize
 from repro.utils.rng import make_rng
@@ -427,6 +428,19 @@ class TestPassCounters:
         assert delta("synth.cuts") > 0
         pruned = delta("synth.candidates_pruned")
         assert 0 < pruned <= delta("synth.candidates_evaluated")
+
+    def test_resub_counts_windows_and_pair_ands(self, locked_c432):
+        aig = aig_from_netlist(locked_c432.netlist)
+        ands = aig.num_ands()
+        before = REGISTRY.counters()
+        resub_pass(aig, zero_cost=True)
+        after = REGISTRY.counters()
+
+        def delta(name):
+            return after.get(name, 0) - before.get(name, 0)
+
+        assert 0 < delta("synth.resub_windows") <= ands
+        assert delta("synth.resub_pair_ands") > 0
 
 
 class TestStress:
