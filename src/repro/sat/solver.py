@@ -40,8 +40,11 @@ propagation and restart count) pin:
   bumped, and stale entries are skipped when popped.  ``_queued`` counts
   how many copies of each ``(key, var)`` entry a heap that pushed every
   time would hold, and the heap holds the entry once.  Picks come out in
-  the same order as from the heap with every copy, including after an
-  activity rescale, when stale keys decide the order.
+  the same order as from the heap with every copy.  An activity rescale
+  rebuilds the heap with one current ``(-activity, var)`` entry per
+  unassigned variable, so keys pushed before it cannot outrank later
+  bumps: the next pick is the unassigned variable of highest activity,
+  lowest index on ties.
 """
 
 from __future__ import annotations
@@ -350,10 +353,30 @@ class CdclSolver:
     def _bump(self, var: int) -> None:
         self._activity[var] += self._var_inc
         if self._activity[var] > _ACTIVITY_RESCALE:
-            for v in range(1, self._nvars + 1):
-                self._activity[v] *= 1.0 / _ACTIVITY_RESCALE
-            self._var_inc *= 1.0 / _ACTIVITY_RESCALE
+            self._rescale()
         self._queue(var)
+
+    def _rescale(self) -> None:
+        """Scale every activity down, and rebuild the heap to match.
+
+        Keys pushed before a rescale would outrank every later one, so the
+        heap gets one current ``(-activity, var)`` entry per unassigned
+        variable.  It is rebuilt in place: callers hold it as a local.
+        """
+        activity = self._activity
+        for v in range(1, self._nvars + 1):
+            activity[v] *= 1.0 / _ACTIVITY_RESCALE
+        self._var_inc *= 1.0 / _ACTIVITY_RESCALE
+        val = self._val
+        heap = self._heap
+        heap[:] = [
+            (-activity[v], v)
+            for v in range(1, self._nvars + 1)
+            if val[v << 1] is None
+        ]
+        heapq.heapify(heap)
+        self._queued.clear()
+        self._queued.update(dict.fromkeys(heap, 1))
 
     def _analyze(self, conflict: list[int]) -> tuple[list[int], int, int]:
         """First-UIP analysis: (learned clause, backjump level, LBD).

@@ -4,10 +4,14 @@ For each node, build a reconvergence-driven window and try to re-express the
 node's function using *divisors* — other nodes of the window cone that are
 not in the node's MFFC.  Zero-resub replaces the node by a single divisor
 (possibly complemented); one-resub by an AND/OR of two divisors.  Candidate
-functions are compared exactly on window truth tables.
+functions are compared exactly on window truth tables; one-resub forms only
+the ANDs of divisor pairs that can cover the target (:func:`find_pair`).
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
+from typing import Optional
 
 from repro.aig.aig import Aig, lit_not, make_lit
 from repro.aig.cuts import reconvergence_cut
@@ -41,6 +45,61 @@ MAX_LEAVES = 8
 MAX_DIVISORS = 24
 
 
+def find_pair(
+    divisors: list[int], words: dict[int, int], target: int, mask: int
+) -> tuple[Optional[tuple[int, int, int, int, bool]], int]:
+    """First ``(d1, p1, d2, p2, out_neg)`` with ``a & b`` equal to ``target``
+    (``out_neg`` False) or to its complement, and the ANDs formed.
+
+    ``a`` is ``d1``'s word complemented when ``p1`` is 1, ``b`` likewise.
+    ``a & b == target`` needs both sides to contain ``target``, and the
+    complemented output needs both to contain ``target ^ mask``, so each
+    phased divisor is classified once and only pairs that share a class
+    form an AND.  Pairs come in the order of the full nested search
+    (``i < j``, then ``p1``, ``p2``, plain before complemented), so the
+    first match is the one that search finds.
+    """
+    offset = target ^ mask
+    # Per divisor: (phase, word, classes) of each phase covering the
+    # target (class 1) or the offset (class 2), and the union of classes.
+    phased: list[list[tuple[int, int, int]]] = []
+    unions: list[int] = []
+    # Positions of the divisors whose union meets class 1, class 2, or any.
+    meeting: tuple[list[int], ...] = ([], [], [], [])
+    for index, div in enumerate(divisors):
+        word = words[div]
+        entries = []
+        union = 0
+        for phase, a in ((0, word), (1, word ^ mask)):
+            classes = ((target & a) == target) | ((offset & a) == offset) << 1
+            if classes:
+                entries.append((phase, a, classes))
+                union |= classes
+        phased.append(entries)
+        unions.append(union)
+        if union:
+            if union & 1:
+                meeting[1].append(index)
+            if union & 2:
+                meeting[2].append(index)
+            meeting[3].append(index)
+    formed = 0
+    for i in meeting[3]:
+        first = phased[i]
+        partners = meeting[unions[i]]
+        for j in partners[bisect_right(partners, i):]:
+            for p1, a, c1 in first:
+                for p2, b, c2 in phased[j]:
+                    if c1 & c2:
+                        formed += 1
+                        both = a & b
+                        if both == target:
+                            return (divisors[i], p1, divisors[j], p2, False), formed
+                        if both == offset:
+                            return (divisors[i], p1, divisors[j], p2, True), formed
+    return None, formed
+
+
 def resub_pass(aig: Aig, zero_cost: bool = False) -> int:
     """Run one resubstitution pass in place; returns replacements."""
     max_divisors = MAX_DIVISORS
@@ -63,12 +122,11 @@ def resub_pass(aig: Aig, zero_cost: bool = False) -> int:
         ][:max_divisors]
         min_gain = 0 if zero_cost else 1
 
-        committed = False
         # 0-resub: a divisor equals the target function (either phase).
+        # It saves the whole MFFC, which holds at least the root, so it
+        # meets either mode's gain.
+        committed = False
         for div in divisors:
-            saved = len(mffc_set)
-            if saved < max(1, min_gain):
-                break
             if words[div] == target:
                 committed = try_replace(
                     aig, root, leaves, make_lit(div), needs_cycle_check=False
@@ -83,31 +141,10 @@ def resub_pass(aig: Aig, zero_cost: bool = False) -> int:
         if committed:
             continue
         # 1-resub: target = AND/OR of two (possibly complemented) divisors.
-        saved = len(mffc_set)
-        if saved - 1 < min_gain:
+        if len(mffc_set) - 1 < min_gain:
             continue
-        found = None
-        for i, d1 in enumerate(divisors):
-            if found:
-                break
-            w1 = words[d1]
-            for d2 in divisors[i + 1:]:
-                w2 = words[d2]
-                for p1 in (0, 1):
-                    a = w1 ^ (mask if p1 else 0)
-                    for p2 in (0, 1):
-                        b = w2 ^ (mask if p2 else 0)
-                        pair_ands += 1
-                        if (a & b) == target:
-                            found = (d1, p1, d2, p2, False)
-                            break
-                        if (a & b) == target ^ mask:
-                            found = (d1, p1, d2, p2, True)
-                            break
-                    if found:
-                        break
-                if found:
-                    break
+        found, formed = find_pair(divisors, words, target, mask)
+        pair_ands += formed
         if found is None:
             continue
         d1, p1, d2, p2, out_neg = found

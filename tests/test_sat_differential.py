@@ -34,7 +34,7 @@ from repro.utils.rng import make_rng
 FAST_SEEDS = range(8)
 SLOW_SEEDS = range(8, 120)
 #: An activity ceiling low enough that rescales fire every few conflicts,
-#: so stale heap keys outrank current ones most of the time.
+#: so the decision heap is rebuilt from current activities most of the time.
 LOW_RESCALE = 2.0
 
 
@@ -290,8 +290,10 @@ def _probe_stream(solver: CdclSolver, seed: int) -> list:
 @pytest.mark.parametrize("seed", range(4))
 def test_deduplicated_heap_picks_as_the_plain_heap(seed, rescale, monkeypatch):
     # Same stats and models, call by call, so the same decisions in the
-    # same order; with frequent rescales the copies a plain heap holds of a
-    # stale entry decide picks, and the copy counts must stand in for them.
+    # same order; between rescales the copies a plain heap holds of an
+    # entry decide picks, and the copy counts must stand in for them.  A
+    # rescale rebuilds either heap to one current entry per unassigned
+    # variable (PlainHeapSolver inherits _bump).
     monkeypatch.setattr(solver_module, "_ACTIVITY_RESCALE", rescale)
     cnf = random_3cnf(seed)
     streams = [
@@ -299,3 +301,38 @@ def test_deduplicated_heap_picks_as_the_plain_heap(seed, rescale, monkeypatch):
         for cls in (CdclSolver, PlainHeapSolver)
     ]
     assert streams[0] == streams[1]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pick_after_a_rescale_follows_current_activity(seed, monkeypatch):
+    # Right after a rescale, no key pushed before it may outrank a later
+    # bump: the pick is the unassigned variable of highest activity, the
+    # lowest index on ties.
+    monkeypatch.setattr(solver_module, "_ACTIVITY_RESCALE", LOW_RESCALE)
+    bump, pick = CdclSolver._bump, CdclSolver._pick_branch
+    counts = {"rescaled": False, "checked": 0}
+
+    def spying_bump(self, var):
+        before = self._var_inc
+        bump(self, var)
+        counts["rescaled"] |= self._var_inc < before
+
+    def checked_pick(self):
+        if counts["rescaled"]:
+            counts["rescaled"] = False
+            free = [
+                v for v in range(1, self.num_vars + 1)
+                if self._val[v << 1] is None
+            ]
+            expected = min(free, key=lambda v: (-self._activity[v], v))
+            lit = pick(self)
+            assert lit >> 1 == expected
+            counts["checked"] += 1
+            return lit
+        return pick(self)
+
+    monkeypatch.setattr(CdclSolver, "_bump", spying_bump)
+    monkeypatch.setattr(CdclSolver, "_pick_branch", checked_pick)
+    _probe_stream(CdclSolver(random_3cnf(seed), reduce_base=8,
+                             reduce_growth=8), seed)
+    assert counts["checked"] > 0
