@@ -10,7 +10,6 @@ the ANDs of divisor pairs that can cover the target (:func:`find_pair`).
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from typing import Optional
 
 from repro.aig.aig import Aig, lit_not, make_lit
@@ -60,43 +59,30 @@ def find_pair(
     first match is the one that search finds.
     """
     offset = target ^ mask
-    # Per divisor: (phase, word, classes) of each phase covering the
-    # target (class 1) or the offset (class 2), and the union of classes.
-    phased: list[list[tuple[int, int, int]]] = []
-    unions: list[int] = []
-    # Positions of the divisors whose union meets class 1, class 2, or any.
-    meeting: tuple[list[int], ...] = ([], [], [], [])
-    for index, div in enumerate(divisors):
+    # Per divisor with a phase covering the target (class 1) or the
+    # offset (class 2): (divisor, [(phase, word, classes), ...]).
+    phased: list[tuple[int, list[tuple[int, int, int]]]] = []
+    for div in divisors:
         word = words[div]
         entries = []
-        union = 0
         for phase, a in ((0, word), (1, word ^ mask)):
             classes = ((target & a) == target) | ((offset & a) == offset) << 1
             if classes:
                 entries.append((phase, a, classes))
-                union |= classes
-        phased.append(entries)
-        unions.append(union)
-        if union:
-            if union & 1:
-                meeting[1].append(index)
-            if union & 2:
-                meeting[2].append(index)
-            meeting[3].append(index)
+        if entries:
+            phased.append((div, entries))
     formed = 0
-    for i in meeting[3]:
-        first = phased[i]
-        partners = meeting[unions[i]]
-        for j in partners[bisect_right(partners, i):]:
+    for i, (d1, first) in enumerate(phased):
+        for d2, second in phased[i + 1:]:
             for p1, a, c1 in first:
-                for p2, b, c2 in phased[j]:
+                for p2, b, c2 in second:
                     if c1 & c2:
                         formed += 1
                         both = a & b
                         if both == target:
-                            return (divisors[i], p1, divisors[j], p2, False), formed
+                            return (d1, p1, d2, p2, False), formed
                         if both == offset:
-                            return (divisors[i], p1, divisors[j], p2, True), formed
+                            return (d1, p1, d2, p2, True), formed
     return None, formed
 
 
