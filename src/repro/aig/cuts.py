@@ -113,12 +113,11 @@ class CutManager:
             sig0 = cut0.sig
             for cut1 in cuts1:
                 sig = sig0 | cut1.sig
-                if sig in seen:
+                size = sig.bit_count()
+                if size > k or sig in seen:
                     continue
                 seen.add(sig)
-                size = sig.bit_count()
-                if size <= k:
-                    merged.append((size, sig, cut0, cut1))
+                merged.append((size, sig, cut0, cut1))
         # Drop dominated cuts (a cut is dominated if a subset cut exists);
         # the sort is stable, so equal sizes keep their merge order.
         merged.sort(key=itemgetter(0))
@@ -130,20 +129,34 @@ class CutManager:
                     break
             else:
                 kept_sigs.append(sig)
-                leaves0, leaves1 = cut0.leaves, cut1.leaves
-                leaves = tuple(sorted({*leaves0, *leaves1}))
-                full = (1 << (1 << size)) - 1
-                # A fanin cut as wide as the union is the union itself.
-                bits0 = cut0.bits if len(leaves0) == size else _stretch(
-                    cut0.bits, tuple(map(leaves.index, leaves0)), size
-                )
-                bits1 = cut1.bits if len(leaves1) == size else _stretch(
-                    cut1.bits, tuple(map(leaves.index, leaves1)), size
-                )
+                leaves0, bits0 = cut0.leaves, cut0.bits
+                leaves1, bits1 = cut1.leaves, cut1.bits
+                # A fanin cut as wide as the union is the union itself:
+                # its leaves and table are reused, only the other's table
+                # is stretched.
+                if len(leaves0) == size:
+                    leaves = leaves0
+                    if len(leaves1) != size:
+                        bits1 = _stretch(
+                            bits1, tuple(map(leaves.index, leaves1)), size
+                        )
+                elif len(leaves1) == size:
+                    leaves = leaves1
+                    bits0 = _stretch(
+                        bits0, tuple(map(leaves.index, leaves0)), size
+                    )
+                else:
+                    leaves = tuple(sorted({*leaves0, *leaves1}))
+                    bits0 = _stretch(
+                        bits0, tuple(map(leaves.index, leaves0)), size
+                    )
+                    bits1 = _stretch(
+                        bits1, tuple(map(leaves.index, leaves1)), size
+                    )
                 if f0 & 1:
-                    bits0 ^= full
+                    bits0 ^= (1 << (1 << size)) - 1
                 if f1 & 1:
-                    bits1 ^= full
+                    bits1 ^= (1 << (1 << size)) - 1
                 kept.append(Cut(leaves, sig, bits0 & bits1))
                 if len(kept_sigs) >= self.limit:
                     break

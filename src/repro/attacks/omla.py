@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from repro.aig.build import aig_from_netlist
 from repro.attacks.base import AttackResult
 from repro.attacks.subgraph import (
     FEATURE_DIM,
@@ -28,7 +29,7 @@ from repro.ml.data import GraphData, pack_graph_groups
 from repro.ml.gnn import GinClassifier
 from repro.ml.train import TrainConfig, train_classifier
 from repro.netlist.netlist import Netlist
-from repro.synth.engine import synthesize_and_map
+from repro.synth.engine import synthesize_mapped
 from repro.synth.recipe import Recipe
 from repro.utils.rng import derive_seed
 
@@ -76,8 +77,8 @@ class OmlaAttack:
         relocked = relock(
             locked_netlist, key_size=self.config.relock_key_bits, seed=seed
         )
-        _netlist, mapped = synthesize_and_map(
-            relocked.netlist, recipe, cache=cache
+        mapped = synthesize_mapped(
+            aig_from_netlist(relocked.netlist), recipe, cache=cache
         )
         return extract_localities(
             mapped,

@@ -23,11 +23,13 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from repro.aig.aig import Aig
+from repro.aig.build import aig_from_netlist
 from repro.attacks.base import AttackResult
 from repro.attacks.omla import OmlaAttack, OmlaConfig
 from repro.locking.rll import LockedCircuit
 from repro.synth.cache import SynthCache
-from repro.synth.engine import synthesize_and_map
+from repro.synth.engine import synthesize_mapped
 from repro.synth.recipe import RESYN2, Recipe, random_recipe
 from repro.utils.rng import derive_seed
 
@@ -65,6 +67,9 @@ class ProxyModel:
     _cache: "OrderedDict[tuple[str, ...], float]" = field(
         default_factory=OrderedDict
     )
+    _source: Optional[Aig] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     # -- memo table -------------------------------------------------------
 
@@ -83,11 +88,17 @@ class ProxyModel:
     # -- scoring ----------------------------------------------------------
 
     def _synthesize(self, recipe: Recipe):
-        """Cached synthesis of the locked netlist under ``recipe``."""
-        _netlist, mapped = synthesize_and_map(
-            self.locked.netlist, recipe, cache=self.synth_cache
+        """Cached synthesis of the locked netlist under ``recipe``, mapped.
+
+        The netlist is converted to an AIG once; each recipe runs on a
+        clone of it, which synthesizes exactly as the original would (the
+        exact-resume contract of :mod:`repro.synth.cache`).
+        """
+        if self._source is None:
+            self._source = aig_from_netlist(self.locked.netlist)
+        return synthesize_mapped(
+            self._source.clone(), recipe, cache=self.synth_cache
         )
-        return mapped
 
     def predicted_accuracy(self, recipe: Recipe) -> float:
         """Attack accuracy the proxy predicts for ``recipe``.

@@ -136,3 +136,17 @@ def synthesize_and_map(
     if verify is not None:
         verify_transformation(aig, optimized, verify)
     return netlist_from_aig(optimized), map_aig(optimized)
+
+
+def synthesize_mapped(aig: Aig, recipe: Recipe, cache=None):
+    """Synthesize ``aig`` in place and technology-map it; returns only the
+    mapped circuit.
+
+    The scoring path of recipe search and relock rounds reads nothing
+    else, so it skips :func:`synthesize_and_map`'s primitive netlist.
+    ``aig`` may be mutated: pass a :meth:`~repro.aig.aig.Aig.clone` to keep
+    the original.  ``cache`` works as in :func:`apply_recipe`.
+    """
+    from repro.mapping.mapper import map_aig
+
+    return map_aig(apply_recipe(aig, recipe, copy=False, cache=cache))

@@ -24,13 +24,16 @@ Each lookup counts one ``synth.struct_cache.hits`` or ``.misses``.
 ``rewrite`` reaches the NPN-keyed cache through a second bounded memo on
 the raw cut table (:func:`rewrite_entry`), which also keeps the NPN leaf
 binding, so a repeated table skips canonization.  :func:`clear_structure_cache`
-empties both.
+empties both.  The passes probe both without counting
+(:func:`memoized_rewrite_entry`, :func:`memoized_refactor_candidates`),
+add their hits once per pass, and count a miss through the counting
+lookup.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 from repro.obs import metrics as _metrics
 from repro.synth.factor import FNode, factor_sop
@@ -149,9 +152,36 @@ def rewrite_entry(bits: int, nvars: int) -> RewriteEntry:
     return entry
 
 
+def memoized_rewrite_entry(bits: int, nvars: int) -> Optional[RewriteEntry]:
+    """The memo's entry for ``(bits, nvars)``, or ``None``; counts nothing.
+
+    A pass that probes the memo this way counts its hits itself and folds
+    them into ``synth.struct_cache.hits`` once, and calls
+    :func:`rewrite_entry` on a miss, which counts what the structure cache
+    lookup behind it counts.
+    """
+    key = (bits, nvars)
+    entry = _RAW_MEMO.get(key)
+    if entry is not None:
+        _RAW_MEMO.move_to_end(key)
+    return entry
+
+
 def refactor_candidates(table: TruthTable) -> tuple[Candidate, ...]:
     """Candidates computing ``table`` itself (output maybe complemented)."""
     return _lookup("exact", table, _refactor_trees)
+
+
+def memoized_refactor_candidates(
+    table: TruthTable,
+) -> Optional[tuple[Candidate, ...]]:
+    """The cached :func:`refactor_candidates` of ``table``, or ``None``;
+    counts nothing, as :func:`memoized_rewrite_entry`."""
+    key = ("exact", table.bits, table.nvars)
+    cached = _CACHE.get(key)
+    if cached is not None:
+        _CACHE.move_to_end(key)
+    return cached
 
 
 def _refactor_trees(table: TruthTable) -> list[tuple[FNode, bool]]:

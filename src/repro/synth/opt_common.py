@@ -12,76 +12,171 @@ estimate honest:
   check before the replacement is committed.
 
 Candidates arrive as compiled AND programs from the structure cache
-(:mod:`repro.synth.library`); :func:`evaluate_candidate` scores one with
-:func:`~repro.synth.structure.dry_run` and :func:`realize_candidate`
-builds the winner with :func:`~repro.synth.structure.realize`.
+(:mod:`repro.synth.library`).  :class:`CutEvaluator` dry-runs all of one
+cut's candidates in one loop and returns the one that beats the pass's
+best so far; :func:`realize_candidate` builds the winner with
+:func:`~repro.synth.structure.realize`.
 
 The gain ``|MFFC| - |kept| - added`` is at most ``|MFFC| - added``, so a
-candidate can only matter if ``|MFFC| - added`` reaches the caller's floor
-(the gain it must match or beat).  Callers pass ``limit = |MFFC| - floor``
-and the dry-run stops, returning ``None``, once the candidate needs more
-than ``limit`` new nodes; about half of ``rewrite``'s candidates end there.
+candidate can only matter if ``|MFFC| - added`` reaches the pass's floor
+(the gain it must match or beat).  The evaluator stops a candidate's
+dry-run once it needs more than ``limit = |MFFC| - floor`` new nodes and
+counts it as pruned; about half of ``rewrite``'s candidates end there.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.aig.aig import Aig, lit_not, lit_var, make_lit
-from repro.synth.structure import Program, dry_run, realize
+from repro.synth.structure import Program, realize
 from repro.utils.truth import TruthTable
 
-
-class Evaluation(NamedTuple):
-    """Outcome of dry-running one candidate at one site."""
-
-    gain: int
-    added: int
-    needs_cycle_check: bool
+#: The best gain before any candidate is scored: below every real gain.
+NO_GAIN = -(1 << 62)
 
 
-def evaluate_candidate(
-    aig: Aig,
-    cut: Sequence[int],
-    mffc_set: set[int],
-    program: Program,
-    leaf_handles: Sequence[int],
-    limit: Optional[int] = None,
-) -> Optional[Evaluation]:
-    """Estimate the node gain of replacing the cut cone with ``program``.
+class CutEvaluator:
+    """Scores every candidate of one cut in one loop, one pass at a time.
 
-    ``None`` when the candidate needs more than ``limit`` new nodes.
+    ``need`` is the smallest gain the pass commits (0 for ``-z``, else 1).
+    ``tie_step`` is the pass's tie rule: with 0 (``rewrite``) the floor is
+    the best gain so far and an equal gain still wins on a lower literal
+    cost; with 1 (``refactor``) a candidate must beat the best gain by one
+    and ties keep the earlier candidate.
+
+    The dry-run mirrors :meth:`Aig.add_and` (constant folding, then a
+    structural-hash probe) without touching the graph; a node it would
+    create is a ghost (see :mod:`repro.synth.structure`).  It allocates
+    the ghost table and the hit list only when a ghost or a hit occurs.
+    When the root itself is a hit, every MFFC node stays alive and the
+    saving is 0 without walking the kept closure.
+
+    ``evaluated`` and ``pruned`` accumulate over the evaluator's life, so
+    a pass folds them into its metrics once.
     """
-    outcome = dry_run(aig, program, leaf_handles, limit)
-    if outcome is None:
-        return None
-    added, hits = outcome
-    saved = len(mffc_set)
-    hits_inside = hits & mffc_set
-    if hits_inside:
-        saved -= len(_closure_within(aig, hits_inside, mffc_set, set(cut)))
-    return Evaluation(saved - added, added, not hits <= mffc_set)
 
+    __slots__ = ("strash", "fanin0", "fanin1", "need", "tie_step",
+                 "evaluated", "pruned")
 
-def _closure_within(
-    aig: Aig, seeds: set[int], universe: set[int], leaves: set[int]
-) -> set[int]:
-    """Downward closure of ``seeds`` inside ``universe`` (stop at leaves)."""
-    fanin0, fanin1 = aig.fanin_arrays()
-    kept: set[int] = set()
-    # Canonical seed order: the closure *membership* is order-independent,
-    # but DFS visit order must not vary with set hashing (exact-replay).
-    stack = sorted(seeds)
-    while stack:
-        node = stack.pop()
-        if node in kept or node not in universe:
-            continue
-        kept.add(node)
-        for child in (fanin0[node] >> 1, fanin1[node] >> 1):
-            if child not in leaves and child in universe:
-                stack.append(child)
-    return kept
+    def __init__(self, aig: Aig, need: int, tie_step: int):
+        self.strash = aig.strash
+        self.fanin0, self.fanin1 = aig.fanin_arrays()
+        self.need = need
+        self.tie_step = tie_step
+        self.evaluated = 0
+        self.pruned = 0
+
+    def best(
+        self,
+        root: int,
+        mffc_set: set[int],
+        candidates: Sequence,
+        leaf_handles: Sequence[int],
+        best_gain: int = NO_GAIN,
+        best_neg_cost: int = 0,
+    ) -> Optional[tuple]:
+        """``(gain, -literal_cost, candidate, needs_cycle_check)`` of the
+        cut's best candidate when it beats ``(best_gain, best_neg_cost)``
+        under the pass's tie rule, else ``None``.
+
+        ``mffc_set`` is the MFFC of ``root`` bounded by the cut (it holds
+        no leaf); ``leaf_handles`` binds the programs' leaves.
+        """
+        strash = self.strash
+        need = self.need
+        tie_step = self.tie_step
+        size = len(mffc_set)
+        base = [0, *leaf_handles]  # handle of each slot, positive phase
+        winner = None
+        pruned = 0
+        for cand in candidates:
+            limit = size - (
+                need if best_gain < need else best_gain + tie_step
+            )
+            if limit < 0:
+                pruned += 1
+                continue
+            values = base.copy()
+            append = values.append
+            ghosts = hits = None
+            for slot_a, neg_a, slot_b, neg_b in cand.program.quads:
+                a = values[slot_a] ^ neg_a
+                b = values[slot_b] ^ neg_b
+                if a == 0 or b == 0 or a == b ^ 1:
+                    append(0)
+                    continue
+                if a == 1:
+                    append(b)
+                    continue
+                if b == 1 or a == b:
+                    append(a)
+                    continue
+                key = (a, b) if a < b else (b, a)
+                if key[0] >= 0:  # both real: a strash hit reuses a node
+                    var = strash.get(key)
+                    if var is not None:
+                        if hits is None:
+                            hits = [var]
+                        else:
+                            hits.append(var)
+                        append(var << 1)
+                        continue
+                if ghosts is None:
+                    if not limit:
+                        break
+                    ghosts = {key: -1}
+                    append(-1)
+                    continue
+                ghost = ghosts.get(key)
+                if ghost is None:
+                    count = len(ghosts)
+                    if count == limit:
+                        break
+                    ghost = ghosts[key] = ~(2 * count)
+                append(ghost)
+            else:
+                gain = size - (len(ghosts) if ghosts else 0)
+                needs_cycle_check = False
+                if hits is not None:
+                    if root in hits:
+                        gain -= size
+                    else:
+                        gain -= self._kept(hits, mffc_set)
+                    needs_cycle_check = not mffc_set.issuperset(hits)
+                neg_cost = -cand.literal_cost
+                if gain > best_gain or (
+                    gain == best_gain
+                    and not tie_step
+                    and neg_cost > best_neg_cost
+                ):
+                    best_gain, best_neg_cost = gain, neg_cost
+                    winner = (gain, neg_cost, cand, needs_cycle_check)
+                continue
+            pruned += 1
+        self.evaluated += len(candidates)
+        self.pruned += pruned
+        return winner
+
+    def _kept(self, hits: list[int], mffc_set: set[int]) -> int:
+        """Size of the downward closure of the hits inside the MFFC: the
+        nodes they keep alive.  The MFFC holds no leaf, so the walk stops
+        at the cut by itself."""
+        stack = [hit for hit in hits if hit in mffc_set]
+        if not stack:
+            return 0
+        fanin0, fanin1 = self.fanin0, self.fanin1
+        kept: set[int] = set()
+        while stack:
+            node = stack.pop()
+            if node in kept:
+                continue
+            kept.add(node)
+            for child in (fanin0[node] >> 1, fanin1[node] >> 1):
+                if child in mffc_set and child not in kept:
+                    stack.append(child)
+        return len(kept)
 
 
 def realize_candidate(

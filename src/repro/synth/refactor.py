@@ -6,8 +6,9 @@ ISOP-factored (or XOR-decomposed) multi-level form and accept the new
 structure when it reduces the node count (or matches it, with ``-z``).
 The candidate forms come compiled from the structure cache
 (:func:`repro.synth.library.refactor_candidates`), keyed exactly on the
-cone's truth table; a candidate's dry-run stops once it cannot beat the
-best gain so far (see :mod:`repro.synth.opt_common`).
+cone's truth table, and are scored by the same per-cut evaluator as
+``rewrite``'s (:class:`~repro.synth.opt_common.CutEvaluator`): a
+candidate's dry-run stops once it cannot beat the best gain so far.
 """
 
 from __future__ import annotations
@@ -16,10 +17,13 @@ from repro.aig.aig import Aig, make_lit
 from repro.aig.cuts import reconvergence_cut
 from repro.aig.simulate import cut_truth_table
 from repro.obs import metrics as _metrics
-from repro.synth.library import refactor_candidates
+from repro.synth.library import (
+    memoized_refactor_candidates,
+    refactor_candidates,
+)
 from repro.synth.opt_common import (
+    CutEvaluator,
     constant_or_leaf_lit,
-    evaluate_candidate,
     leaf_lits,
     realize_candidate,
     try_replace,
@@ -35,7 +39,10 @@ MIN_LEAVES = 3
 def refactor_pass(aig: Aig, zero_cost: bool = False) -> int:
     """Run one refactoring pass in place; returns replacements committed."""
     need = 0 if zero_cost else 1
-    changed = cuts_seen = evaluated = pruned = 0
+    # Ties keep the earlier candidate: a later one must beat the best gain
+    # by one.
+    evaluator = CutEvaluator(aig, need, tie_step=1)
+    changed = cuts_seen = cache_hits = 0
     fanin0, _ = aig.fanin_arrays()
     for var in aig.topological_ands():
         if fanin0[var] < 0:  # removed by an earlier replacement
@@ -50,26 +57,16 @@ def refactor_pass(aig: Aig, zero_cost: bool = False) -> int:
             if try_replace(aig, var, cut, trivial, needs_cycle_check=False):
                 changed += 1
             continue
+        candidates = memoized_refactor_candidates(table)
+        if candidates is None:
+            candidates = refactor_candidates(table)
+        else:
+            cache_hits += 1
         handles = leaf_lits(cut)
-        mffc_set = aig.mffc(var, cut)
-        best = None
-        for cand in refactor_candidates(table):
-            # Ties keep the earlier candidate: a later one must beat the
-            # best gain by one.
-            floor = need if best is None or best[0] < need else best[0] + 1
-            evaluated += 1
-            evaluation = evaluate_candidate(
-                aig, cut, mffc_set, cand.program, handles,
-                len(mffc_set) - floor,
-            )
-            if evaluation is None:
-                pruned += 1
-                continue
-            if best is None or evaluation.gain > best[0]:
-                best = (evaluation.gain, cand, evaluation.needs_cycle_check)
-        if best is None:
+        won = evaluator.best(var, aig.mffc(var, cut), candidates, handles)
+        if won is None:
             continue
-        gain, cand, cycle_check = best
+        gain, _, cand, cycle_check = won
         if gain < need:
             continue
         new_lit = realize_candidate(
@@ -77,7 +74,9 @@ def refactor_pass(aig: Aig, zero_cost: bool = False) -> int:
         )
         if try_replace(aig, var, cut, new_lit, cycle_check):
             changed += 1
+    if cache_hits:
+        _metrics.inc("synth.struct_cache.hits", cache_hits)
     _metrics.inc("synth.cuts", cuts_seen)
-    _metrics.inc("synth.candidates_evaluated", evaluated)
-    _metrics.inc("synth.candidates_pruned", pruned)
+    _metrics.inc("synth.candidates_evaluated", evaluator.evaluated)
+    _metrics.inc("synth.candidates_pruned", evaluator.pruned)
     return changed

@@ -3,9 +3,11 @@
 For every AND node in topological order, enumerate its 4-feasible cuts
 (each carries its function, see :mod:`repro.aig.cuts`) and test candidate
 implementations of its NPN class from the structure cache
-(:mod:`repro.synth.library`, reached through its raw-table memo).  A
-candidate's dry-run stops once it cannot reach the best gain so far (see
-:mod:`repro.synth.opt_common`).  A candidate is committed when it strictly reduces the node count; with
+(:mod:`repro.synth.library`, reached through its raw-table memo).  One
+:class:`~repro.synth.opt_common.CutEvaluator` scores all of a cut's
+candidates in one loop, and a candidate's dry-run stops once it cannot
+reach the best gain so far.  A candidate is committed when it strictly
+reduces the node count; with
 ``zero_cost=True`` (``rewrite -z``) equal-size replacements are also
 committed, which reshapes localities and unlocks later passes — the
 property ALMOST's recipe search exploits.
@@ -21,10 +23,11 @@ from __future__ import annotations
 from repro.aig.aig import Aig
 from repro.aig.cuts import CutManager
 from repro.obs import metrics as _metrics
-from repro.synth.library import rewrite_entry
+from repro.synth.library import memoized_rewrite_entry, rewrite_entry
 from repro.synth.opt_common import (
+    NO_GAIN,
+    CutEvaluator,
     constant_or_leaf_lit,
-    evaluate_candidate,
     realize_candidate,
     try_replace,
 )
@@ -36,11 +39,16 @@ def rewrite_pass(aig: Aig, zero_cost: bool = False) -> int:
     fanin0, _ = aig.fanin_arrays()
     mffc = aig.mffc
     need = 0 if zero_cost else 1
-    changed = cuts_seen = evaluated = pruned = 0
+    # An equal gain can still win on literal cost: the floor is the best
+    # gain so far, not one more.
+    evaluator = CutEvaluator(aig, need, tie_step=0)
+    best_of_cut = evaluator.best
+    changed = cuts_seen = memo_hits = 0
     for var in aig.topological_ands():
         if fanin0[var] < 0:  # removed by an earlier replacement
             continue
-        best = None  # (gain, -literal_cost, cut, tree, out_neg, cycle_check)
+        best = None  # (gain, -literal_cost, cut, payload, out_neg, cycle_check)
+        best_gain, best_neg_cost = NO_GAIN, 0
         for cut in manager.cuts(var):
             leaves = cut.leaves
             if len(leaves) < 2 or var in leaves:
@@ -49,38 +57,34 @@ def rewrite_pass(aig: Aig, zero_cost: bool = False) -> int:
             trivial = constant_or_leaf_lit(cut.bits, leaves)
             if trivial is not None:
                 gain = len(mffc(var, leaves))
-                candidate = (gain, 0, leaves, None, trivial, False)
-                if best is None or candidate[:2] > best[:2]:
-                    best = candidate
+                if (gain, 0) > (best_gain, best_neg_cost):
+                    best_gain, best_neg_cost = gain, 0
+                    best = (gain, 0, leaves, None, trivial, False)
                 continue
             mffc_set = mffc(var, leaves)
-            entry = rewrite_entry(cut.bits, len(leaves))
+            entry = memoized_rewrite_entry(cut.bits, len(leaves))
+            if entry is None:
+                entry = rewrite_entry(cut.bits, len(leaves))
+            else:
+                memo_hits += 1
             bound = [
                 (leaves[index] << 1) | negated
                 for index, negated in zip(entry.perm, entry.negations)
             ]
-            for cand in entry.candidates:
-                # An equal gain can still win on literal cost: the floor is
-                # the best gain so far, not one more.
-                floor = need if best is None or best[0] < need else best[0]
-                evaluated += 1
-                evaluation = evaluate_candidate(
-                    aig, leaves, mffc_set, cand.program, bound,
-                    len(mffc_set) - floor,
-                )
-                if evaluation is None:
-                    pruned += 1
-                    continue
-                candidate = (
-                    evaluation.gain,
-                    -cand.literal_cost,
+            won = best_of_cut(
+                var, mffc_set, entry.candidates, bound, best_gain,
+                best_neg_cost,
+            )
+            if won is not None:
+                best_gain, best_neg_cost, cand, cycle_check = won
+                best = (
+                    best_gain,
+                    best_neg_cost,
                     leaves,
                     (cand, bound),
                     entry.output_negation ^ cand.output_negated,
-                    evaluation.needs_cycle_check,
+                    cycle_check,
                 )
-                if best is None or candidate[:2] > best[:2]:
-                    best = candidate
         if best is None:
             continue
         gain, _, cut, payload, neg_or_lit, cycle_check = best
@@ -93,7 +97,9 @@ def rewrite_pass(aig: Aig, zero_cost: bool = False) -> int:
             new_lit = realize_candidate(aig, cand.program, bound, neg_or_lit)
         if try_replace(aig, var, cut, new_lit, cycle_check):
             changed += 1
+    if memo_hits:
+        _metrics.inc("synth.struct_cache.hits", memo_hits)
     _metrics.inc("synth.cuts", cuts_seen)
-    _metrics.inc("synth.candidates_evaluated", evaluated)
-    _metrics.inc("synth.candidates_pruned", pruned)
+    _metrics.inc("synth.candidates_evaluated", evaluator.evaluated)
+    _metrics.inc("synth.candidates_pruned", evaluator.pruned)
     return changed

@@ -1,5 +1,5 @@
-"""Flat AND programs compiled from factored-form trees, and the loops that
-dry-run or build them.
+"""Flat AND programs compiled from factored-form trees, and the loop that
+builds them.
 
 ``rewrite`` and ``refactor`` try several candidate structures at every
 node.  Each candidate is a factored-form tree (:class:`FNode`), compiled
@@ -12,38 +12,56 @@ false and operand 1 is true), slots ``1..n`` are the cut leaves, and slot
 ``n + 1 + k`` is the result of op ``k``.  The ops replay the exact
 ``make_and`` sequence the tree's n-ary connectives expand to (balanced
 AND/OR trees, three ANDs per XOR).  Constant folding and repeated operand
-pairs are resolved at compile time: both are side-effect free in the
-loops below, so resolving them early changes no result.
+pairs are resolved at compile time: both are side-effect free when the
+program runs, so resolving them early changes no result.
+
+A program stores its ops decoded, once, at compile time: one
+``(slot_a, neg_a, slot_b, neg_b)`` quad per AND, which is what the loops
+that run a program iterate over.  ``Program.ops`` re-encodes them as the
+flat operand list (the structure cache's digest reads it).  Quads are
+interned: the structure cache of a proxy training and search holds about
+10,000 of them but only about 1,100 distinct ones, and a tuple each would
+cost that cache 0.9 MB.
 
 At a site, leaf ``i`` is bound to an AIG literal and the program runs in
 one of two loops:
 
-* :func:`dry_run` mirrors :meth:`Aig.add_and` (constant folding plus
-  structural-hash lookups) without mutating the graph: it folds inline
-  and probes :attr:`Aig.strash` directly.  It reports how many genuinely
-  new nodes the candidate needs and which existing AND nodes it reuses,
-  which is exactly what gain evaluation needs.  A node that would be
-  created is a *ghost*: ghost ``g`` in phase ``p`` has the negative
-  handle ``~(2*g + p)``, so ``h ^ 1`` complements real and ghost handles
-  alike.  Given a ``limit``, it gives up as soon as a candidate needs more
-  than ``limit`` ghosts: the caller has derived that such a candidate
-  cannot win (see :mod:`repro.synth.opt_common`).
+* the per-cut evaluator (:class:`repro.synth.opt_common.CutEvaluator`)
+  dry-runs every candidate of a cut: it mirrors :meth:`Aig.add_and`
+  (constant folding plus structural-hash lookups) without mutating the
+  graph.  A node that would be created is a *ghost*: ghost ``g`` in phase
+  ``p`` has the negative handle ``~(2*g + p)``, so ``h ^ 1`` complements
+  real and ghost handles alike;
 * :func:`realize` builds the program into the AIG with ``add_and``.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 from repro.aig.aig import Aig
 from repro.synth.factor import FNode
 
 
-class Program(NamedTuple):
-    """A compiled candidate: flat operand pairs, one pair per AND."""
+#: One shared tuple per distinct quad (see the module docstring).
+_QUADS: dict[tuple[int, int, int, int], tuple[int, int, int, int]] = {}
 
-    ops: tuple[int, ...]  # a0, b0, a1, b1, ...
+
+class Program(NamedTuple):
+    """A compiled candidate: one ``(slot_a, neg_a, slot_b, neg_b)`` quad
+    per AND, and the output operand."""
+
+    quads: tuple[tuple[int, int, int, int], ...]
     out: int
+
+    @property
+    def ops(self) -> tuple[int, ...]:
+        """The operands ``a0, b0, a1, b1, ...``, one pair per AND."""
+        return tuple(
+            operand
+            for slot_a, neg_a, slot_b, neg_b in self.quads
+            for operand in (2 * slot_a + neg_a, 2 * slot_b + neg_b)
+        )
 
 
 def compile_fnode(tree: FNode, num_leaves: int) -> Program:
@@ -96,70 +114,21 @@ def compile_fnode(tree: FNode, num_leaves: int) -> Program:
         raise ValueError(f"unknown FNode kind {node.kind}")  # pragma: no cover
 
     out = build(tree)
-    return Program(tuple(ops), out)
-
-
-def dry_run(
-    aig: Aig,
-    program: Program,
-    leaf_handles: Sequence[int],
-    limit: Optional[int] = None,
-) -> Optional[tuple[int, set[int]]]:
-    """``(added, hits)``: fresh nodes ``program`` would need at this site,
-    and the existing AND variables it would reuse.
-
-    With ``limit``, returns ``None`` as soon as the candidate would need
-    more than ``limit`` fresh nodes, and exactly then.
-    """
-    ops = program.ops
-    if limit is None:
-        limit = len(ops) >> 1  # a program never needs more nodes than ops
-    elif limit < 0:
-        return None
-    values = [0, *leaf_handles]  # handle of each slot, positive phase
-    strash = aig.strash
-    ghosts: dict[tuple[int, int], int] = {}
-    hits: set[int] = set()
-    for index in range(0, len(ops), 2):
-        a = ops[index]
-        a = values[a >> 1] ^ (a & 1)
-        b = ops[index + 1]
-        b = values[b >> 1] ^ (b & 1)
-        if a == 0 or b == 0 or a == b ^ 1:
-            values.append(0)
-            continue
-        if a == 1:
-            values.append(b)
-            continue
-        if b == 1 or a == b:
-            values.append(a)
-            continue
-        key = (a, b) if a < b else (b, a)
-        if key[0] >= 0:  # both real: a structural-hash hit reuses a node
-            var = strash.get(key)
-            if var is not None:
-                hits.add(var)
-                values.append(var << 1)
-                continue
-        ghost = ghosts.get(key)
-        if ghost is None:
-            if len(ghosts) == limit:
-                return None
-            ghost = ghosts[key] = ~(2 * len(ghosts))
-        values.append(ghost)
-    return len(ghosts), hits
+    quads = tuple(
+        _QUADS.setdefault(quad, quad)
+        for quad in (
+            (a >> 1, a & 1, b >> 1, b & 1)
+            for a, b in zip(ops[::2], ops[1::2])
+        )
+    )
+    return Program(quads, out)
 
 
 def realize(aig: Aig, program: Program, leaf_handles: Sequence[int]) -> int:
     """Build ``program`` into ``aig``; returns the output literal."""
     values = [0, *leaf_handles]
-    ops = program.ops
     add_and = aig.add_and
-    for index in range(0, len(ops), 2):
-        a = ops[index]
-        b = ops[index + 1]
-        values.append(
-            add_and(values[a >> 1] ^ (a & 1), values[b >> 1] ^ (b & 1))
-        )
+    for slot_a, neg_a, slot_b, neg_b in program.quads:
+        values.append(add_and(values[slot_a] ^ neg_a, values[slot_b] ^ neg_b))
     out = program.out
     return values[out >> 1] ^ (out & 1)

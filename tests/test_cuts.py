@@ -4,7 +4,9 @@
 truth table from its fanins' tables.  Both are checked against simple
 references: a set-based enumerator kept here as the oracle (the merge the
 manager replaced), and ``cut_truth_table``, which simulates the cut cone
-directly.
+directly.  The bitset merge that tested the seen set before the union's
+size and rebuilt every union's leaves is kept as a third oracle: the
+manager must store exactly the cuts, in the order, it stored.
 
 ``Aig.mffc`` and ``reconvergence_cut`` read the AIG's fanin arrays
 directly.  They are checked against the accessor-based bodies they
@@ -22,7 +24,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.aig import Aig, aig_from_netlist, lit_var, make_lit
-from repro.aig.cuts import MAX_VISITS, CutManager, reconvergence_cut
+from repro.aig.cuts import (
+    _PROJECTION,
+    MAX_VISITS,
+    Cut,
+    CutManager,
+    _stretch,
+    reconvergence_cut,
+)
 from repro.aig.simulate import cut_truth_table
 from repro.synth import refactor as refactor_module
 from repro.synth import resub as resub_module
@@ -62,11 +71,60 @@ def _reference_cuts(aig: Aig, k: int, limit: int) -> dict:
     return cuts
 
 
+class _ReferenceBitsetManager(CutManager):
+    """``CutManager`` with the bitset merge it had before: every pair
+    probes the seen set, and every kept union sorts its leaves and
+    stretches both fanin tables unless that fanin is as wide."""
+
+    def _merge(self, var, f0, f1, cuts0, cuts1):
+        k = self.k
+        seen = set()
+        merged = []
+        for cut0 in cuts0:
+            sig0 = cut0.sig
+            for cut1 in cuts1:
+                sig = sig0 | cut1.sig
+                if sig in seen:
+                    continue
+                seen.add(sig)
+                size = sig.bit_count()
+                if size <= k:
+                    merged.append((size, sig, cut0, cut1))
+        merged.sort(key=lambda entry: entry[0])
+        kept_sigs = []
+        kept = [Cut((var,), 1 << var, _PROJECTION)]
+        for size, sig, cut0, cut1 in merged:
+            for other in kept_sigs:
+                if other & sig == other:
+                    break
+            else:
+                kept_sigs.append(sig)
+                leaves0, leaves1 = cut0.leaves, cut1.leaves
+                leaves = tuple(sorted({*leaves0, *leaves1}))
+                full = (1 << (1 << size)) - 1
+                bits0 = cut0.bits if len(leaves0) == size else _stretch(
+                    cut0.bits, tuple(map(leaves.index, leaves0)), size
+                )
+                bits1 = cut1.bits if len(leaves1) == size else _stretch(
+                    cut1.bits, tuple(map(leaves.index, leaves1)), size
+                )
+                if f0 & 1:
+                    bits0 ^= full
+                if f1 & 1:
+                    bits1 ^= full
+                kept.append(Cut(leaves, sig, bits0 & bits1))
+                if len(kept_sigs) >= self.limit:
+                    break
+        return kept
+
+
 def _check_manager(aig: Aig, k: int, limit: int) -> None:
     manager = CutManager(aig, k=k, limit=limit)
+    bitset_reference = _ReferenceBitsetManager(aig, k=k, limit=limit)
     reference = _reference_cuts(aig, k, limit)
     for var in aig.topological_ands():
         cuts = manager.cuts(var)
+        assert cuts == bitset_reference.cuts(var)
         assert [cut.leaves for cut in cuts] == reference[var]
         for cut in cuts:
             assert cut.sig == sum(1 << leaf for leaf in cut.leaves)
@@ -94,6 +152,39 @@ def test_quick_c432_matches_the_references(c432_quick, k, limit):
 def test_quick_c880_matches_the_references(c880_quick):
     _check_manager(aig_from_netlist(c880_quick), 4, 8)
 
+
+def _reconvergent_aig() -> Aig:
+    """Nodes whose fanin reconverges, so one fanin's cut is as wide as the
+    union and the other's narrower, on either side and in either phase."""
+    aig = Aig()
+    a, b, c, d = (aig.add_pi(name) for name in "abcd")
+    ab = aig.add_and(a, b)
+    abc = aig.add_and(ab, c ^ 1)
+    # Built after abc, so abc is the lower fanin and the wider one.
+    ac = aig.add_and(a, c)
+    for x, y in [(ab, a), (ab ^ 1, a), (ab, a ^ 1), (a ^ 1, ab ^ 1),
+                 (abc, b), (abc ^ 1, ab), (c, abc), (aig.add_and(c, d), abc),
+                 (abc, ac), (abc ^ 1, ac ^ 1)]:
+        aig.add_po(aig.add_and(x, y))
+    return aig
+
+
+@pytest.mark.parametrize("k,limit", [(4, 8), (3, 2), (5, 4)])
+def test_fanin_cuts_as_wide_as_the_union_match_the_references(k, limit):
+    aig = _reconvergent_aig()
+    manager = CutManager(aig, k=k, limit=limit)
+    fanin0, fanin1 = aig.fanin_arrays()
+    sides = set()
+    for var in aig.topological_ands():
+        cuts0 = manager.cuts(fanin0[var] >> 1)
+        cuts1 = manager.cuts(fanin1[var] >> 1)
+        for cut0 in cuts0:
+            for cut1 in cuts1:
+                union = len(set(cut0.leaves) | set(cut1.leaves))
+                if union <= k and len(cut0.leaves) != len(cut1.leaves):
+                    sides.add(0 if len(cut0.leaves) == union else 1)
+    assert sides == {0, 1}
+    _check_manager(aig, k, limit)
 
 
 def _reference_mffc(aig: Aig, root_var: int, leaves) -> set[int]:

@@ -1,9 +1,9 @@
 """Deeper tests of the optimization machinery: programs, gains, stress.
 
 These cover the parts of rewrite/refactor that are easy to get subtly wrong:
-compiling factored forms into AND programs, dry-run node counting vs. real
-construction, MFFC-based gain accounting, the structure cache, and long
-random pass sequences as a structural stress test.
+compiling factored forms into AND programs, the per-cut evaluator's node
+counting vs. real construction, MFFC-based gain accounting, the structure
+cache, and long random pass sequences as a structural stress test.
 """
 
 import pytest
@@ -16,17 +16,43 @@ from repro.obs.metrics import REGISTRY
 from repro.synth import apply_transform, random_recipe
 from repro.synth.factor import FNode
 from repro.synth import library
-from repro.synth.library import refactor_candidates, rewrite_candidates
-from repro.synth.opt_common import evaluate_candidate, leaf_lits
+from repro.synth.library import (
+    Candidate,
+    refactor_candidates,
+    rewrite_candidates,
+)
+from repro.synth.opt_common import NO_GAIN, CutEvaluator, leaf_lits
 from repro.synth import refactor as refactor_module
 from repro.synth import rewrite as rewrite_module
 from repro.synth.refactor import refactor_pass
 from repro.synth.resub import resub_pass
 from repro.synth.rewrite import rewrite_pass
-from repro.synth.structure import compile_fnode, dry_run, realize
+from repro.synth.structure import compile_fnode, realize
 from repro.utils.rng import make_rng
 from repro.utils.truth import TruthTable
 from tests.conftest import build_random_netlist
+from tests.test_cut_evaluator import ReferenceEvaluator, reference_dry_run
+
+
+def _score(aig, root, mffc, program, handles, limit=None):
+    """The evaluator's ``(gain, -cost, candidate, needs_cycle_check)`` for
+    ``program`` alone, or ``None`` when it needs more than ``limit`` new
+    nodes (no limit by default).  The pass's ``need`` sets the limit to
+    ``|MFFC| - need``."""
+    need = NO_GAIN if limit is None else len(mffc) - limit
+    evaluator = CutEvaluator(aig, need, tie_step=0)
+    won = evaluator.best(root, mffc, [Candidate(program, False, 0)], handles)
+    assert evaluator.pruned == (won is None)
+    return won
+
+
+def _dry_run(aig, program, handles, limit=None):
+    """``(added, reused)`` of ``program`` at a site that replaces nothing:
+    with an empty MFFC the gain is minus the nodes added, and every hit
+    lies outside the MFFC, so the cycle flag says whether a node was
+    reused.  ``None`` past ``limit``."""
+    won = _score(aig, -1, set(), program, handles, limit)
+    return None if won is None else (-won[0], won[3])
 
 
 def _random_tree(rng, depth):
@@ -89,8 +115,7 @@ class TestHandleEncoding:
         aig = Aig()
         leaves = [aig.add_pi("a"), aig.add_pi("b")]
         xor = FNode.xor([FNode.lit(0), FNode.lit(1)])
-        added, hits = dry_run(aig, compile_fnode(xor, 2), leaves)
-        assert (added, hits) == (3, set())
+        assert _dry_run(aig, compile_fnode(xor, 2), leaves) == (3, False)
 
 
 class TestCompile:
@@ -98,6 +123,15 @@ class TestCompile:
         assert compile_fnode(FNode.const(False), 3) == ((), 0)
         assert compile_fnode(FNode.const(True), 3) == ((), 1)
         assert compile_fnode(FNode.lit(2, True), 3) == ((), 2 * 3 + 1)
+
+    def test_quads_decode_the_ops(self):
+        xor = FNode.xor([FNode.lit(0), FNode.lit(1, True)])
+        program = compile_fnode(xor, 2)
+        assert len(program.quads) == len(program.ops) // 2 == 3
+        for (a, b), quad in zip(
+            zip(program.ops[::2], program.ops[1::2]), program.quads
+        ):
+            assert quad == (a >> 1, a & 1, b >> 1, b & 1)
 
 
 class TestDryRunMatchesReal:
@@ -114,7 +148,9 @@ class TestDryRunMatchesReal:
         choices = pis + [pi ^ 1 for pi in pis] + [0, 1]
         leaves = [choices[int(rng.integers(len(choices)))] for _ in range(4)]
         program = compile_fnode(_random_tree(rng, depth=3), 4)
-        added, hits = dry_run(aig, program, leaves)
+        added, reused = _dry_run(aig, program, leaves)
+        reference_added, hits = reference_dry_run(aig, program, leaves)
+        assert (added, reused) == (reference_added, bool(hits))
         before = aig.num_ands()
         existing = set(aig.live_vars())
         realize(aig, program, leaves)
@@ -131,13 +167,14 @@ class TestDryRunMatchesReal:
         choices = pis + [pi ^ 1 for pi in pis] + [0, 1]
         leaves = [choices[int(rng.integers(len(choices)))] for _ in range(4)]
         program = compile_fnode(_random_tree(rng, depth=3), 4)
-        added, hits = dry_run(aig, program, leaves)
+        unbounded = _dry_run(aig, program, leaves)
+        added = unbounded[0]
         for limit in range(-2, added + 3):
-            bounded = dry_run(aig, program, leaves, limit)
+            bounded = _dry_run(aig, program, leaves, limit)
             if added > limit:
                 assert bounded is None
             else:
-                assert bounded == (added, hits)
+                assert bounded == unbounded
 
     @given(st.integers(min_value=0, max_value=200))
     @settings(max_examples=30, deadline=None)
@@ -189,7 +226,8 @@ _AND_C_AB = FNode.and_([FNode.lit(2), FNode.lit(0), FNode.lit(1)])
 
 class TestEvaluateCandidate:
     # (gain, added, needs_cycle_check) per hand-built site and candidate,
-    # as the tree-walking dry-run builder scored them.
+    # as the tree-walking dry-run builder scored them.  ``added`` is the
+    # smallest limit the candidate survives.
     @pytest.mark.parametrize(
         "site, tree, expected",
         [
@@ -210,35 +248,39 @@ class TestEvaluateCandidate:
     def test_gains_on_hand_built_sites(self, site, tree, expected):
         aig, root, cut = site()
         mffc = aig.mffc(lit_var(root), cut)
-        evaluation = evaluate_candidate(
-            aig, cut, mffc, compile_fnode(tree, 3), leaf_lits(cut)
+        program = compile_fnode(tree, 3)
+        gain, _, _, needs_cycle_check = _score(
+            aig, lit_var(root), mffc, program, leaf_lits(cut)
         )
-        assert (
-            evaluation.gain, evaluation.added, evaluation.needs_cycle_check
-        ) == expected
+        added = next(
+            limit for limit in range(8)
+            if _score(aig, lit_var(root), mffc, program, leaf_lits(cut), limit)
+        )
+        assert (gain, added, needs_cycle_check) == expected
 
     def test_positive_gain_for_simplification(self):
         # The candidate AND-tree reuses a&b and adds one node for the 5
         # wasted ones: gain 3.
         aig, root, cut = _wasteful_and3()
         mffc = aig.mffc(lit_var(root), cut)
-        evaluation = evaluate_candidate(
-            aig, cut, mffc, compile_fnode(_AND3, 3), leaf_lits(cut)
+        won = _score(
+            aig, lit_var(root), mffc, compile_fnode(_AND3, 3), leaf_lits(cut)
         )
-        assert evaluation.gain == 3
+        assert won[0] == 3
 
     def test_bounded_evaluation_gives_up_past_the_limit(self):
         aig, root, cut = _wasteful_and3()
         mffc = aig.mffc(lit_var(root), cut)
         program = compile_fnode(_XOR_AND, 3)
-        full = evaluate_candidate(aig, cut, mffc, program, leaf_lits(cut))
-        assert full.added > 0
-        at_limit = evaluate_candidate(
-            aig, cut, mffc, program, leaf_lits(cut), full.added
+        full = _score(aig, lit_var(root), mffc, program, leaf_lits(cut))
+        added, _ = reference_dry_run(aig, program, leaf_lits(cut))
+        assert added > 0
+        at_limit = _score(
+            aig, lit_var(root), mffc, program, leaf_lits(cut), added
         )
         assert at_limit == full
-        assert evaluate_candidate(
-            aig, cut, mffc, program, leaf_lits(cut), full.added - 1
+        assert _score(
+            aig, lit_var(root), mffc, program, leaf_lits(cut), added - 1
         ) is None
 
     def test_hits_inside_mffc_reduce_savings(self):
@@ -247,8 +289,10 @@ class TestEvaluateCandidate:
         assert len(mffc) == 2
         # The candidate reuses (a&b) and then the root itself: both MFFC
         # nodes survive, so nothing is saved and nothing is added.
-        added, hits = dry_run(aig, compile_fnode(_AND3, 3), leaf_lits(cut))
-        assert (added, hits) == (0, mffc)
+        program = compile_fnode(_AND3, 3)
+        assert reference_dry_run(aig, program, leaf_lits(cut)) == (0, mffc)
+        won = _score(aig, lit_var(root), mffc, program, leaf_lits(cut))
+        assert (won[0], won[3]) == (0, False)
 
 
 class TestStructureCache:
@@ -382,7 +426,9 @@ class TestRawTableMemo:
 
 
 class TestBoundedPasses:
-    """Bounded dry-runs commit exactly what unbounded ones would."""
+    """Bounded dry-runs commit exactly what unbounded ones would: the pass
+    runs once on :class:`CutEvaluator` and once on the reference evaluator
+    with every candidate dry-run in full."""
 
     @staticmethod
     def _fingerprint(aig, pass_fn, zero_cost):
@@ -406,12 +452,11 @@ class TestBoundedPasses:
             build_random_netlist(seed=seed, num_inputs=6, num_gates=40)
         )
         bounded = self._fingerprint(aig, pass_fn, zero_cost)
-        bounded_evaluate = module.evaluate_candidate
 
-        def unbounded(aig, cut, mffc_set, program, leaf_handles, limit=None):
-            return bounded_evaluate(aig, cut, mffc_set, program, leaf_handles)
+        def unbounded(aig, need, tie_step):
+            return ReferenceEvaluator(aig, need, tie_step, bounded=False)
 
-        monkeypatch.setattr(module, "evaluate_candidate", unbounded)
+        monkeypatch.setattr(module, "CutEvaluator", unbounded)
         assert self._fingerprint(aig, pass_fn, zero_cost) == bounded
 
 
