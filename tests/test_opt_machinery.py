@@ -31,7 +31,11 @@ from repro.synth.structure import compile_fnode, realize
 from repro.utils.rng import make_rng
 from repro.utils.truth import TruthTable
 from tests.conftest import build_random_netlist
-from tests.test_cut_evaluator import ReferenceEvaluator, reference_dry_run
+from tests.test_cut_evaluator import (
+    ReferenceEvaluator,
+    _random_tree,
+    reference_dry_run,
+)
 
 
 def _score(aig, root, mffc, program, handles, limit=None):
@@ -53,19 +57,6 @@ def _dry_run(aig, program, handles, limit=None):
     reused.  ``None`` past ``limit``."""
     won = _score(aig, -1, set(), program, handles, limit)
     return None if won is None else (-won[0], won[3])
-
-
-def _random_tree(rng, depth):
-    """A random and/or/xor tree over 4 leaves, with occasional constants."""
-    if depth == 0 or rng.random() < 0.3:
-        if rng.random() < 0.1:
-            return FNode.const(bool(rng.integers(2)))
-        return FNode.lit(int(rng.integers(4)), bool(rng.integers(2)))
-    kind = ["and", "or", "xor"][int(rng.integers(3))]
-    children = [
-        _random_tree(rng, depth - 1) for _ in range(int(rng.integers(2, 4)))
-    ]
-    return FNode(kind=kind, children=tuple(children))
 
 
 def _tree_table(node: FNode, nvars: int) -> TruthTable:
@@ -147,7 +138,7 @@ class TestDryRunMatchesReal:
         aig, pis = _site_with_structure()
         choices = pis + [pi ^ 1 for pi in pis] + [0, 1]
         leaves = [choices[int(rng.integers(len(choices)))] for _ in range(4)]
-        program = compile_fnode(_random_tree(rng, depth=3), 4)
+        program = compile_fnode(_random_tree(rng, 4, depth=3), 4)
         added, reused = _dry_run(aig, program, leaves)
         reference_added, hits = reference_dry_run(aig, program, leaves)
         assert (added, reused) == (reference_added, bool(hits))
@@ -166,7 +157,7 @@ class TestDryRunMatchesReal:
         aig, pis = _site_with_structure()
         choices = pis + [pi ^ 1 for pi in pis] + [0, 1]
         leaves = [choices[int(rng.integers(len(choices)))] for _ in range(4)]
-        program = compile_fnode(_random_tree(rng, depth=3), 4)
+        program = compile_fnode(_random_tree(rng, 4, depth=3), 4)
         unbounded = _dry_run(aig, program, leaves)
         added = unbounded[0]
         for limit in range(-2, added + 3):
@@ -181,7 +172,7 @@ class TestDryRunMatchesReal:
     def test_realized_program_computes_the_tree(self, seed):
         """The realized cut function equals the tree's own function."""
         rng = make_rng(seed)
-        tree = _random_tree(rng, depth=3)
+        tree = _random_tree(rng, 4, depth=3)
         aig, leaves = _site_with_structure()
         out = realize(aig, compile_fnode(tree, 4), leaves)
         cut = [lit_var(leaf) for leaf in leaves]
