@@ -15,7 +15,7 @@ from repro.aig.simulate import (
     random_signatures,
     simulate_words,
 )
-from repro.aig.cuts import reconvergence_cut
+from repro.aig.cuts import reconvergence_window
 
 __all__ = [
     "Aig",
@@ -29,5 +29,5 @@ __all__ = [
     "random_signatures",
     "exhaustive_signatures",
     "cut_truth_table",
-    "reconvergence_cut",
+    "reconvergence_window",
 ]

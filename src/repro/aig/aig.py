@@ -258,14 +258,26 @@ class Aig:
         Restricted to the cone of ``roots`` (literals) when given, otherwise
         the cone of all primary outputs plus every live AND node.
         """
-        fanin0, fanin1 = self._fanin0, self._fanin1
         if roots is None:
+            fanin0 = self._fanin0
             root_vars = [po >> 1 for po in self._pos]
             root_vars.extend(v for v in range(len(fanin0)) if fanin0[v] >= 0)
         else:
             root_vars = [r >> 1 for r in roots]
+        return self._post_order(root_vars, None)
+
+    def _post_order(
+        self, root_vars: list[int], leaf_set: Optional[set[int]]
+    ) -> list[int]:
+        """AND variables below ``root_vars``, post-order, fanin0 first.
+
+        The walk stops at non-ANDs, and at ``leaf_set`` when given; then any
+        other non-AND it reaches raises (the cone escapes the cut).
+        """
+        fanin0, fanin1 = self._fanin0, self._fanin1
         order: list[int] = []
-        state: dict[int, int] = {}
+        # Leaves start out finished, so the walk stops at them.
+        state: dict[int, int] = dict.fromkeys(leaf_set or (), 2)
         for root in root_vars:
             if fanin0[root] < 0 or state.get(root) == 2:
                 continue
@@ -279,7 +291,11 @@ class Aig:
                     stack.append((var, 1))
                     for child in (fanin1[var] >> 1, fanin0[var] >> 1):
                         if fanin0[child] < 0:
-                            continue
+                            if leaf_set is None or child in leaf_set:
+                                continue
+                            raise AigError(
+                                f"cone of {root} escapes cut at var {child}"
+                            )
                         seen = state.get(child)
                         if seen != 2:
                             if seen == 1:
@@ -312,38 +328,7 @@ class Aig:
         or constant not in the leaf set) — that means ``leaves`` is not a
         valid cut of the root.
         """
-        fanin0, fanin1 = self._fanin0, self._fanin1
-        leaf_set = set(leaves)
-        root = root_lit >> 1
-        order: list[int] = []
-        state: dict[int, int] = {}
-        if root in leaf_set or fanin0[root] < 0:
-            return order
-        stack: list[tuple[int, int]] = [(root, 0)]
-        while stack:
-            var, phase = stack.pop()
-            if state.get(var) == 2:
-                continue
-            if phase == 0:
-                state[var] = 1
-                stack.append((var, 1))
-                for child in (fanin1[var] >> 1, fanin0[var] >> 1):
-                    if child in leaf_set:
-                        continue
-                    seen = state.get(child)
-                    if seen == 2:
-                        continue
-                    if fanin0[child] < 0:
-                        raise AigError(
-                            f"cone of {root} escapes cut at var {child}"
-                        )
-                    if seen == 1:
-                        raise AigError(f"cycle detected at var {child}")
-                    stack.append((child, 0))
-            else:
-                state[var] = 2
-                order.append(var)
-        return order
+        return self._post_order([root_lit >> 1], set(leaves))
 
     def reaches(self, start_lit: int, target_var: int, stop_vars: set[int]) -> bool:
         """True when ``target_var`` is reachable from ``start_lit`` downward.

@@ -7,15 +7,14 @@ Two flavours, matching what the synthesis passes need:
   (k = 4).  Each stored :class:`Cut` carries its sorted leaf tuple, a leaf
   bitset (bit ``v`` set for leaf ``v``) and its truth table over the
   leaves, as ABC's cut manager does.  Merging two fanin cuts is bitset
-  arithmetic: the union is ``s0 | s1``, its size ``.bit_count()``,
-  duplicates are keyed on the bitset and a cut dominates another when its
-  bitset is a subset.  The merged table is the AND of the two fanin tables,
-  each re-indexed onto the union's leaves by :func:`_stretch` and
-  complemented by its fanin phase, so ``rewrite`` never re-simulates a cut
-  cone.
-* :func:`reconvergence_cut` — Mishchenko-style reconvergence-driven cut
-  growing, used by ``refactor`` and ``resub`` for larger windows (k = 8-12);
-  their cone tables come from :func:`repro.aig.simulate.cut_truth_table`.
+  arithmetic: the union is ``s0 | s1``, its size ``.bit_count()``, and a
+  cut (or a repeated union) dominates another when its bitset is a subset.
+  The merged table is the AND of the two fanin tables, each re-indexed onto
+  the union's leaves by :func:`_stretch` and complemented by its fanin
+  phase, so ``rewrite`` never re-simulates a cut cone.
+* :func:`reconvergence_window` — Mishchenko-style reconvergence-driven cut
+  growing with its cone, used by ``refactor`` and ``resub`` for larger
+  windows (k = 8-10); :func:`repro.aig.simulate.cone_words` simulates it.
 """
 
 from __future__ import annotations
@@ -107,19 +106,17 @@ class CutManager:
         self, var: int, f0: int, f1: int, cuts0: list[Cut], cuts1: list[Cut]
     ) -> list[Cut]:
         k = self.k
-        seen: set[int] = set()
         merged: list[tuple[int, int, Cut, Cut]] = []
         for cut0 in cuts0:
             sig0 = cut0.sig
             for cut1 in cuts1:
                 sig = sig0 | cut1.sig
                 size = sig.bit_count()
-                if size > k or sig in seen:
-                    continue
-                seen.add(sig)
-                merged.append((size, sig, cut0, cut1))
+                if size <= k:
+                    merged.append((size, sig, cut0, cut1))
         # Drop dominated cuts (a cut is dominated if a subset cut exists);
-        # the sort is stable, so equal sizes keep their merge order.
+        # the sort is stable, so equal sizes keep their merge order, and a
+        # repeated union goes too: its first copy is kept or dropped first.
         merged.sort(key=itemgetter(0))
         kept_sigs: list[int] = []
         kept = [Cut((var,), 1 << var, _PROJECTION)]
@@ -163,23 +160,28 @@ class CutManager:
         return kept
 
 
-#: Expansion steps after which :func:`reconvergence_cut` stops growing.
+#: Expansion steps after which :func:`reconvergence_window` stops growing.
 MAX_VISITS = 200
 
 
-def reconvergence_cut(
+def reconvergence_window(
     aig: Aig, root: int, max_leaves: int = 8
-) -> tuple[int, ...]:
-    """Grow a reconvergence-driven cut of at most ``max_leaves`` leaves.
+) -> tuple[tuple[int, ...], list[int]]:
+    """Grow a reconvergence-driven cut of at most ``max_leaves`` leaves;
+    returns ``(leaves, cone)``.
 
     Starting from the root's fanins, repeatedly expands the leaf whose
     replacement by its own fanins increases the leaf count the least
     (preferring expansions that *reduce* it, i.e. reconvergence).  Stops when
     no expansion fits the leaf budget, or after ``MAX_VISITS`` expansions.
+
+    ``cone`` is the AND nodes between the leaves and the root, walked from
+    the root in :meth:`Aig.cone_vars` order.  It is not the set of expanded
+    nodes: an expansion can re-add an expanded node as a leaf.
     """
     fanin0, fanin1 = aig.fanin_arrays()
     if fanin0[root] < 0:
-        return (root,)
+        return (root,), []
     leaves = {fanin0[root] >> 1, fanin1[root] >> 1}
     for _ in range(MAX_VISITS):
         best_leaf: Optional[int] = None
@@ -208,4 +210,20 @@ def reconvergence_cut(
         leaves.add(fanin1[best_leaf] >> 1)
         if best_cost > 0 and len(leaves) >= max_leaves:
             break
-    return tuple(sorted(leaves))
+    cut = tuple(sorted(leaves))
+    # Post-order from the root, fanin0 first, stopping at the leaves.  Every
+    # node it reaches was expanded or is a leaf: no escape check is needed.
+    cone: list[int] = []
+    done = leaves
+    stack = [root]
+    while stack:
+        var = stack.pop()
+        if var in done:
+            continue
+        c0, c1 = fanin0[var] >> 1, fanin1[var] >> 1
+        if c0 in done and c1 in done:
+            done.add(var)
+            cone.append(var)
+        else:
+            stack += (var, c1, c0)
+    return cut, cone

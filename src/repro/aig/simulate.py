@@ -3,7 +3,8 @@
 Words are Python integers: bit ``p`` of a node's word is its value under
 pattern ``p``.  Arbitrary precision makes complementation exact (XOR with
 a width mask) and supports exhaustive simulation of cones up to ~16
-inputs, which is how cut functions are computed during rewriting.  The
+inputs: :func:`cone_words` computes ``refactor``'s and ``resub``'s window
+tables that way.  The
 same words carry random simulation at any width: for
 :func:`functionally_equal` and, through :func:`random_signatures`, for
 the SAT miter's prefilter, which reads its first counterexample off the
@@ -135,6 +136,29 @@ def output_truth_tables(aig: Aig) -> list[TruthTable]:
     ]
 
 
+def cone_words(
+    aig: Aig, leaves: Sequence[int], cone: Sequence[int]
+) -> tuple[dict[int, int], int]:
+    """Tables over the cut ``leaves`` (variable ``i`` is ``leaves[i]``) of
+    the leaves and each node of ``cone``, a topologically ordered cone, and
+    their all-ones mask.  Keys run const, leaves, then ``cone``: ``resub``
+    takes its divisors in that order.
+    """
+    nvars = len(leaves)
+    mask = (1 << (1 << nvars)) - 1
+    words: dict[int, int] = {CONST_VAR: 0}
+    for index, leaf in enumerate(leaves):
+        words[leaf] = _var_mask(index, nvars)
+    fanin0, fanin1 = aig.fanin_arrays()
+    for var in cone:
+        f0 = fanin0[var]
+        f1 = fanin1[var]
+        w0 = words[f0 >> 1] ^ (mask if f0 & 1 else 0)
+        w1 = words[f1 >> 1] ^ (mask if f1 & 1 else 0)
+        words[var] = w0 & w1
+    return words, mask
+
+
 def cut_truth_table(aig: Aig, root_lit: int, leaves: Sequence[int]) -> TruthTable:
     """Truth table of ``root_lit`` as a function of cut ``leaves``.
 
@@ -144,23 +168,8 @@ def cut_truth_table(aig: Aig, root_lit: int, leaves: Sequence[int]) -> TruthTabl
     nvars = len(leaves)
     if nvars > 16:
         raise AigError("cut truth tables limited to 16 leaves")
-    width = 1 << nvars
-    mask = (1 << width) - 1
-    words: dict[int, int] = {CONST_VAR: 0}
-    for index, leaf in enumerate(leaves):
-        words[leaf] = _var_mask(index, nvars)
-    root = lit_var(root_lit)
-    if root in words:
-        bits = words[root]
-    else:
-        fanin0, fanin1 = aig.fanin_arrays()
-        for var in aig.cone_vars(root_lit, leaves):
-            f0 = fanin0[var]
-            f1 = fanin1[var]
-            w0 = words[f0 >> 1] ^ (mask if f0 & 1 else 0)
-            w1 = words[f1 >> 1] ^ (mask if f1 & 1 else 0)
-            words[var] = w0 & w1
-        bits = words[root]
+    words, mask = cone_words(aig, leaves, aig.cone_vars(root_lit, leaves))
+    bits = words[lit_var(root_lit)]
     if root_lit & 1:
         bits ^= mask
     return TruthTable(bits & mask, nvars)

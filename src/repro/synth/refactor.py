@@ -13,9 +13,9 @@ candidate's dry-run stops once it cannot beat the best gain so far.
 
 from __future__ import annotations
 
-from repro.aig.aig import Aig, make_lit
-from repro.aig.cuts import reconvergence_cut
-from repro.aig.simulate import cut_truth_table
+from repro.aig.aig import Aig
+from repro.aig.cuts import reconvergence_window
+from repro.aig.simulate import cone_words
 from repro.obs import metrics as _metrics
 from repro.synth.library import (
     memoized_refactor_candidates,
@@ -28,6 +28,7 @@ from repro.synth.opt_common import (
     realize_candidate,
     try_replace,
 )
+from repro.utils.truth import TruthTable
 
 
 #: Leaf budget of the reconvergence-driven cut grown at each node.
@@ -47,11 +48,11 @@ def refactor_pass(aig: Aig, zero_cost: bool = False) -> int:
     for var in aig.topological_ands():
         if fanin0[var] < 0:  # removed by an earlier replacement
             continue
-        cut = reconvergence_cut(aig, var, max_leaves=MAX_LEAVES)
+        cut, cone = reconvergence_window(aig, var, max_leaves=MAX_LEAVES)
         if len(cut) < MIN_LEAVES or var in cut:
             continue
         cuts_seen += 1
-        table = cut_truth_table(aig, make_lit(var), cut)
+        table = TruthTable(cone_words(aig, cut, cone)[0][var], len(cut))
         trivial = constant_or_leaf_lit(table.bits, cut)
         if trivial is not None:
             if try_replace(aig, var, cut, trivial, needs_cycle_check=False):

@@ -13,29 +13,10 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.aig.aig import Aig, lit_not, make_lit
-from repro.aig.cuts import reconvergence_cut
+from repro.aig.cuts import reconvergence_window
+from repro.aig.simulate import cone_words
 from repro.obs import metrics as _metrics
 from repro.synth.opt_common import try_replace
-from repro.utils.truth import _var_mask
-
-
-def _window_tables(
-    aig: Aig, root: int, leaves: tuple[int, ...]
-) -> tuple[dict[int, int], int]:
-    """Truth-table bits for every cone node over the window leaves."""
-    nvars = len(leaves)
-    mask = (1 << (1 << nvars)) - 1
-    words: dict[int, int] = {0: 0}
-    for index, leaf in enumerate(leaves):
-        words[leaf] = _var_mask(index, nvars)
-    fanin0, fanin1 = aig.fanin_arrays()
-    for var in aig.cone_vars(make_lit(root), leaves):
-        f0 = fanin0[var]
-        f1 = fanin1[var]
-        w0 = words[f0 >> 1] ^ (mask if f0 & 1 else 0)
-        w1 = words[f1 >> 1] ^ (mask if f1 & 1 else 0)
-        words[var] = w0 & w1
-    return words, mask
 
 
 #: Leaf budget of the window grown at each node.
@@ -94,11 +75,11 @@ def resub_pass(aig: Aig, zero_cost: bool = False) -> int:
     for root in aig.topological_ands():
         if fanin0[root] < 0:  # removed by an earlier replacement
             continue
-        leaves = reconvergence_cut(aig, root, max_leaves=MAX_LEAVES)
+        leaves, cone = reconvergence_window(aig, root, max_leaves=MAX_LEAVES)
         if len(leaves) < 2 or root in leaves:
             continue
         windows += 1
-        words, mask = _window_tables(aig, root, leaves)
+        words, mask = cone_words(aig, leaves, cone)
         target = words[root]
         mffc_set = aig.mffc(root, leaves)
         divisors = [

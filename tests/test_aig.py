@@ -242,3 +242,17 @@ def test_cut_truth_table_agrees_with_packed_exhaustive(seed):
     tables = output_truth_tables(aig)
     for po, expected in zip(aig.po_lits(), tables):
         assert cut_truth_table(aig, po, leaves).bits == expected.bits
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cone_vars_is_the_topological_walk_and_checks_the_cut(seed):
+    # cone_vars and topological_ands share one walk: over the PI cut they
+    # list the same nodes in the same order, and a leaf set the cone
+    # escapes (here: none) raises.
+    aig = aig_from_netlist(build_random_netlist(num_inputs=5, seed=seed))
+    leaves = [0, *aig.pi_vars()]
+    for po in aig.po_lits():
+        assert aig.cone_vars(po, leaves) == aig.topological_ands([po])
+        if aig.is_and(po >> 1):
+            with pytest.raises(AigError, match="escapes cut"):
+                aig.cone_vars(po, [])

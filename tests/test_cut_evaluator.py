@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional, Sequence
 import pytest
 
 from repro.aig import Aig, aig_from_netlist, lit_var, make_lit
-from repro.aig.cuts import CutManager, reconvergence_cut
+from repro.aig.cuts import CutManager, reconvergence_window
 from repro.aig.simulate import cut_truth_table
 from repro.obs.metrics import REGISTRY
 from repro.synth import refactor as refactor_module
@@ -238,7 +238,7 @@ def _sites(aig: Aig, rng):
                 for index, negated in zip(entry.perm, entry.negations)
             ]
             yield var, aig.mffc(var, leaves), entry.candidates, bound
-        cut = reconvergence_cut(aig, var, max_leaves=6)
+        cut, _ = reconvergence_window(aig, var, max_leaves=6)
         if len(cut) < 2 or var in cut:
             continue
         mffc = aig.mffc(var, cut)

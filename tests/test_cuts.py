@@ -4,14 +4,19 @@
 truth table from its fanins' tables.  Both are checked against simple
 references: a set-based enumerator kept here as the oracle (the merge the
 manager replaced), and ``cut_truth_table``, which simulates the cut cone
-directly.  The bitset merge that tested the seen set before the union's
-size and rebuilt every union's leaves is kept as a third oracle: the
-manager must store exactly the cuts, in the order, it stored.
+directly.  An earlier bitset merge, which tested a seen set of unions and
+rebuilt every union's leaves, is kept as a third oracle: the manager must
+store exactly the cuts, in the order, it stored.
 
-``Aig.mffc`` and ``reconvergence_cut`` read the AIG's fanin arrays
+``Aig.mffc`` and ``reconvergence_window`` read the AIG's fanin arrays
 directly.  They are checked against the accessor-based bodies they
 replaced, kept here as oracles, on random AIGs and on AIGs caught in the
-middle of a pass, where dead and detached slots occur.
+middle of a pass, where dead and detached slots occur.  The window's cone
+must equal ``Aig.cone_vars`` (order included), and ``cone_words`` the
+window simulation ``resub`` ran before it, words and key order both: on
+every window of quick c1908 and c3540, statically and as the passes grow
+them, including windows where the growth re-added an expanded node as a
+leaf and left expanded nodes outside the cone.
 """
 
 from __future__ import annotations
@@ -30,12 +35,15 @@ from repro.aig.cuts import (
     Cut,
     CutManager,
     _stretch,
-    reconvergence_cut,
+    reconvergence_window,
 )
-from repro.aig.simulate import cut_truth_table
+from repro.aig.simulate import cone_words, cut_truth_table
+from repro.circuits import load_iscas85
+from repro.synth import Recipe, apply_recipe
 from repro.synth import refactor as refactor_module
 from repro.synth import resub as resub_module
 from repro.synth import rewrite as rewrite_module
+from repro.utils.truth import TruthTable
 from tests.conftest import build_random_netlist
 
 
@@ -209,10 +217,19 @@ def _reference_mffc(aig: Aig, root_var: int, leaves) -> set[int]:
     return mffc_nodes
 
 
-def _reference_reconvergence_cut(aig: Aig, root: int, max_leaves: int):
-    """The set-algebra body ``reconvergence_cut`` replaced."""
+def _reference_reconvergence_cut(
+    aig: Aig, root: int, max_leaves: int, expanded: Optional[list] = None
+):
+    """The set-algebra cut growth ``reconvergence_window`` replaced.
+
+    ``expanded``, when given, receives the root and then every expanded
+    leaf, in expansion order.
+    """
+    if expanded is None:
+        expanded = []
     if not aig.is_and(root):
         return (root,)
+    expanded.append(root)
     f0, f1 = aig.fanins(root)
     leaves = {lit_var(f0), lit_var(f1)}
     visits = 0
@@ -234,6 +251,7 @@ def _reference_reconvergence_cut(aig: Aig, root: int, max_leaves: int):
                 best_leaf = leaf
         if best_leaf is None:
             break
+        expanded.append(best_leaf)
         g0, g1 = aig.fanins(best_leaf)
         leaves.discard(best_leaf)
         leaves.add(lit_var(g0))
@@ -241,6 +259,86 @@ def _reference_reconvergence_cut(aig: Aig, root: int, max_leaves: int):
         if best_cost is not None and best_cost > 0 and len(leaves) >= max_leaves:
             break
     return tuple(sorted(leaves))
+
+
+def _reference_window_tables(aig: Aig, root: int, leaves) -> dict[int, int]:
+    """The window simulation ``resub`` ran before ``cone_words``."""
+    nvars = len(leaves)
+    mask = (1 << (1 << nvars)) - 1
+    words = {0: 0}
+    for index, leaf in enumerate(leaves):
+        words[leaf] = TruthTable.var(index, nvars).bits
+    for var in aig.cone_vars(make_lit(root), leaves):
+        f0, f1 = aig.fanins(var)
+        w0 = words[lit_var(f0)] ^ (mask if f0 & 1 else 0)
+        w1 = words[lit_var(f1)] ^ (mask if f1 & 1 else 0)
+        words[var] = w0 & w1
+    return words
+
+
+def _check_window(aig: Aig, root: int, max_leaves: int) -> tuple[bool, bool]:
+    """Check one window against the references; returns whether its growth
+    re-added an expanded node as a leaf, and whether expanded nodes other
+    than the leaves lie outside its cone."""
+    expanded: list[int] = []
+    leaves, cone = reconvergence_window(aig, root, max_leaves)
+    assert leaves == _reference_reconvergence_cut(
+        aig, root, max_leaves, expanded
+    )
+    if not aig.is_and(root):
+        assert cone == []
+        return False, False
+    if root in leaves:  # a leaf set no pass simulates
+        return False, False
+    assert cone == aig.cone_vars(make_lit(root), leaves)
+    words, mask = cone_words(aig, leaves, cone)
+    assert mask == (1 << (1 << len(leaves))) - 1
+    assert list(words.items()) == list(
+        _reference_window_tables(aig, root, leaves).items()
+    )
+    for var in cone:
+        assert words[var] == cut_truth_table(aig, make_lit(var), leaves).bits
+    leaf_set = set(leaves)
+    readded = len(set(expanded)) < len(expanded) or not leaf_set.isdisjoint(
+        expanded
+    )
+    outside = bool(set(expanded) - leaf_set - set(cone))
+    return readded, outside
+
+
+#: Steps that grow windows in both passes, in both modes.
+_WINDOW_RECIPE = Recipe(
+    ("resub", "refactor", "balance", "resub -z", "refactor -z", "rewrite",
+     "resub", "refactor")
+)
+
+
+def test_windows_match_the_references_on_quick_c1908_and_c3540():
+    readded = outside = windows = 0
+
+    def tally(flags):
+        nonlocal readded, outside, windows
+        windows += 1
+        readded += flags[0]
+        outside += flags[1]
+
+    def checking(aig, root, max_leaves=8):
+        tally(_check_window(aig, root, max_leaves))
+        return reconvergence_window(aig, root, max_leaves)
+
+    for name in ("c1908", "c3540"):
+        aig = aig_from_netlist(load_iscas85(name, scale="quick"))
+        for max_leaves in (8, 10):
+            for root in range(aig.num_vars):
+                tally(_check_window(aig, root, max_leaves))
+        with mock.patch.object(
+            refactor_module, "reconvergence_window", checking
+        ), mock.patch.object(resub_module, "reconvergence_window", checking):
+            apply_recipe(aig, _WINDOW_RECIPE)
+    assert windows > 2000
+    # Both cases the cone walk exists for are reached.
+    assert readded > 0
+    assert outside > 0
 
 
 class _Stop(Exception):
@@ -294,8 +392,8 @@ def _check_against_references(aig: Aig) -> None:
     for var in range(aig.num_vars):
         assert (fanin0[var] >= 0) == aig.is_and(var)
         for max_leaves in (3, 8, 10):
-            cut = reconvergence_cut(aig, var, max_leaves)
-            assert cut == _reference_reconvergence_cut(aig, var, max_leaves)
+            _check_window(aig, var, max_leaves)
+        cut, _ = reconvergence_window(aig, var, 10)
         assert aig.mffc(var, cut) == _reference_mffc(aig, var, cut)
         if fanin0[var] < 0:
             continue

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.aig import aig_from_netlist
-from repro.aig.cuts import CutManager, reconvergence_cut
+from repro.aig.cuts import CutManager, reconvergence_window
 from repro.aig.simulate import cut_truth_table, functionally_equal
 from repro.errors import SynthesisError
 from repro.sat import check_equivalence
@@ -54,9 +54,10 @@ class TestCuts:
     def test_reconvergence_cut_bounds(self, c880_quick):
         aig = aig_from_netlist(c880_quick)
         for var in aig.topological_ands()[:30]:
-            cut = reconvergence_cut(aig, var, max_leaves=8)
+            cut, cone = reconvergence_window(aig, var, max_leaves=8)
             assert 1 <= len(cut) <= 8
             assert var not in cut
+            assert cone[-1] == var
 
 
 class TestPassEquivalence:
